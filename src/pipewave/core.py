@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -192,9 +193,18 @@ class Mesh:
     def n(self):
         return self.centers.size
 
-    @property
+    @cached_property
     def min_width(self):
         return float(self.widths.min())
+
+    @cached_property
+    def interface_dz(self):
+        """Bottom jump z_right - z_left at each of the n+1 interfaces; the
+        ghost cells share the bottom of their neighbour, so both ends are 0."""
+        z = self.z_cells
+        dz = np.diff(np.concatenate((z[:1], z, z[-1:])))
+        dz.setflags(write=False)
+        return dz
 
     @classmethod
     def uniform(cls, length, n, altitude):
@@ -231,6 +241,11 @@ class State:
     @property
     def velocity(self):
         return self.discharge / self.area
+
+    @cached_property
+    def max_abs_velocity(self):
+        """max |u|, computed once per state (the CFL bound and its check)."""
+        return float(np.max(np.abs(self.velocity)))
 
     @property
     def n(self):

@@ -10,9 +10,36 @@ At a cell interface the outgoing half of the distribution is kept, while the
 incoming half combines particles reflected by the bottom step (kinetic energy
 below the potential jump 2 g dZ) with particles transmitted from the
 neighbour at the energy-shifted speed sqrt(xi^2 - 2 g dZ).  Because the
-equilibrium is piecewise constant every flux moment reduces to integrals of
-xi*const and xi^2*const over explicit intervals, evaluated here in closed
-form; no quadrature is involved.
+equilibrium is piecewise constant every flux is a sum of exact integrals of
+the rectangle over explicit intervals; no quadrature is involved.
+
+The six pieces at an interface are the rows of one (6, n) block.  Rows 0-2
+sum to F- (fed to the left cell), rows 3-5 to F+ (fed to the right cell):
+
+    row  piece                    density  interval
+    0    left, direct             left     xi >= 0
+    1    left, reflected          left     -r_up <= xi <= 0,  mirrored speed
+    2    right, transmitted       right    nu <= -r_down,     jump +2 g dZ
+    3    right, direct            right    xi <= 0
+    4    right, reflected         right    0 <= xi <= r_down,  mirrored speed
+    5    left, transmitted        left     nu >= r_up,        jump -2 g dZ
+
+with dZ = z_right - z_left, r_up = sqrt(max(2 g dZ, 0)) and
+r_down = sqrt(max(-2 g dZ, 0)).  A transmitted row is written in the speed
+nu = sgn sqrt(xi^2 - 2 g dZ) the particle had in its own cell; xi dxi = nu dnu
+turns its mass moment into the plain moment of the rectangle in nu and its
+momentum moment into int |nu| sqrt(nu^2 + jump) dnu.  So every row is one
+formula over one interval [lo, hi]:
+
+    m0 = dens (hi^2 - lo^2) / 2
+    m1 = sign dens (P(hi) - P(lo)) / 3,  P(x) = y sqrt(y),  y = max(x^2 + jump, 0)
+
+with jump = 0 on the direct and reflected rows and sign = -1 on rows that lie
+on xi <= 0.  The F+ rows are the mirror image of the F- rows, so they are
+evaluated in the mirrored frame xi -> -xi.  There rows 3-5 take the bounds of
+rows 0-2 (direct on xi >= 0, reflected and transmitted on xi <= 0, so
+sign = -1 on rows 1, 2, 4 and 5); the mass moment of F+ changes sign and the
+momentum moment does not.
 
 The macroscopic update is the first-order explicit scheme
 
@@ -85,58 +112,29 @@ def maxwellian_density(area, velocity, c, xi):
     return np.where(inside, area / (2.0 * s), 0.0)[()]
 
 
-def _segment_moments(dens, lo, hi):
-    """(m0, m1) = (int xi dxi, int xi^2 dxi) * dens over [lo, hi], empty-safe."""
-    valid = hi > lo
-    m0 = np.where(valid, dens * (hi * hi - lo * lo) / 2.0, 0.0)
-    m1 = np.where(valid, dens * (hi ** 3 - lo ** 3) / 3.0, 0.0)
-    return m0, m1
+def _row_moments(dens, x, jump):
+    """Closed-form moments of one or many rows, each a constant density over
+    one interval x = (lo, hi) of a half-line:
 
+        m0 = dens * (hi^2 - lo^2) / 2
+        m1 = dens * (P(hi) - P(lo)) / 3,  P(v) = y sqrt(y),  y = max(v^2 + jump, 0)
 
-def _direct_moments(dens, u, s, positive):
-    """Moments of xi^k M(xi) over one half-line (the outgoing particles)."""
-    if positive:
-        lo, hi = np.maximum(u - s, 0.0), np.maximum(u + s, 0.0)
-    else:
-        lo, hi = np.minimum(u - s, 0.0), np.minimum(u + s, 0.0)
-    return _segment_moments(dens, lo, hi)
-
-
-def _reflected_moments(dens, u, s, w, positive):
-    """Moments of xi^k M(-xi) over the reflection set {xi^2 <= w} on one
-    half-line; empty whenever the jump w is non-positive."""
-    r = np.sqrt(np.maximum(w, 0.0))
-    if positive:
-        lo, hi = np.maximum(-(u + s), 0.0), np.minimum(s - u, r)
-    else:
-        lo, hi = np.maximum(-(u + s), -r), np.minimum(s - u, 0.0)
-    return _segment_moments(dens, lo, hi)
-
-
-def _transmitted_moments(dens, u, s, w, positive):
-    """Moments of xi^k M(sgn sqrt(xi^2 - w)) over {xi^2 >= w} on one
-    half-line, with sgn = +1 on xi >= 0 and -1 on xi <= 0.
-
-    Substituting nu = sgn*sqrt(xi^2 - w) (so xi^2 = nu^2 + w and
-    xi dxi = nu dnu) turns the mass moment into the plain half-line moment of
-    M and the momentum moment into int |nu| sqrt(nu^2 + w) M(nu) dnu, both
-    elementary for the rectangle.
+    m1 is the second moment on xi >= 0; on xi <= 0 it is -m1.  An empty
+    interval (hi <= lo) contributes nothing.  ``x`` is used as scratch.
     """
-    if positive:
-        lo = np.maximum(u - s, np.sqrt(np.maximum(-w, 0.0)))
-        hi = u + s
-    else:
-        lo = u - s
-        hi = np.minimum(u + s, -np.sqrt(np.maximum(-w, 0.0)))
-    valid = hi > lo
-    m0 = np.where(valid, dens * (hi * hi - lo * lo) / 2.0, 0.0)
-    # the clamps only absorb roundoff: on a valid interval nu^2 + w >= 0
-    lo32 = np.maximum(lo * lo + w, 0.0) ** 1.5
-    hi32 = np.maximum(hi * hi + w, 0.0) ** 1.5
-    if positive:
-        m1 = np.where(valid, dens * (hi32 - lo32) / 3.0, 0.0)
-    else:
-        m1 = np.where(valid, dens * (lo32 - hi32) / 3.0, 0.0)
+    lo, hi = x
+    np.maximum(hi, lo, out=hi)
+    x *= x
+    m0 = x[1] - x[0]
+    m0 *= dens
+    m0 /= 2.0
+    # the clamp only absorbs roundoff: on a non-empty interval v^2 + jump >= 0
+    x += jump
+    np.maximum(x, 0.0, out=x)
+    x *= np.sqrt(x)
+    m1 = x[1] - x[0]
+    m1 *= dens
+    m1 /= 3.0
     return m0, m1
 
 
@@ -148,42 +146,65 @@ def shifted_half_moments(area, velocity, c, potential_jump, positive_half):
 
     over {xi >= 0} (``positive_half``) or {xi <= 0}, restricted to
     xi^2 >= potential_jump; (0, 0) when the transformed support misses the
-    integration domain (total reflection).
+    integration domain (total reflection).  The xi <= 0 case is evaluated in
+    the mirrored frame xi -> -xi, which flips the sign of m0 only.
     """
     if area <= 0 or c <= 0:
         raise ValueError("area and sound speed must be positive")
     s = c * SQRT3
-    dens = area / (2.0 * s)
-    m0, m1 = _transmitted_moments(dens, velocity, s, potential_jump, positive_half)
-    return float(m0), float(m1)
+    mirror = 1.0 if positive_half else -1.0
+    u = mirror * velocity
+    x = np.array([[max(u - s, math.sqrt(max(-potential_jump, 0.0)))], [u + s]])
+    m0, m1 = _row_moments(area / (2.0 * s), x, potential_jump)
+    return mirror * float(m0[0]), float(m1[0])
+
+
+# rows of each half block: direct, reflected, transmitted; only the
+# transmitted row sees the potential jump
+_TRANSMITTED = np.array([[0.0], [0.0], [1.0]])
 
 
 def _interface_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
-    """Vectorized interface fluxes for arrays of interfaces.
+    """Vectorized interface fluxes for 0-d or 1-d arrays of interfaces.
 
-    dz = z_right - z_left.  Returns (F-_A, F-_Q, F+_A, F+_Q).
+    dz = z_right - z_left.  Returns (F-_A, F-_Q, F+_A, F+_Q).  The six
+    pieces are the rows of one (6, n) block, viewed as (half, piece, n); see
+    the module docstring for the layout.
     """
+    shape = np.shape(a_left)
+    n = np.size(a_left)
     s = c * SQRT3
-    u_left = q_left / a_left
-    u_right = q_right / a_right
-    dens_left = a_left / (2.0 * s)
-    dens_right = a_right / (2.0 * s)
-    w = 2.0 * g * dz          # potential jump seen from the left cell
-    wm = -w                   # and from the right cell
+    x = np.empty((2, 2, 3, n))
+    lo, hi = x
+    # row velocities in their half's frame (the F+ half is mirrored, xi -> -xi),
+    # held in lo until the bounds are formed
+    np.divide(q_left, a_left, out=lo[0, 0])
+    np.divide(q_right, a_right, out=lo[1, 0])
+    np.negative(lo[1, 0], out=lo[1, 0])
+    np.negative(lo[:, 0], out=lo[:, 1])        # reflected: the own cell, turned back
+    lo[:, 2] = lo[::-1, 1]                     # transmitted: the other cell
+    np.add(lo, s, out=hi)
+    lo -= s
+    dens = np.empty((2, 3, n))
+    np.divide(a_left, 2.0 * s, out=dens[0, 0])
+    np.divide(a_right, 2.0 * s, out=dens[1, 0])
+    dens[:, 1] = dens[:, 0]
+    dens[:, 2] = dens[::-1, 0]
+    w = np.empty((2, n))                       # potential jump seen by each half
+    np.multiply(dz, 2.0 * g, out=w[0])
+    np.negative(w[0], out=w[1])
+    neg_r = -np.sqrt(np.maximum(w, 0.0))       # -(radius of the reflection set)
 
-    d0, d1 = _direct_moments(dens_left, u_left, s, True)
-    r0, r1 = _reflected_moments(dens_left, u_left, s, w, False)
-    t0, t1 = _transmitted_moments(dens_right, u_right, s, w, False)
-    fm_a = d0 + r0 + t0
-    fm_q = d1 + r1 + t1
+    np.maximum(lo[:, 0], 0.0, out=lo[:, 0])    # direct: xi >= 0
+    np.maximum(lo[:, 1], neg_r, out=lo[:, 1])  # reflected: -r <= xi <= 0
+    np.minimum(hi[:, 1], 0.0, out=hi[:, 1])
+    np.minimum(hi[:, 2], neg_r[::-1], out=hi[:, 2])  # transmitted: xi <= -r_other
+    m0, m1 = _row_moments(dens, x, w[:, None] * _TRANSMITTED)
 
-    d0, d1 = _direct_moments(dens_right, u_right, s, False)
-    r0, r1 = _reflected_moments(dens_right, u_right, s, wm, True)
-    t0, t1 = _transmitted_moments(dens_left, u_left, s, wm, True)
-    fp_a = d0 + r0 + t0
-    fp_q = d1 + r1 + t1
-
-    return fm_a, fm_q, fp_a, fp_q
+    f_a = m0[:, 0] + m0[:, 1] + m0[:, 2]
+    f_q = m1[:, 0] - m1[:, 1] - m1[:, 2]       # rows 1 and 2 lie on xi <= 0
+    return (f_a[0].reshape(shape), f_q[0].reshape(shape),
+            (-f_a[1]).reshape(shape), f_q[1].reshape(shape))
 
 
 def interface_fluxes(left, right, z_left, z_right, c, g):
@@ -210,8 +231,22 @@ def cfl_timestep(state: State, c, mesh: Mesh, cfl_coefficient):
         raise ValueError(f"cfl coefficient must lie in (0, 1], got {cfl_coefficient}")
     if mesh.n == 0:
         raise ValueError("empty mesh")
-    speed = float(np.max(np.abs(state.velocity) + c * SQRT3))
-    return cfl_coefficient * mesh.min_width / speed
+    return cfl_coefficient * mesh.min_width / (state.max_abs_velocity + c * SQRT3)
+
+
+def _check_ghost(side, area, discharge):
+    if not (0.0 < area < math.inf and math.isfinite(discharge)):
+        raise SolverError(f"boundary produced an invalid {side} ghost cell: "
+                          f"A={area!r}, Q={discharge!r}")
+
+
+def _with_ghosts(left, cells, right):
+    """The cells with one ghost value on each end, as one array of n+2."""
+    ext = np.empty(cells.size + 2)
+    ext[0] = left
+    ext[1:-1] = cells
+    ext[-1] = right
+    return ext
 
 
 def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
@@ -227,28 +262,22 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    speed = float(np.max(np.abs(state.velocity) + c * SQRT3))
+    speed = state.max_abs_velocity + c * SQRT3
     if dt * speed > mesh.min_width * _CFL_SLACK:
         raise SolverError(
             f"dt={dt:g} violates the CFL condition: dt*max(|u|+c*sqrt(3))="
             f"{dt * speed:g} > min width {mesh.min_width:g}")
 
     (a_gl, q_gl), (a_gr, q_gr) = boundary(state)
-    if a_gl <= 0 or a_gr <= 0:
-        raise SolverError("boundary produced a non-positive ghost area")
+    _check_ghost("left", a_gl, q_gl)
+    _check_ghost("right", a_gr, q_gr)
 
     a = state.area
     q = state.discharge
-    z = mesh.z_cells
-    a_left = np.concatenate(([a_gl], a))
-    q_left = np.concatenate(([q_gl], q))
-    z_left = np.concatenate((z[:1], z))
-    a_right = np.concatenate((a, [a_gr]))
-    q_right = np.concatenate((q, [q_gr]))
-    z_right = np.concatenate((z, z[-1:]))
-
+    a_ext = _with_ghosts(a_gl, a, a_gr)
+    q_ext = _with_ghosts(q_gl, q, q_gr)
     fm_a, fm_q, fp_a, fp_q = _interface_flux_arrays(
-        a_left, q_left, a_right, q_right, z_right - z_left, c, g)
+        a_ext[:-1], q_ext[:-1], a_ext[1:], q_ext[1:], mesh.interface_dz, c, g)
 
     ratio = dt / mesh.widths
     a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
@@ -281,6 +310,9 @@ def run(initial: State, mesh: Mesh, params: KineticParams,
     state = initial
     while state.time < t_end:
         dt = cfl_timestep(state, constants.c, mesh, params.cfl)
+        if state.time + dt == state.time:
+            raise SolverError(f"time step dt={dt:g} makes no progress at "
+                              f"t={state.time!r} (t_end={t_end!r})")
         clamped = state.time + dt >= t_end
         if clamped:
             dt = t_end - state.time

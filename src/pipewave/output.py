@@ -16,17 +16,24 @@ PROBE_HEADER = "t_s,A_m2,Q_m3s,u_ms,rho_ratio,piezo_m"
 SNAPSHOT_HEADER = "x_m,A_m2,Q_m3s,u_ms,rho_ratio,piezo_m"
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
+_CHUNK_ROWS = 512     # rows formatted per write: bounded memory, few calls
 
 
 def write_rows_csv(path, header, rows):
+    """Write ``header`` and one line per row, each value as
+    ``format(float(v), ".17g")``.  The rows are formatted a chunk at a time
+    with one %-template, which gives the same bytes."""
+    rows = np.asarray(rows, dtype=float)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if rows.size == 0:
+            return
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def frame_rows(lead, area, discharge, section, z, diameter, c, g):

@@ -178,6 +178,26 @@ class TestStep:
         assert np.all(with_friction.discharge > 0)
         assert with_friction.area == pytest.approx(without.area, rel=1e-15)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("ghost", [(np.nan, 0.0), (np.inf, 0.0), (-1.0, 0.0),
+                                       (2.0, np.nan), (2.0, -np.inf)],
+                             ids=["nan-area", "inf-area", "negative-area",
+                                  "nan-discharge", "inf-discharge"])
+    def test_invalid_ghost_rejected(self, side, ghost):
+        # NaN compares False with everything, so a bare "area <= 0" guard
+        # let a NaN ghost through and the step silently lost mass
+        mesh = Mesh.uniform(10.0, 4, flat_altitude)
+        state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
+
+        def boundary(s):
+            valid = (2.0, 0.0)
+            return (ghost, valid) if side == "left" else (valid, ghost)
+
+        dt = cfl_timestep(state, 10.0, mesh, 0.8)
+        with pytest.raises(SolverError,
+                           match=f"{side} ghost cell: A={ghost[0]!r}, Q={ghost[1]!r}"):
+            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, boundary)
+
     def test_friction_requires_geometry(self):
         mesh = Mesh.uniform(10.0, 4, flat_altitude)
         state = State(area=np.ones(4), discharge=np.ones(4))
@@ -275,6 +295,16 @@ class TestRun:
         assert len(steps) >= 100
         assert out.area == pytest.approx(state.area, rel=1e-10)
         assert out.discharge == pytest.approx(state.discharge, rel=1e-10)
+
+    def test_stalled_time_raises(self):
+        # at t = 1e15 a CFL step of about 1e-3 s no longer changes the time,
+        # which used to loop forever
+        mesh = Mesh.uniform(10.0, 8, flat_altitude)
+        state = State(area=np.full(8, 2.0), discharge=np.zeros(8), time=1e15)
+        with pytest.raises(SolverError,
+                           match=r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
+            run(state, mesh, KineticParams(), self._constants(10.0), FRICTIONLESS,
+                periodic_boundary, t_end=1e15 + 1.0)
 
     def test_observer_sees_monotone_times(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
