@@ -19,6 +19,6 @@ from .moc import MocState, moc_run, moc_step
 from .runner import compare_runs, run_simulation
 from .scenarios import (Periodic, PrescribedDischarge, ReservoirHead, Scenario,
                         ValveClosure, Wall, boundary_provider, ghost_states,
-                        steady_state_init, valve_closure_law)
+                        steady_state_init)
 
 __version__ = "0.1.0"

@@ -317,11 +317,12 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
     q_new = q - ratio * (fm_q[1:] - fp_q[:-1])
 
-    if np.any(a_new <= 0):
-        i = int(np.argmin(a_new))
-        raise SolverError(
-            f"wetted area lost positivity in cell {i} (A={a_new[i]:g}); "
-            "unreachable under the CFL condition")
+    # NaN compares False with everything, so test for admissible values
+    admissible = np.isfinite(q_new) & (a_new > 0) & (a_new < math.inf)
+    if not admissible.all():
+        i = int(np.argmin(admissible))
+        raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
+                          f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
 
     if friction.enabled:
         if geometry is None:

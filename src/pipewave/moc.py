@@ -57,6 +57,24 @@ class MocState:
         return self.head.size
 
 
+def _boundary_node(bc, invariant, sign, b, alpha, t, end):
+    """(Q, H) at one end node from its boundary law and the invariant
+    H - sign B Q arriving there; sign is +1 upstream and -1 downstream."""
+    if isinstance(bc, ReservoirHead):
+        # total head: H + alpha Q^2 = H0 together with H = invariant + sign B Q
+        disc = b * b - 4.0 * alpha * (invariant - bc.total_head)
+        if disc < 0:
+            raise SolverError(f"{end} reservoir law unsolvable (head below the line)")
+        q = sign * (-b + math.sqrt(disc)) / (2.0 * alpha)
+    elif isinstance(bc, PrescribedDischarge):
+        q = float(bc.law(t))
+    elif isinstance(bc, Wall):
+        q = 0.0
+    else:
+        raise TypeError(f"unsupported {end} boundary {bc!r}")
+    return q, invariant + sign * b * q
+
+
 def moc_step(state: MocState, g, section, friction: FrictionParams,
              upstream, downstream, geometry: PipeGeometry | None = None) -> MocState:
     """Advance one unit-Courant step.
@@ -87,51 +105,15 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
     q_new[1:-1] = 0.5 * (cp[:-2] - cm[2:]) / b
 
     alpha = 1.0 / (2.0 * g * section * section)   # velocity-head coefficient
-
-    # upstream node: only cm arrives (from node 1)
-    cm0 = cm[1]
-    if isinstance(upstream, ReservoirHead):
-        # total head: H + Q^2/(2 g S^2) = H0 together with H = cm0 + B Q
-        disc = b * b - 4.0 * alpha * (cm0 - upstream.total_head)
-        if disc < 0:
-            raise SolverError("upstream reservoir law unsolvable (head below the line)")
-        q_new[0] = (-b + math.sqrt(disc)) / (2.0 * alpha)
-        h_new[0] = cm0 + b * q_new[0]
-    elif isinstance(upstream, PrescribedDischarge):
-        q_new[0] = upstream.law(t_new)
-        h_new[0] = cm0 + b * q_new[0]
-    elif isinstance(upstream, Wall):
-        q_new[0] = 0.0
-        h_new[0] = cm0
-    else:
-        raise TypeError(f"unsupported upstream boundary {upstream!r}")
-
-    # downstream node: only cp arrives (from node n-2)
-    cpn = cp[-2]
-    if isinstance(downstream, ReservoirHead):
-        disc = b * b - 4.0 * alpha * (cpn - downstream.total_head)
-        if disc < 0:
-            raise SolverError("downstream reservoir law unsolvable (head below the line)")
-        q_new[-1] = (b - math.sqrt(disc)) / (2.0 * alpha)
-        h_new[-1] = cpn - b * q_new[-1]
-    elif isinstance(downstream, PrescribedDischarge):
-        q_new[-1] = downstream.law(t_new)
-        h_new[-1] = cpn - b * q_new[-1]
-    elif isinstance(downstream, Wall):
-        q_new[-1] = 0.0
-        h_new[-1] = cpn
-    else:
-        raise TypeError(f"unsupported downstream boundary {downstream!r}")
+    # each end meets the one invariant reaching it: cm from node 1 upstream,
+    # cp from node n-2 downstream
+    q_new[0], h_new[0] = _boundary_node(upstream, cm[1], 1.0, b, alpha, t_new,
+                                        "upstream")
+    q_new[-1], h_new[-1] = _boundary_node(downstream, cp[-2], -1.0, b, alpha,
+                                          t_new, "downstream")
 
     return MocState(head=h_new, discharge=q_new, wave_speed=state.wave_speed,
                     node_spacing=dx, time=t_new)
-
-
-@dataclass(frozen=True)
-class MocFrame:
-    time: float
-    head: np.ndarray
-    discharge: np.ndarray
 
 
 def initial_moc_state(scenario: Scenario, node_count):
@@ -151,9 +133,10 @@ def initial_moc_state(scenario: Scenario, node_count):
                     wave_speed=c, node_spacing=float(x[1] - x[0]), time=0.0)
 
 
-def moc_run(scenario: Scenario, node_count=None):
-    """March the scenario to t_end, recording every ``output_stride``-th step
-    (plus the initial and final states).  Returns a list of MocFrame."""
+def moc_run(scenario: Scenario, node_count=None, observer=None) -> MocState:
+    """March the scenario to the last full step at or before t_end;
+    ``observer(state)`` is invoked after every step.  Returns the final
+    state."""
     if node_count is None:
         node_count = scenario.mesh_cells + 1   # nodes at the cell interfaces
     for bc in (scenario.upstream, scenario.downstream):
@@ -162,16 +145,11 @@ def moc_run(scenario: Scenario, node_count=None):
                              "discharge or wall boundaries")
 
     state = initial_moc_state(scenario, node_count)
-    frames = [MocFrame(state.time, state.head, state.discharge)]
-    steps = 0
     # unit Courant number: cannot clamp dt, so stop at the last full step
     while state.time + state.dt <= scenario.t_end * (1.0 + 1e-12):
         state = moc_step(state, scenario.constants.g, scenario.geometry.section,
                          scenario.friction, scenario.upstream, scenario.downstream,
                          scenario.geometry)
-        steps += 1
-        if steps % scenario.output_stride == 0:
-            frames.append(MocFrame(state.time, state.head, state.discharge))
-    if steps % scenario.output_stride != 0:
-        frames.append(MocFrame(state.time, state.head, state.discharge))
-    return frames
+        if observer is not None:
+            observer(state)
+    return state

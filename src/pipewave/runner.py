@@ -4,7 +4,9 @@ snapshot frames, summaries and the kinetic-vs-MOC comparison."""
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import numpy as np
 from . import kinetic, moc
 from .compare import ComparisonReport, ProbeSeries, compare_series
 from .config import RunConfig
-from .core import State, area_from_piezometric_head, piezometric_head
+from .core import area_from_piezometric_head, piezometric_head
 from .output import PROBE_HEADER, SNAPSHOT_HEADER, frame_rows, write_rows_csv
 from .scenarios import (PrescribedDischarge, Scenario, ValveClosure,
                         boundary_provider, steady_state_init)
@@ -33,134 +35,130 @@ class SolverOutput:
     cells: int
 
 
-def _probe_points(scenario: Scenario):
-    xs = np.asarray(scenario.probes, dtype=float)
-    zs = np.asarray(scenario.geometry.altitude(xs), dtype=float)
-    return xs, zs
+@dataclass(frozen=True)
+class _Solver:
+    """One solver as the recorder reads it.  ``level(state)`` is the marched
+    variable that fixes the wetted area at each point (A itself, or the MOC
+    piezometric head; increasing in A) and ``area(level, z)`` converts it."""
+
+    x: np.ndarray                # sample points
+    z: np.ndarray                # bottom elevations at x
+    weights: np.ndarray          # mass quadrature weights
+    level: Callable
+    area: Callable
+    initial: object
+    march: Callable              # march(observer=...) -> final state
+    snapshot_stride: int         # 0: the initial and final states only
 
 
-def _run_kinetic(config: RunConfig, out_dir: Path | None):
+class _Recorder:
+    """Observer of one march: probe samples at the initial state, every
+    ``output_stride``-th step and the final state; the snapshot states; and
+    the elementwise bounds of the level variable over every step."""
+
+    def __init__(self, solver: _Solver, probe_x, output_stride):
+        self.solver, self.probe_x, self.output_stride = solver, probe_x, output_stride
+        self.steps = 0
+        self.times, self.levels, self.discharges = [], [], []
+        self.snapshots = [(0, solver.initial)]
+        self.low = solver.level(solver.initial).copy()
+        self.high = self.low.copy()
+        self._sample(solver.initial)
+
+    def _sample(self, state):
+        self.times.append(state.time)
+        self.levels.append(np.interp(self.probe_x, self.solver.x, self.solver.level(state)))
+        self.discharges.append(np.interp(self.probe_x, self.solver.x, state.discharge))
+
+    def __call__(self, state):
+        self.steps += 1
+        level = self.solver.level(state)
+        np.minimum(self.low, level, out=self.low)
+        np.maximum(self.high, level, out=self.high)
+        if self.steps % self.output_stride == 0:
+            self._sample(state)
+        stride = self.solver.snapshot_stride
+        if stride and self.steps % stride == 0:
+            self.snapshots.append((self.steps, state))
+
+    def finish(self, final):
+        if self.steps % self.output_stride:
+            self._sample(final)
+        if self.snapshots[-1][0] != self.steps:
+            self.snapshots.append((self.steps, final))
+
+
+def _kinetic(config: RunConfig):
     scenario = config.scenario
-    geom = scenario.geometry
-    c = scenario.constants.c
-    g = scenario.constants.g
     mesh = scenario.mesh()
     state = steady_state_init(scenario, mesh)
-    boundary = boundary_provider(scenario, mesh)
-    params = kinetic.KineticParams(cfl=config.cfl)
-
-    probe_x, probe_z = _probe_points(scenario)
-    times = [state.time]
-    probe_area = [np.interp(probe_x, mesh.centers, state.area)]
-    probe_q = [np.interp(probe_x, mesh.centers, state.discharge)]
-    snapshots = [(0, state)]
-    min_area = float(state.area.min())
-    max_area = float(state.area.max())
-    counter = [0]
-
-    def observer(new_state: State):
-        counter[0] += 1
-        nonlocal min_area, max_area
-        min_area = min(min_area, float(new_state.area.min()))
-        max_area = max(max_area, float(new_state.area.max()))
-        final = new_state.time >= scenario.t_end
-        if counter[0] % scenario.output_stride == 0 or final:
-            times.append(new_state.time)
-            probe_area.append(np.interp(probe_x, mesh.centers, new_state.area))
-            probe_q.append(np.interp(probe_x, mesh.centers, new_state.discharge))
-        if final or (config.snapshot_stride > 0
-                     and counter[0] % config.snapshot_stride == 0):
-            snapshots.append((counter[0], new_state))
-
-    started = _time.perf_counter()
-    final_state = kinetic.run(state, mesh, params, scenario.constants,
-                              scenario.friction, boundary, scenario.t_end,
-                              observer=observer, geometry=geom)
-    elapsed = _time.perf_counter() - started
-
-    probes = []
-    t = np.asarray(times)
-    for k, x in enumerate(probe_x):
-        area_k = np.array([row[k] for row in probe_area])
-        q_k = np.array([row[k] for row in probe_q])
-        head = piezometric_head(area_k, geom.section, probe_z[k], geom.diameter, c, g)
-        probes.append(ProbeSeries(x=float(x), t=t, head=head, discharge=q_k))
-
-    if out_dir is not None:
-        for k, series in enumerate(probes):
-            area_k = np.array([row[k] for row in probe_area])
-            rows = frame_rows(series.t, area_k, series.discharge, geom.section,
-                              probe_z[k], geom.diameter, c, g)
-            write_rows_csv(out_dir / f"kinetic_probe_{k:02d}.csv", PROBE_HEADER, rows)
-        for step_no, snap in snapshots:
-            rows = frame_rows(mesh.centers, snap.area, snap.discharge,
-                              geom.section, mesh.z_cells, geom.diameter, c, g)
-            write_rows_csv(out_dir / f"kinetic_snap_{step_no:08d}.csv",
-                           SNAPSHOT_HEADER, rows)
-
-    summary = SolverOutput(
-        label="kinetic", probes=probes, steps=counter[0], wall_clock_s=elapsed,
-        min_area=min_area, max_area=max_area,
-        final_mass=float(np.sum(mesh.widths * final_state.area)),
-        final_time=final_state.time, cells=mesh.n)
-    return summary
+    march = partial(kinetic.run, state, mesh, kinetic.KineticParams(cfl=config.cfl),
+                    scenario.constants, scenario.friction,
+                    boundary_provider(scenario, mesh), scenario.t_end,
+                    geometry=scenario.geometry)
+    return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.widths,
+                   level=lambda s: s.area, area=lambda area, z: area,
+                   initial=state, march=march, snapshot_stride=config.snapshot_stride)
 
 
-def _run_moc(config: RunConfig, out_dir: Path | None):
+def _moc(config: RunConfig):
     scenario = config.scenario
     geom = scenario.geometry
-    c = scenario.constants.c
-    g = scenario.constants.g
+    c, g = scenario.constants.c, scenario.constants.g
+    nodes = scenario.mesh_cells + 1                  # one per cell interface
+    x = np.linspace(0.0, geom.length, nodes)
+    weights = np.full(nodes, x[1] - x[0])            # trapezoid rule
+    weights[[0, -1]] *= 0.5
 
+    def area(head, z):
+        return area_from_piezometric_head(head, geom.section, z, geom.diameter, c, g)
+    return _Solver(x=x, z=np.asarray(geom.altitude(x), dtype=float), weights=weights,
+                   level=lambda s: s.head, area=area,
+                   initial=moc.initial_moc_state(scenario, nodes),
+                   march=partial(moc.moc_run, scenario, nodes), snapshot_stride=0)
+
+
+def _record(config: RunConfig, out_dir: Path | None, label, solver: _Solver):
+    """March one solver under a recorder; summarize it and, with ``out_dir``,
+    write its probe and snapshot CSVs and its summary."""
+    scenario = config.scenario
+    geom = scenario.geometry
+    c, g = scenario.constants.c, scenario.constants.g
+    probe_x = np.asarray(scenario.probes, dtype=float)
+    probe_z = np.asarray(geom.altitude(probe_x), dtype=float)
+    recorder = _Recorder(solver, probe_x, scenario.output_stride)
     started = _time.perf_counter()
-    frames = moc.moc_run(scenario)
+    final = solver.march(observer=recorder)
     elapsed = _time.perf_counter() - started
+    recorder.finish(final)
 
-    node_count = frames[0].head.size
-    x_nodes = np.linspace(0.0, geom.length, node_count)
-    z_nodes = np.asarray(geom.altitude(x_nodes), dtype=float)
-    probe_x, probe_z = _probe_points(scenario)
-
-    t = np.array([f.time for f in frames])
-    probes = []
-    per_probe_area = []
-    for k, x in enumerate(probe_x):
-        head = np.array([np.interp(x, x_nodes, f.head) for f in frames])
-        q = np.array([np.interp(x, x_nodes, f.discharge) for f in frames])
-        area = area_from_piezometric_head(head, geom.section, probe_z[k],
-                                          geom.diameter, c, g)
-        per_probe_area.append(area)
-        probes.append(ProbeSeries(x=float(x), t=t, head=head, discharge=q))
-
-    min_area = np.inf
-    max_area = -np.inf
-    for f in frames:
-        area = area_from_piezometric_head(f.head, geom.section, z_nodes,
-                                          geom.diameter, c, g)
-        min_area = min(min_area, float(area.min()))
-        max_area = max(max_area, float(area.max()))
+    t = np.asarray(recorder.times)
+    levels = np.array(recorder.levels)               # (samples, probes)
+    discharges = np.array(recorder.discharges)
+    areas = [solver.area(levels[:, k], z) for k, z in enumerate(probe_z)]
+    probes = [ProbeSeries(x=float(x), t=t, discharge=discharges[:, k],
+                          head=piezometric_head(areas[k], geom.section, probe_z[k],
+                                                geom.diameter, c, g))
+              for k, x in enumerate(probe_x)]
+    result = SolverOutput(
+        label=label, probes=probes, steps=recorder.steps, wall_clock_s=elapsed,
+        min_area=float(solver.area(recorder.low, solver.z).min()),
+        max_area=float(solver.area(recorder.high, solver.z).max()),
+        final_mass=float(np.sum(solver.weights * solver.area(solver.level(final), solver.z))),
+        final_time=float(final.time), cells=solver.x.size)
 
     if out_dir is not None:
-        for k, series in enumerate(probes):
-            rows = frame_rows(series.t, per_probe_area[k], series.discharge,
-                              geom.section, probe_z[k], geom.diameter, c, g)
-            write_rows_csv(out_dir / f"moc_probe_{k:02d}.csv", PROBE_HEADER, rows)
-        for tag, f in (("first", frames[0]), ("last", frames[-1])):
-            area = area_from_piezometric_head(f.head, geom.section, z_nodes,
-                                              geom.diameter, c, g)
-            rows = frame_rows(x_nodes, area, f.discharge, geom.section, z_nodes,
-                              geom.diameter, c, g)
-            write_rows_csv(out_dir / f"moc_snap_{tag}.csv", SNAPSHOT_HEADER, rows)
-
-    final_area = area_from_piezometric_head(frames[-1].head, geom.section, z_nodes,
-                                            geom.diameter, c, g)
-    dx = x_nodes[1] - x_nodes[0]
-    summary = SolverOutput(
-        label="moc", probes=probes, steps=len(frames) - 1, wall_clock_s=elapsed,
-        min_area=min_area, max_area=max_area,
-        final_mass=float(np.trapezoid(final_area, dx=dx)),
-        final_time=float(t[-1]), cells=node_count)
-    return summary
+        def rows(lead, area, discharge, z):
+            return frame_rows(lead, area, discharge, geom.section, z, geom.diameter, c, g)
+        for k, z in enumerate(probe_z):
+            write_rows_csv(out_dir / f"{label}_probe_{k:02d}.csv", PROBE_HEADER,
+                           rows(t, areas[k], discharges[:, k], z))
+        for step_no, snap in recorder.snapshots:
+            area = solver.area(solver.level(snap), solver.z)
+            write_rows_csv(out_dir / f"{label}_snap_{step_no:08d}.csv", SNAPSHOT_HEADER,
+                           rows(solver.x, area, snap.discharge, solver.z))
+        _write_summary(out_dir, result)
+    return result
 
 
 def _write_summary(out_dir: Path, result: SolverOutput):
@@ -182,15 +180,9 @@ def run_simulation(config: RunConfig, write_files=True):
     out_dir = Path(config.output_dir) if write_files else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    if config.solver in ("kinetic", "both"):
-        results["kinetic"] = _run_kinetic(config, out_dir)
-    if config.solver in ("moc", "both"):
-        results["moc"] = _run_moc(config, out_dir)
-    if out_dir is not None:
-        for result in results.values():
-            _write_summary(out_dir, result)
-    return results
+    return {label: _record(config, out_dir, label, solver(config))
+            for label, solver in (("kinetic", _kinetic), ("moc", _moc))
+            if config.solver in (label, "both")}
 
 
 def closure_end_time(scenario: Scenario):
@@ -202,9 +194,7 @@ def closure_end_time(scenario: Scenario):
 
 def compare_runs(config: RunConfig, write_files=True):
     """Run both solvers and compare them probe by probe."""
-    config = RunConfig(scenario=config.scenario, solver="both",
-                       output_dir=config.output_dir, cfl=config.cfl,
-                       snapshot_stride=config.snapshot_stride)
+    config = replace(config, solver="both")
     results = run_simulation(config, write_files=write_files)
     t_close = closure_end_time(config.scenario)
     reports = []

@@ -54,15 +54,6 @@ class Periodic:
 BoundaryCondition = ReservoirHead | PrescribedDischarge | Wall | Periodic
 
 
-def valve_closure_law(t, q0, t_close):
-    """Linear ramp from q0 at t=0 to exactly 0 at t_close, 0 afterwards."""
-    if t_close <= 0:
-        raise ValueError("closure time must be positive")
-    if t >= t_close:
-        return 0.0
-    return q0 * (1.0 - t / t_close)
-
-
 @dataclass(frozen=True)
 class ValveClosure:
     """Declarative closure law; ``kind`` selects the ramp shape.
@@ -87,7 +78,7 @@ class ValveClosure:
             return 0.0
         if self.kind == "cosine":
             return self.q0 * 0.5 * (1.0 + math.cos(math.pi * t / self.t_close))
-        return valve_closure_law(t, self.q0, self.t_close)
+        return self.q0 * (1.0 - t / self.t_close)
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,18 @@ class TestStep:
                            match=f"{side} ghost cell: A={ghost[0]!r}, Q={ghost[1]!r}"):
             step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, boundary)
 
+    def test_non_finite_update_rejected(self):
+        # Q^2 overflows in the flux kernel; the NaN area passed the bare
+        # "area <= 0" guard and surfaced as a ValueError from State
+        mesh = Mesh.uniform(10.0, 4, flat_altitude)
+        discharge = np.zeros(4)
+        discharge[1] = 1e160
+        state = State(area=np.full(4, 2.0), discharge=discharge)
+        dt = cfl_timestep(state, 10.0, mesh, 0.8)
+        with np.errstate(all="ignore"), pytest.raises(
+                SolverError, match=rf"cell 0 .* at t={dt!r}: A=nan, Q=nan"):
+            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, wall_boundary)
+
     def test_friction_requires_geometry(self):
         mesh = Mesh.uniform(10.0, 4, flat_altitude)
         state = State(area=np.ones(4), discharge=np.ones(4))

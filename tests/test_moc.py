@@ -25,6 +25,24 @@ def section4_scenario(cells=200, t_end=20.0):
         initial_discharge=10.0, t_end=t_end, output_stride=1, probes=(1000.0,))
 
 
+def recorded_states(scenario):
+    """The states a recorder samples from ``moc_run``: the initial state,
+    every ``output_stride``-th step and the final state."""
+    states = [initial_moc_state(scenario, scenario.mesh_cells + 1)]
+    steps = 0
+
+    def observer(state):
+        nonlocal steps
+        steps += 1
+        if steps % scenario.output_stride == 0:
+            states.append(state)
+
+    final = moc_run(scenario, observer=observer)
+    if steps % scenario.output_stride:
+        states.append(final)
+    return states
+
+
 def quiescent_state(nodes=21, head=150.0, a=1000.0, dx=10.0):
     return MocState(head=np.full(nodes, head), discharge=np.zeros(nodes),
                     wave_speed=a, node_spacing=dx)
@@ -155,14 +173,16 @@ class TestMocStep:
 class TestMocRun:
     def test_zero_duration_returns_initial_frame(self):
         scenario = section4_scenario(t_end=0.0)
-        frames = moc_run(scenario)
-        assert len(frames) == 1
-        assert frames[0].time == 0.0
+        observed = []
+        final = moc_run(scenario, observer=observed.append)
+        assert observed == []
+        assert final.time == 0.0
+        initial = initial_moc_state(scenario, 201)
+        assert np.array_equal(final.head, initial.head)
 
     def test_node_count_defaults_to_interfaces(self):
         scenario = section4_scenario(cells=50, t_end=0.0)
-        frames = moc_run(scenario)
-        assert frames[0].head.size == 51
+        assert moc_run(scenario).head.size == 51
 
     def test_initial_state_is_converted_steady_profile(self):
         scenario = section4_scenario(t_end=0.0)
@@ -182,17 +202,17 @@ class TestMocRun:
 
     def test_period_is_4L_over_a(self):
         scenario = section4_scenario(cells=200, t_end=5.0 + 3 * 7.3625)
-        frames = moc_run(scenario)
-        t = np.array([f.time for f in frames])
-        mid = np.array([f.head[f.head.size // 2] for f in frames])
+        states = recorded_states(scenario)
+        t = np.array([s.time for s in states])
+        mid = np.array([s.head[s.head.size // 2] for s in states])
         period = detect_period(t, mid, t_min=5.0)
         assert period == pytest.approx(4 * 2000.0 / 1086.6, abs=0.05)
 
     def test_first_peak_matches_coarse_independent_march(self):
         scenario = section4_scenario(cells=200, t_end=12.0)
-        frames = moc_run(scenario)
-        t = np.array([f.time for f in frames])
-        mid = np.array([f.head[f.head.size // 2] for f in frames])
+        states = recorded_states(scenario)
+        t = np.array([s.time for s in states])
+        mid = np.array([s.head[s.head.size // 2] for s in states])
 
         coarse_nodes = 101   # half resolution
         init = initial_moc_state(scenario, coarse_nodes)

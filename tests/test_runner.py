@@ -1,0 +1,109 @@
+"""The recorder behind ``run_simulation`` against direct marches of each
+solver: every step counts toward the summary, and the probes sample the
+initial state, every ``output_stride``-th step and the final state."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pipewave.config import RunConfig
+from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
+                           PipeGeometry, area_from_piezometric_head)
+from pipewave.kinetic import KineticParams, run
+from pipewave.moc import initial_moc_state, moc_step
+from pipewave.runner import run_simulation
+from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
+                                ValveClosure, boundary_provider,
+                                steady_state_init)
+
+STRIDE = 20
+
+
+def surge_config(solver, tmp_path, snapshot_stride=0):
+    geometry = PipeGeometry.circular(
+        length=2000.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+        altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
+    scenario = Scenario(
+        geometry=geometry, constants=PhysicalConstants(c=1086.6),
+        friction=FrictionParams.disabled(), mesh_cells=50,
+        upstream=ReservoirHead(total_head=300.0),
+        downstream=PrescribedDischarge(law=ValveClosure(q0=10.0, t_close=5.0)),
+        initial_discharge=10.0, t_end=10.0, output_stride=STRIDE,
+        probes=(1000.0, 2000.0))
+    return RunConfig(scenario=scenario, solver=solver, output_dir=str(tmp_path),
+                     snapshot_stride=snapshot_stride)
+
+
+def direct_march(solver, scenario):
+    """(states after every step, their areas) from the solver's own steps,
+    without the recorder."""
+    geom = scenario.geometry
+    c, g = scenario.constants.c, scenario.constants.g
+    states = []
+    if solver == "moc":
+        state = initial_moc_state(scenario, scenario.mesh_cells + 1)
+        while state.time + state.dt <= scenario.t_end * (1.0 + 1e-12):
+            state = moc_step(state, g, geom.section, scenario.friction,
+                             scenario.upstream, scenario.downstream, geom)
+            states.append(state)
+        z = geom.altitude(np.linspace(0.0, geom.length, scenario.mesh_cells + 1))
+        areas = [area_from_piezometric_head(s.head, geom.section, z, geom.diameter, c, g)
+                 for s in states]
+    else:
+        mesh = scenario.mesh()
+        run(steady_state_init(scenario, mesh), mesh, KineticParams(cfl=0.8),
+            scenario.constants, scenario.friction, boundary_provider(scenario, mesh),
+            scenario.t_end, observer=states.append, geometry=geom)
+        areas = [s.area for s in states]
+    return states, areas
+
+
+@pytest.mark.parametrize("solver", ["kinetic", "moc"])
+def test_summary_counts_every_step(solver, tmp_path):
+    config = surge_config(solver, tmp_path)
+    result = run_simulation(config, write_files=False)[solver]
+    states, _ = direct_march(solver, config.scenario)
+    # the march is long enough that most steps are never sampled
+    assert len(states) > 5 * STRIDE
+    assert result.steps == len(states)
+    assert result.final_time == states[-1].time
+
+
+@pytest.mark.parametrize("solver", ["kinetic", "moc"])
+def test_area_range_covers_every_step(solver, tmp_path):
+    config = surge_config(solver, tmp_path)
+    result = run_simulation(config, write_files=False)[solver]
+    _, areas = direct_march(solver, config.scenario)
+    assert result.min_area == min(float(a.min()) for a in areas)
+    assert result.max_area == max(float(a.max()) for a in areas)
+
+
+@pytest.mark.parametrize("solver", ["kinetic", "moc"])
+def test_probes_sample_initial_strided_and_final_states(solver, tmp_path):
+    config = surge_config(solver, tmp_path)
+    result = run_simulation(config, write_files=False)[solver]
+    states, _ = direct_march(solver, config.scenario)
+    sampled = [0.0] + [s.time for s in states[STRIDE - 1::STRIDE]]
+    if len(states) % STRIDE:
+        sampled.append(states[-1].time)
+    for series in result.probes:
+        assert series.t.tolist() == sampled
+
+
+def test_moc_snapshots_named_by_step(tmp_path):
+    config = surge_config("moc", tmp_path, snapshot_stride=5)
+    result = run_simulation(config)["moc"]
+    names = sorted(p.name for p in tmp_path.glob("moc_snap_*.csv"))
+    # the snapshot stride applies to the kinetic solver only
+    assert names == ["moc_snap_00000000.csv", f"moc_snap_{result.steps:08d}.csv"]
+
+
+def test_zero_duration_records_the_initial_state_once(tmp_path):
+    config = surge_config("both", tmp_path)
+    config = replace(config, scenario=replace(config.scenario, t_end=0.0))
+    results = run_simulation(config)
+    for label, result in results.items():
+        assert result.steps == 0
+        assert [s.t.tolist() for s in result.probes] == [[0.0], [0.0]]
+        assert len(list(tmp_path.glob(f"{label}_snap_*.csv"))) == 1

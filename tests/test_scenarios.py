@@ -8,7 +8,7 @@ from pipewave.kinetic import KineticParams, cfl_timestep, run, step
 from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
                                 Scenario, ValveClosure, Wall,
                                 boundary_provider, ghost_states,
-                                steady_state_init, valve_closure_law)
+                                steady_state_init)
 
 FRICTIONLESS = FrictionParams.disabled()
 
@@ -26,19 +26,21 @@ def section4_scenario(cells=100, t_end=10.0, c=1086.6, angle_deg=-5.0, q0=10.0):
 
 
 class TestValveClosure:
+    linear = ValveClosure(q0=10.0, t_close=5.0)
+
     def test_initial_discharge(self):
-        assert valve_closure_law(0.0, 10.0, 5.0) == 10.0
+        assert self.linear(0.0) == 10.0
 
     def test_closed_afterwards(self):
-        assert valve_closure_law(5.0, 10.0, 5.0) == 0.0
-        assert valve_closure_law(7.3, 10.0, 5.0) == 0.0
+        assert self.linear(5.0) == 0.0
+        assert self.linear(7.3) == 0.0
 
     def test_linear_midpoint(self):
-        assert valve_closure_law(2.5, 10.0, 5.0) == pytest.approx(5.0)
+        assert self.linear(2.5) == pytest.approx(5.0)
 
     def test_continuous_non_increasing_hits_zero(self):
         ts = np.linspace(0.0, 8.0, 2000)
-        qs = np.array([valve_closure_law(t, 10.0, 5.0) for t in ts])
+        qs = np.array([self.linear(t) for t in ts])
         assert np.all(np.diff(qs) <= 1e-12)
         assert qs[-1] == 0.0
         gaps = np.abs(np.diff(qs))
