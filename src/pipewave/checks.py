@@ -16,7 +16,7 @@ import numpy as np
 from . import kinetic
 from .config import RunConfig
 from .core import FrictionParams, Mesh, State
-from .scenarios import Scenario
+from .scenarios import Periodic, Scenario, Wall, ghost_states
 
 _DISABLED_FRICTION = FrictionParams.disabled()
 
@@ -32,14 +32,9 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def _wall_boundary(state: State):
-    return ((float(state.area[0]), -float(state.discharge[0])),
-            (float(state.area[-1]), -float(state.discharge[-1])))
-
-
-def _periodic_boundary(state: State):
-    return ((float(state.area[-1]), float(state.discharge[-1])),
-            (float(state.area[0]), float(state.discharge[0])))
+def _both_ends(bc, mesh, c, g):
+    """Ghost-state callable with the boundary condition ``bc`` at both ends."""
+    return lambda state: ghost_states(state, mesh, bc, bc, state.time, c, g)
 
 
 def check_flux_continuity(c, g, cases=2000, seed=0):
@@ -72,7 +67,7 @@ def check_positivity(c, g, cases=2000, seed=1):
         dt = kinetic.cfl_timestep(state, c, mesh, 1.0)
         try:
             kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION,
-                         _wall_boundary)
+                         _both_ends(Wall(), mesh, c, g))
         except kinetic.SolverError:
             failures += 1
     return CheckResult("positivity under the CFL condition", float(failures), 0.0)
@@ -90,10 +85,10 @@ def check_conservation(c, g, cells=64, steps=500, seed=2):
     mom0 = float(np.sum(mesh.widths * state.discharge))
     mom_scale = max(abs(mom0), mass0 * c)
     drift = 0.0
+    boundary = _both_ends(Periodic(), mesh, c, g)
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.9)
-        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION,
-                             _periodic_boundary)
+        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, boundary)
         mass = float(np.sum(mesh.widths * state.area))
         mom = float(np.sum(mesh.widths * state.discharge))
         drift = max(drift, abs(mass - mass0) / mass0, abs(mom - mom0) / mom_scale)
@@ -109,11 +104,10 @@ def check_still_water(scenario: Scenario, cells=100, steps=200):
     z = mesh.z_cells
     area0 = geom.section * np.exp(-g * (z - z[0]) / (c * c))
     state = State(area=area0, discharge=np.zeros(cells))
-
+    boundary = _both_ends(Wall(), mesh, c, g)
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.8)
-        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION,
-                             _wall_boundary)
+        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, boundary)
 
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * c))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))

@@ -188,6 +188,7 @@ class Mesh:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "z_cells", z_cells)
+        object.__setattr__(self, "_rest_factors", {})
 
     @property
     def n(self):
@@ -197,19 +198,22 @@ class Mesh:
     def min_width(self):
         return float(self.widths.min())
 
-    @cached_property
-    def interface_rise(self):
-        """(z* - z_left, z* - z_right) at each of the n+1 interfaces, with
-        z* = max(z_left, z_right): the rows max(dz, 0) and max(-dz, 0) of the
-        bottom jump dz = z_right - z_left, shape (2, n+1).  The ghost cells
-        share the bottom of their neighbour, so both ends are 0."""
-        z = self.z_cells
-        rise = np.zeros((2, z.size + 1))
-        np.subtract(z[1:], z[:-1], out=rise[0, 1:-1])
-        np.negative(rise[0], out=rise[1])
-        np.maximum(rise, 0.0, out=rise)
-        rise.setflags(write=False)
-        return rise
+    def rest_factors(self, c, g):
+        """Read-only (2, n+1) factors exp(-g (z* - z) / c^2) that lower the
+        left and right side of each interface along their rest profiles to
+        z* = max(z_left, z_right); both ends are 1, as ghosts share their
+        neighbour's bottom.  Computed once per (c, g)."""
+        factors = self._rest_factors.get((c, g))
+        if factors is None:
+            z = self.z_cells
+            rise = np.zeros((2, z.size + 1))
+            np.subtract(z[1:], z[:-1], out=rise[0, 1:-1])
+            np.negative(rise[0], out=rise[1])
+            np.maximum(rise, 0.0, out=rise)
+            factors = np.exp(np.multiply(rise, -g / (c * c), out=rise), out=rise)
+            factors.setflags(write=False)
+            self._rest_factors[(c, g)] = factors
+        return factors
 
     @classmethod
     def uniform(cls, length, n, altitude):
@@ -242,6 +246,17 @@ class State:
             raise ValueError("discharge must be finite")
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "discharge", discharge)
+
+    @classmethod
+    def _checked(cls, area, discharge, time):
+        """A state from fresh, equal-length float arrays whose values the
+        caller has checked (A finite and positive, Q finite); they are made
+        read-only in place, without the copy and checks of ``__init__``."""
+        area.setflags(write=False)
+        discharge.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(area=area, discharge=discharge, time=time)
+        return state
 
     @property
     def velocity(self):

@@ -56,11 +56,15 @@ side gets back the pressure the reconstruction removed:
     F-_Q += c^2 (A_L - A*_L),   F+_Q += c^2 (A_R - A*_R).
 
 Then a column at rest, A exp(-g z / c^2) = const, has equal reconstructed
-states at every interface and its fluxes cancel to roundoff.  The run path
-never passes dZ != 0 to the kernel; the reflected and transmitted rows stay
-as the reference flux of the paper, reached through ``interface_fluxes``
-and ``_interface_flux_arrays`` by ``checks.check_flux_continuity``, the
-flux tests against quadrature and demo 02.
+states at every interface and its fluxes cancel to roundoff.  With dZ = 0
+the reflected rows are empty and no row sees a jump, so the run path passes
+dZ = None ("no jump") and only the two rows of plain flux-vector splitting
+are evaluated (``_split_flux_arrays``; the bits of the six at dZ = 0, save
+the sign of a zero F+ mass flux).
+The six rows stay as the reference flux of the paper, reached with every
+numeric dZ, 0 included, by ``interface_fluxes``,
+``checks.check_flux_continuity``, the flux tests against quadrature and
+demo 02.
 
 The macroscopic update is the first-order explicit scheme
 
@@ -188,10 +192,13 @@ _TRANSMITTED = np.array([[0.0], [0.0], [1.0]])
 def _interface_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
     """Vectorized interface fluxes for 0-d or 1-d arrays of interfaces.
 
-    dz = z_right - z_left.  Returns (F-_A, F-_Q, F+_A, F+_Q).  The six
-    pieces are the rows of one (6, n) block, viewed as (half, piece, n); see
-    the module docstring for the layout.
+    dz = z_right - z_left, or None for no jump.  Returns (F-_A, F-_Q, F+_A,
+    F+_Q), four separate arrays.  dz = None takes ``_split_flux_arrays``;
+    any numeric dz the six pieces as rows of one (6, n) block, viewed as
+    (half, piece, n); see the module docstring for the layout.
     """
+    if dz is None:
+        return _split_flux_arrays(a_left, q_left, a_right, q_right, c)
     shape = np.shape(a_left)
     n = np.size(a_left)
     s = c * SQRT3
@@ -226,6 +233,48 @@ def _interface_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
     f_q = m1[:, 0] - m1[:, 1] - m1[:, 2]       # rows 1 and 2 lie on xi <= 0
     return (f_a[0].reshape(shape), f_q[0].reshape(shape),
             (-f_a[1]).reshape(shape), f_q[1].reshape(shape))
+
+
+def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
+    """The fluxes with no jump: plain flux-vector splitting, the xi >= 0 part
+    of the left rectangle plus the xi <= 0 part of the right one, so F- = F+
+    (as separate arrays: ``step`` updates them in place).  Same bounds, frame
+    and operation order as rows 0 and 2 of the six; P(x) = x^2 |x| equals
+    y sqrt(y) for y = fl(x^2), as sqrt(fl(x^2)) = |x| exactly."""
+    shape = np.shape(a_left)
+    n = np.size(a_left)
+    s = c * SQRT3
+    x = np.empty((2, 2, n))                    # (lo, hi) x (left, right)
+    lo, hi = x
+    np.divide(q_left, a_left, out=lo[0])
+    np.divide(q_right, a_right, out=lo[1])
+    np.add(lo, s, out=hi)
+    lo -= s
+    np.maximum(lo[0], 0.0, out=lo[0])          # left rectangle: xi >= 0
+    np.minimum(hi[1], 0.0, out=hi[1])          # right rectangle: xi <= 0
+    # an empty interval collapses onto its bound away from 0, as the empty
+    # reflected-left and transmitted-right rows of the six do, so a speed
+    # whose square overflows gives the same NaN
+    np.minimum(lo[0], hi[0], out=lo[0])
+    np.maximum(hi[1], lo[1], out=hi[1])
+    dens = np.empty((2, n))
+    np.divide(a_left, 2.0 * s, out=dens[0])
+    np.divide(a_right, 2.0 * s, out=dens[1])
+    p = np.abs(x)
+    x *= x
+    p *= x
+    m0 = x[1] - x[0]
+    m0 *= dens
+    m0 /= 2.0
+    m1 = p[1] - p[0]
+    m1 *= dens
+    m1 /= 3.0
+    f = np.empty((2, 2, n))                    # (F-, F+) x (A, Q)
+    np.add(m0[0], m0[1], out=f[0, 0])
+    np.subtract(m1[0], m1[1], out=f[0, 1])     # the right row lies on xi <= 0
+    f[1] = f[0]
+    return (f[0, 0].reshape(shape), f[0, 1].reshape(shape),
+            f[1, 0].reshape(shape), f[1, 1].reshape(shape))
 
 
 def interface_fluxes(left, right, z_left, z_right, c, g):
@@ -294,22 +343,20 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     ext[0, 1:-1] = a
     ext[1, 1:-1] = q
     ext[:, -1] = a_gr, q_gr
-    a_left = ext[0, :-1]
-    a_right = ext[0, 1:]
+    left = ext[:, :-1]
+    right = ext[:, 1:]
     # hydrostatic reconstruction: each side is lowered along its own rest
     # profile A exp(-g z / c^2) to z* = max(z_left, z_right), at its velocity
-    shrink = np.multiply(mesh.interface_rise, -g / (c * c))
-    np.exp(shrink, out=shrink)
-    a_left_star = a_left * shrink[0]
-    a_right_star = a_right * shrink[1]
+    shrink = mesh.rest_factors(c, g)
+    left_star = left * shrink[0]
+    right_star = right * shrink[1]
     fm_a, fm_q, fp_a, fp_q = _interface_flux_arrays(
-        a_left_star, ext[1, :-1] * shrink[0], a_right_star,
-        ext[1, 1:] * shrink[1], 0.0, c, g)
+        left_star[0], left_star[1], right_star[0], right_star[1], None, c, g)
     # each side keeps the pressure c^2 (A - A*) the reconstruction removed
-    lost = np.subtract(a_left, a_left_star, out=a_left_star)
+    lost = np.subtract(left[0], left_star[0], out=left_star[0])
     lost *= c * c
     fm_q += lost
-    lost = np.subtract(a_right, a_right_star, out=a_right_star)
+    lost = np.subtract(right[0], right_star[0], out=right_star[0])
     lost *= c * c
     fp_q += lost
 
@@ -331,7 +378,7 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
         u_star = q_new / a_new
         q_new = q_new / (1.0 + dt * g * k * np.abs(u_star))
 
-    return State(area=a_new, discharge=q_new, time=state.time + dt)
+    return State._checked(a_new, q_new, state.time + dt)
 
 
 def run(initial: State, mesh: Mesh, params: KineticParams,
@@ -339,20 +386,26 @@ def run(initial: State, mesh: Mesh, params: KineticParams,
         observer=None, geometry: PipeGeometry | None = None) -> State:
     """March ``initial`` to t_end with adaptive CFL steps, clamping the last
     step so the final time is exactly t_end; ``observer(state)`` is invoked
-    after every accepted step."""
+    after every accepted step.  A ``SolverError`` names the step number
+    (counted from 1) and the time the step started from."""
     if t_end < initial.time:
         raise ValueError(f"t_end={t_end} precedes the initial time {initial.time}")
     state = initial
+    steps = 0
     while state.time < t_end:
+        steps += 1
         dt = cfl_timestep(state, constants.c, mesh, params.cfl)
         if state.time + dt == state.time:
-            raise SolverError(f"time step dt={dt:g} makes no progress at "
+            raise SolverError(f"step {steps}: time step dt={dt:g} makes no progress at "
                               f"t={state.time!r} (t_end={t_end!r})")
         clamped = state.time + dt >= t_end
         if clamped:
             dt = t_end - state.time
-        state = step(state, mesh, constants.c, constants.g, dt, friction,
-                     boundary, geometry)
+        try:
+            state = step(state, mesh, constants.c, constants.g, dt, friction,
+                         boundary, geometry)
+        except SolverError as exc:
+            raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
         if clamped:
             state = replace(state, time=float(t_end))
         if observer is not None:

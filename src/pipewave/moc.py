@@ -116,9 +116,12 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
                     node_spacing=dx, time=t_new)
 
 
-def initial_moc_state(scenario: Scenario, node_count):
+def initial_moc_state(scenario: Scenario, node_count=None):
     """Steady state on the node grid: the same constant-total-head profile as
-    the finite-volume initializer, expressed as a piezometric line."""
+    the finite-volume initializer, expressed as a piezometric line.  The
+    default grid has one node per cell interface of the scenario's mesh."""
+    if node_count is None:
+        node_count = scenario.mesh_cells + 1
     geom = scenario.geometry
     c = scenario.constants.c
     g = scenario.constants.g
@@ -133,18 +136,16 @@ def initial_moc_state(scenario: Scenario, node_count):
                     wave_speed=c, node_spacing=float(x[1] - x[0]), time=0.0)
 
 
-def moc_run(scenario: Scenario, node_count=None, observer=None) -> MocState:
-    """March the scenario to the last full step at or before t_end;
-    ``observer(state)`` is invoked after every step.  Returns the final
-    state."""
-    if node_count is None:
-        node_count = scenario.mesh_cells + 1   # nodes at the cell interfaces
+def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) -> MocState:
+    """March the scenario from ``initial`` (default: ``initial_moc_state``)
+    to the last full step at or before t_end; ``observer(state)`` is invoked
+    after every step.  Returns the final state."""
     for bc in (scenario.upstream, scenario.downstream):
         if not isinstance(bc, (ReservoirHead, PrescribedDischarge, Wall)):
             raise ValueError("the characteristics solver needs reservoir, "
                              "discharge or wall boundaries")
 
-    state = initial_moc_state(scenario, node_count)
+    state = initial_moc_state(scenario) if initial is None else initial
     # unit Courant number: cannot clamp dt, so stop at the last full step
     while state.time + state.dt <= scenario.t_end * (1.0 + 1e-12):
         state = moc_step(state, scenario.constants.g, scenario.geometry.section,

@@ -53,17 +53,20 @@ class _Solver:
 
 class _Recorder:
     """Observer of one march: probe samples at the initial state, every
-    ``output_stride``-th step and the final state; the snapshot states; and
-    the elementwise bounds of the level variable over every step."""
+    ``output_stride``-th step and the final state; the elementwise bounds of
+    the level variable over every step; and ``write_snapshot(step, state)``
+    called as each snapshot is taken (the initial state, every
+    ``snapshot_stride``-th step and the final state)."""
 
-    def __init__(self, solver: _Solver, probe_x, output_stride):
+    def __init__(self, solver: _Solver, probe_x, output_stride, write_snapshot):
         self.solver, self.probe_x, self.output_stride = solver, probe_x, output_stride
-        self.steps = 0
+        self.write_snapshot = write_snapshot
+        self.steps = self.last_snapshot = 0
         self.times, self.levels, self.discharges = [], [], []
-        self.snapshots = [(0, solver.initial)]
         self.low = solver.level(solver.initial).copy()
         self.high = self.low.copy()
         self._sample(solver.initial)
+        write_snapshot(0, solver.initial)
 
     def _sample(self, state):
         self.times.append(state.time)
@@ -79,13 +82,14 @@ class _Recorder:
             self._sample(state)
         stride = self.solver.snapshot_stride
         if stride and self.steps % stride == 0:
-            self.snapshots.append((self.steps, state))
+            self.write_snapshot(self.steps, state)
+            self.last_snapshot = self.steps
 
     def finish(self, final):
         if self.steps % self.output_stride:
             self._sample(final)
-        if self.snapshots[-1][0] != self.steps:
-            self.snapshots.append((self.steps, final))
+        if self.last_snapshot != self.steps:
+            self.write_snapshot(self.steps, final)
 
 
 def _kinetic(config: RunConfig):
@@ -105,28 +109,39 @@ def _moc(config: RunConfig):
     scenario = config.scenario
     geom = scenario.geometry
     c, g = scenario.constants.c, scenario.constants.g
-    nodes = scenario.mesh_cells + 1                  # one per cell interface
-    x = np.linspace(0.0, geom.length, nodes)
-    weights = np.full(nodes, x[1] - x[0])            # trapezoid rule
+    initial = moc.initial_moc_state(scenario)
+    x = np.linspace(0.0, geom.length, initial.n)
+    weights = np.full(initial.n, x[1] - x[0])        # trapezoid rule
     weights[[0, -1]] *= 0.5
 
     def area(head, z):
         return area_from_piezometric_head(head, geom.section, z, geom.diameter, c, g)
     return _Solver(x=x, z=np.asarray(geom.altitude(x), dtype=float), weights=weights,
-                   level=lambda s: s.head, area=area,
-                   initial=moc.initial_moc_state(scenario, nodes),
-                   march=partial(moc.moc_run, scenario, nodes), snapshot_stride=0)
+                   level=lambda s: s.head, area=area, initial=initial,
+                   march=partial(moc.moc_run, scenario, initial=initial),
+                   snapshot_stride=0)
 
 
 def _record(config: RunConfig, out_dir: Path | None, label, solver: _Solver):
     """March one solver under a recorder; summarize it and, with ``out_dir``,
-    write its probe and snapshot CSVs and its summary."""
+    write its probe and snapshot CSVs and its summary.  The snapshots are
+    written during the march, so the summary's wall clock includes them."""
     scenario = config.scenario
     geom = scenario.geometry
     c, g = scenario.constants.c, scenario.constants.g
     probe_x = np.asarray(scenario.probes, dtype=float)
     probe_z = np.asarray(geom.altitude(probe_x), dtype=float)
-    recorder = _Recorder(solver, probe_x, scenario.output_stride)
+
+    def rows(lead, area, discharge, z):
+        return frame_rows(lead, area, discharge, geom.section, z, geom.diameter, c, g)
+
+    def write_snapshot(step_no, snap):
+        if out_dir is not None:
+            area = solver.area(solver.level(snap), solver.z)
+            write_rows_csv(out_dir / f"{label}_snap_{step_no:08d}.csv", SNAPSHOT_HEADER,
+                           rows(solver.x, area, snap.discharge, solver.z))
+
+    recorder = _Recorder(solver, probe_x, scenario.output_stride, write_snapshot)
     started = _time.perf_counter()
     final = solver.march(observer=recorder)
     elapsed = _time.perf_counter() - started
@@ -148,15 +163,9 @@ def _record(config: RunConfig, out_dir: Path | None, label, solver: _Solver):
         final_time=float(final.time), cells=solver.x.size)
 
     if out_dir is not None:
-        def rows(lead, area, discharge, z):
-            return frame_rows(lead, area, discharge, geom.section, z, geom.diameter, c, g)
         for k, z in enumerate(probe_z):
             write_rows_csv(out_dir / f"{label}_probe_{k:02d}.csv", PROBE_HEADER,
                            rows(t, areas[k], discharges[:, k], z))
-        for step_no, snap in recorder.snapshots:
-            area = solver.area(solver.level(snap), solver.z)
-            write_rows_csv(out_dir / f"{label}_snap_{step_no:08d}.csv", SNAPSHOT_HEADER,
-                           rows(solver.x, area, snap.discharge, solver.z))
         _write_summary(out_dir, result)
     return result
 

@@ -1,9 +1,12 @@
 import hashlib
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pipewave import runner, scenarios
 from pipewave.cli import main
 from pipewave.output import read_probe_csv
 
@@ -105,6 +108,25 @@ class TestExitCodes:
         code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "solver error" in capsys.readouterr().err
+
+    def test_diverging_run_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the valve discharge jumps to 1e160 after 0.5 s: the 4-cell march
+        # overflows mid-run, and the message names the step, time and cell
+        def diverging(scenario, mesh):
+            law = scenarios.PrescribedDischarge(law=lambda t: 1e160 if t > 0.5 else 10.0)
+            return scenarios.boundary_provider(replace(scenario, downstream=law), mesh)
+
+        monkeypatch.setattr(runner, "boundary_provider", diverging)
+        cfg = write_config(tmp_path, run__cells="4")
+        with np.errstate(all="ignore"):
+            code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"solver error: step \d+ from t=\S+: cell 3 left the "
+                         r"admissible states at t=", err), err
+        # snapshots are written as they are taken; probes and summary at the end
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "kinetic_snap_00000000.csv"]
 
     def test_bad_override_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

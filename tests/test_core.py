@@ -238,6 +238,24 @@ class TestMeshAndState:
         state = State(area=np.array([2.0, 4.0]), discharge=np.array([1.0, 2.0]))
         assert state.velocity == pytest.approx([0.5, 0.5])
 
+    def test_rest_factors_cached_and_read_only(self):
+        mesh = Mesh.uniform(2000.0, 50, LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
+        c, g = 1086.6, 9.81
+        # ghosts share the bottom of their neighbour
+        z = np.concatenate(([mesh.z_cells[0]], mesh.z_cells, [mesh.z_cells[-1]]))
+        z_star = np.maximum(z[:-1], z[1:])
+        fresh = np.exp(np.array([z_star - z[:-1], z_star - z[1:]]) * (-g / (c * c)))
+        factors = mesh.rest_factors(c, g)
+        assert np.array_equal(factors, fresh)
+        assert factors[:, [0, -1]].tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert mesh.rest_factors(c, g) is factors
+        with pytest.raises(ValueError):
+            factors[0, 1] = 2.0
+        other = mesh.rest_factors(2.0 * c, g)
+        assert other is not factors
+        assert np.array_equal(other, np.exp(np.array([z_star - z[:-1], z_star - z[1:]])
+                                            * (-g / (4.0 * c * c))))
+
     def test_state_arrays_read_only(self):
         state = State(area=np.ones(3), discharge=np.zeros(3))
         with pytest.raises(ValueError):

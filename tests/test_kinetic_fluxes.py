@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from scipy.integrate import quad
 
 from oracles import quad_interface_fluxes, quad_shifted_half_moments
 from pipewave.kinetic import (SQRT3, HalfFlux, InterfaceFluxPair,
-                              KineticParams, interface_fluxes,
-                              maxwellian_density, shifted_half_moments)
+                              KineticParams, _interface_flux_arrays,
+                              interface_fluxes, maxwellian_density,
+                              shifted_half_moments)
 
 
 class TestMaxwellian:
@@ -165,6 +167,58 @@ class TestInterfaceFluxes:
     def test_rejects_nonpositive_area(self):
         with pytest.raises(ValueError):
             interface_fluxes((0.0, 1.0), (1.0, 1.0), 0.0, 0.0, 10.0, 9.81)
+
+
+def split_states(rng, shape, c):
+    """(A_L, Q_L, A_R, Q_R) with speeds up to 3 c sqrt(3) and, at about a
+    tenth of the points, |u| between 1e100 and 1e160, where P(x) = x^2 |x|
+    or x^2 itself overflows and the kernel returns NaN."""
+    s = c * SQRT3
+    a = rng.uniform(1e-3, 10.0, (2,) + shape)
+    u = rng.uniform(-3 * s, 3 * s, (2,) + shape)
+    huge = rng.random((2,) + shape) < 0.1
+    u[huge] = rng.choice([-1.0, 1.0], huge.sum()) * 10.0 ** rng.uniform(100, 160, huge.sum())
+    q = a * u
+    return a[0], q[0], a[1], q[1]
+
+
+class TestNoJumpKernel:
+    """With dz = None (no jump) the kernel takes its two-row path; the six
+    rows with dz = 0.0 and dz = np.zeros(...) are the reference."""
+
+    @pytest.mark.parametrize("n", [None, 1, 201, 1001])
+    def test_matches_six_rows_bitwise(self, n):
+        rng = np.random.default_rng(31 if n is None else n)
+        shape = () if n is None else (n,)
+        nan_seen = False
+        for _ in range(400 if n in (None, 1) else 20):
+            c = rng.uniform(0.5, 1500.0)
+            states = split_states(rng, shape, c)
+            with np.errstate(all="ignore"):
+                split = _interface_flux_arrays(*states, None, c, 9.81)
+                rows = _interface_flux_arrays(*states, np.zeros(shape), c, 9.81)
+                scalar_rows = _interface_flux_arrays(*states, 0.0, c, 9.81)
+            for got, want in zip(split[:2], rows[:2]):
+                assert got.shape == shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            # a numeric zero reaches the six rows
+            for got, want in zip(scalar_rows, rows):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            # F+ holds the same values; the six rows, summed in the mirrored
+            # frame, give -0.0 where the split gives +0.0
+            for k in (2, 3):
+                np.testing.assert_array_equal(split[k], rows[k])
+                assert np.array_equal(split[k], split[k - 2], equal_nan=True)
+            nan_seen |= bool(np.isnan(rows[0]).any() and np.isnan(rows[1]).any())
+        assert nan_seen
+
+    @pytest.mark.parametrize("shape", [(), (7,)])
+    def test_returns_separate_arrays(self, shape):
+        # step adds a different c^2 (A - A*) to F-_Q and F+_Q in place
+        states = split_states(np.random.default_rng(2), shape, 10.0)
+        fluxes = _interface_flux_arrays(*states, None, 10.0, 9.81)
+        for one, other in itertools.combinations(fluxes, 2):
+            assert not np.shares_memory(one, other)
 
 
 class TestKineticParams:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
                            PhysicalConstants, PipeGeometry, SolverError, State,
                            entropy_cell)
 from pipewave.kinetic import (SQRT3, KineticParams, cfl_timestep, run, step)
+from pipewave.scenarios import PrescribedDischarge, Wall, ghost_states
 
 FRICTIONLESS = FrictionParams.disabled()
 
@@ -328,6 +330,25 @@ class TestRun:
                            match=r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
             run(state, mesh, KineticParams(), self._constants(10.0), FRICTIONLESS,
                 periodic_boundary, t_end=1e15 + 1.0)
+
+    def test_diverging_run_names_step_time_and_cell(self):
+        # the downstream discharge jumps to 1e160 at t = 0.3: the flux at the
+        # last interface overflows and cell 3 leaves the admissible states
+        mesh = Mesh.uniform(10.0, 4, flat_altitude)
+        state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
+        valve = PrescribedDischarge(law=lambda t: 1e160 if t >= 0.3 else 0.0)
+
+        def boundary(s):
+            return ghost_states(s, mesh, Wall(), valve, s.time, 10.0, 9.81)
+
+        times = []
+        with np.errstate(all="ignore"), pytest.raises(SolverError) as failure:
+            run(state, mesh, KineticParams(), self._constants(10.0), FRICTIONLESS,
+                boundary, t_end=1.0, observer=lambda s: times.append(s.time))
+        assert len(times) >= 2
+        assert re.match(rf"step {len(times) + 1} from t={times[-1]!r}: cell 3 left "
+                        r"the admissible states at t=\S+: A=nan, Q=nan$",
+                        str(failure.value))
 
     def test_observer_sees_monotone_times(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)

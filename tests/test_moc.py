@@ -184,6 +184,16 @@ class TestMocRun:
         scenario = section4_scenario(cells=50, t_end=0.0)
         assert moc_run(scenario).head.size == 51
 
+    def test_given_initial_state_is_marched(self):
+        scenario = section4_scenario(cells=50, t_end=1.0)
+        initial = initial_moc_state(scenario)
+        assert initial.n == 51
+        final = moc_run(scenario, initial=initial)
+        assert np.array_equal(final.head, moc_run(scenario).head)
+        coarse = moc_run(scenario, initial=initial_moc_state(scenario, 21))
+        assert coarse.head.size == 21
+        assert coarse.time <= scenario.t_end < coarse.time + coarse.dt
+
     def test_initial_state_is_converted_steady_profile(self):
         scenario = section4_scenario(t_end=0.0)
         state = initial_moc_state(scenario, 201)

@@ -7,11 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pipewave import kinetic, moc
 from pipewave.config import RunConfig
 from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
                            PipeGeometry, area_from_piezometric_head)
 from pipewave.kinetic import KineticParams, run
 from pipewave.moc import initial_moc_state, moc_step
+from pipewave.output import SNAPSHOT_HEADER, frame_rows, write_rows_csv
 from pipewave.runner import run_simulation
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
                                 ValveClosure, boundary_provider,
@@ -107,3 +109,52 @@ def test_zero_duration_records_the_initial_state_once(tmp_path):
         assert result.steps == 0
         assert [s.t.tolist() for s in result.probes] == [[0.0], [0.0]]
         assert len(list(tmp_path.glob(f"{label}_snap_*.csv"))) == 1
+
+
+def test_kinetic_snapshots_written_as_taken(tmp_path, monkeypatch):
+    # each snapshot CSV exists as soon as the recorder has seen its step, and
+    # holds the same bytes as one written from a direct march's state
+    config = surge_config("kinetic", tmp_path / "run", snapshot_stride=25)
+    real_run = kinetic.run
+    late = []
+
+    def run_checking(*args, observer, **kwargs):
+        steps = 0
+
+        def check(state):
+            nonlocal steps
+            observer(state)
+            steps += 1
+            snapshot = tmp_path / "run" / f"kinetic_snap_{steps:08d}.csv"
+            if steps % 25 == 0 and not snapshot.exists():
+                late.append(steps)
+        return real_run(*args, observer=check, **kwargs)
+
+    monkeypatch.setattr(kinetic, "run", run_checking)
+    result = run_simulation(config)["kinetic"]
+    assert result.steps > 50
+    assert late == []
+    states, _ = direct_march("kinetic", config.scenario)
+    mesh = config.scenario.mesh()
+    geom = config.scenario.geometry
+    c, g = config.scenario.constants.c, config.scenario.constants.g
+    write_rows_csv(tmp_path / "direct.csv", SNAPSHOT_HEADER,
+                   frame_rows(mesh.centers, states[49].area, states[49].discharge,
+                              geom.section, mesh.z_cells, geom.diameter, c, g))
+    assert ((tmp_path / "run" / "kinetic_snap_00000050.csv").read_bytes()
+            == (tmp_path / "direct.csv").read_bytes())
+
+
+def test_moc_steady_state_solved_once(tmp_path, monkeypatch):
+    config = surge_config("moc", tmp_path)
+    calls = []
+    real_initial = moc.initial_moc_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_initial(*args, **kwargs)
+
+    monkeypatch.setattr(moc, "initial_moc_state", counting)
+    result = run_simulation(config, write_files=False)["moc"]
+    assert len(calls) == 1
+    assert result.cells == config.scenario.mesh_cells + 1
