@@ -10,6 +10,12 @@ characteristics land exactly on grid nodes.  Along dx/dt = +a the invariant
 H + B Q (B = a/(g S)) is carried, along dx/dt = -a the invariant H - B Q;
 friction enters as the head loss S_f * dx accumulated over one step.
 Boundary nodes combine the single available invariant with the boundary law.
+
+Without friction a step allocates four node arrays: B Q, the invariant
+H + B Q, and the new heads and discharges.  H - B Q overwrites B Q in place,
+the friction loss (only when friction is on) is subtracted from and added to
+the two invariants in place, and the interior averages are written straight
+into the new arrays, which become the next state without a copy.
 """
 
 from __future__ import annotations
@@ -47,6 +53,18 @@ class MocState:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "discharge", discharge)
 
+    @classmethod
+    def _checked(cls, head, discharge, wave_speed, node_spacing, time):
+        """A state from fresh, equal-length float arrays and a valid grid;
+        the arrays are made read-only in place, without the copy and checks
+        of ``__init__``."""
+        head.setflags(write=False)
+        discharge.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(head=head, discharge=discharge, wave_speed=wave_speed,
+                              node_spacing=node_spacing, time=time)
+        return state
+
     @property
     def dt(self):
         """Unit-Courant time step dx/a, fixed by construction."""
@@ -72,6 +90,8 @@ def _boundary_node(bc, invariant, sign, b, alpha, t, end):
         q = 0.0
     else:
         raise TypeError(f"unsupported {end} boundary {bc!r}")
+    if not math.isfinite(q):
+        raise SolverError(f"{end} boundary gave a non-finite discharge at t={t!r}: Q={q!r}")
     return q, invariant + sign * b * q
 
 
@@ -88,21 +108,25 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
     dx = state.node_spacing
     t_new = state.time + state.dt
 
+    # invariants carried toward a node from its left (cp) and right (cm);
+    # cm takes over the buffer of b*q
+    bq = b * q
+    cp = h + bq
+    cm = np.subtract(h, bq, out=bq)
     if friction.enabled:
         if geometry is None:
             raise ValueError("friction needs the pipe geometry for the hydraulic radius")
-        sf = friction_slope(q / section, geometry, friction)
-    else:
-        sf = np.zeros_like(q)
-
-    # invariants carried toward a node from its left (cp) and right (cm)
-    cp = h + b * q - dx * sf
-    cm = h - b * q + dx * sf
+        loss = dx * friction_slope(q / section, geometry, friction)
+        cp -= loss
+        cm += loss
 
     h_new = np.empty_like(h)
     q_new = np.empty_like(q)
-    h_new[1:-1] = 0.5 * (cp[:-2] + cm[2:])
-    q_new[1:-1] = 0.5 * (cp[:-2] - cm[2:]) / b
+    h_mid = np.add(cp[:-2], cm[2:], out=h_new[1:-1])
+    h_mid *= 0.5
+    q_mid = np.subtract(cp[:-2], cm[2:], out=q_new[1:-1])
+    q_mid *= 0.5
+    q_mid /= b
 
     alpha = 1.0 / (2.0 * g * section * section)   # velocity-head coefficient
     # each end meets the one invariant reaching it: cm from node 1 upstream,
@@ -112,8 +136,7 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
     q_new[-1], h_new[-1] = _boundary_node(downstream, cp[-2], -1.0, b, alpha,
                                           t_new, "downstream")
 
-    return MocState(head=h_new, discharge=q_new, wave_speed=state.wave_speed,
-                    node_spacing=dx, time=t_new)
+    return MocState._checked(h_new, q_new, state.wave_speed, dx, t_new)
 
 
 def initial_moc_state(scenario: Scenario, node_count=None):
@@ -139,7 +162,8 @@ def initial_moc_state(scenario: Scenario, node_count=None):
 def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) -> MocState:
     """March the scenario from ``initial`` (default: ``initial_moc_state``)
     to the last full step at or before t_end; ``observer(state)`` is invoked
-    after every step.  Returns the final state."""
+    after every step.  Returns the final state.  A ``SolverError`` names the
+    step number (counted from 1) and the time the step started from."""
     for bc in (scenario.upstream, scenario.downstream):
         if not isinstance(bc, (ReservoirHead, PrescribedDischarge, Wall)):
             raise ValueError("the characteristics solver needs reservoir, "
@@ -147,10 +171,15 @@ def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) 
 
     state = initial_moc_state(scenario) if initial is None else initial
     # unit Courant number: cannot clamp dt, so stop at the last full step
+    steps = 0
     while state.time + state.dt <= scenario.t_end * (1.0 + 1e-12):
-        state = moc_step(state, scenario.constants.g, scenario.geometry.section,
-                         scenario.friction, scenario.upstream, scenario.downstream,
-                         scenario.geometry)
+        steps += 1
+        try:
+            state = moc_step(state, scenario.constants.g, scenario.geometry.section,
+                             scenario.friction, scenario.upstream, scenario.downstream,
+                             scenario.geometry)
+        except SolverError as exc:
+            raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
         if observer is not None:
             observer(state)
     return state

@@ -203,12 +203,13 @@ def ghost_states(state: State, mesh: Mesh, upstream: BoundaryCondition,
             if geometry is None:
                 raise ValueError("a reservoir boundary needs the pipe geometry")
             u = q_in / a_in
-            try:
-                a_ghost = float(area_from_piezometric_head(
-                    bc.total_head - 0.5 * u * u / g, geometry.section, z_ghost,
-                    geometry.diameter, c, g))
-            except ValueError as exc:
-                raise SolverError(str(exc)) from exc
+            head = bc.total_head - 0.5 * u * u / g
+            # core.area_from_piezometric_head in scalar float arithmetic
+            a_ghost = geometry.section * (1.0 + g * (head - z_ghost - geometry.diameter)
+                                          / (c * c))
+            if not a_ghost > 0:
+                raise SolverError(
+                    f"piezometric head {head!r} implies a non-positive wetted area")
             return a_ghost, a_ghost * u
         raise TypeError(f"unsupported boundary condition {bc!r}")
 

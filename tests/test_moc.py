@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import coarse_moc_waterhammer
 from pipewave.compare import detect_period
 from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
-                           PipeGeometry)
+                           PipeGeometry, SolverError, friction_slope)
 from pipewave.moc import MocState, initial_moc_state, moc_run, moc_step
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
                                 ValveClosure, Wall)
@@ -48,6 +50,42 @@ def quiescent_state(nodes=21, head=150.0, a=1000.0, dx=10.0):
                     wave_speed=a, node_spacing=dx)
 
 
+def reference_step(state, g, section, friction, upstream, downstream, geometry):
+    """One step written as whole-array expressions with a zero friction
+    array, the formula the in-place ``moc_step`` must reproduce bit for bit."""
+    h, q = state.head, state.discharge
+    b = state.wave_speed / (g * section)
+    dx = state.node_spacing
+    t_new = state.time + state.dt
+    if friction.enabled:
+        sf = friction_slope(q / section, geometry, friction)
+    else:
+        sf = np.zeros_like(q)
+    cp = h + b * q - dx * sf
+    cm = h - b * q + dx * sf
+    h_new = np.empty_like(h)
+    q_new = np.empty_like(q)
+    h_new[1:-1] = 0.5 * (cp[:-2] + cm[2:])
+    q_new[1:-1] = 0.5 * (cp[:-2] - cm[2:]) / b
+    alpha = 1.0 / (2.0 * g * section * section)
+    for i, bc, invariant, sign in ((0, upstream, cm[1], 1.0),
+                                   (-1, downstream, cp[-2], -1.0)):
+        if isinstance(bc, ReservoirHead):
+            disc = b * b - 4.0 * alpha * (invariant - bc.total_head)
+            q_end = sign * (-b + math.sqrt(disc)) / (2.0 * alpha)
+        elif isinstance(bc, PrescribedDischarge):
+            q_end = float(bc.law(t_new))
+        else:
+            q_end = 0.0
+        q_new[i], h_new[i] = q_end, invariant + sign * b * q_end
+    return MocState(head=h_new, discharge=q_new, wave_speed=state.wave_speed,
+                    node_spacing=dx, time=t_new)
+
+
+def same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
 class TestMocState:
     def test_unit_courant_timestep(self):
         state = quiescent_state(a=500.0, dx=25.0)
@@ -62,6 +100,21 @@ class TestMocState:
         with pytest.raises(ValueError):
             MocState(head=np.zeros(3), discharge=np.zeros(3),
                      wave_speed=-1.0, node_spacing=1.0)
+
+    def test_checked_arrays_are_read_only(self):
+        head, discharge = np.full(4, 10.0), np.zeros(4)
+        state = MocState._checked(head, discharge, 100.0, 1.0, 0.5)
+        assert state.head is head and state.discharge is discharge
+        assert not head.flags.writeable and not discharge.flags.writeable
+        assert (state.wave_speed, state.node_spacing, state.time) == (100.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            state.head[0] = 1.0
+
+    def test_step_result_is_read_only(self):
+        new = moc_step(quiescent_state(), G, 2.0, FRICTIONLESS,
+                       ReservoirHead(total_head=150.0), Wall())
+        assert not new.head.flags.writeable
+        assert not new.discharge.flags.writeable
 
 
 class TestMocStep:
@@ -168,6 +221,93 @@ class TestMocStep:
             state = moc_step(state, G, 2.0, friction, Wall(), Wall(),
                              geometry=geometry)
         assert energy(state) < e0
+
+
+ENDS = {
+    "reservoir": ReservoirHead(total_head=120.0),
+    "valve": PrescribedDischarge(law=lambda t: 2.0 * math.cos(3.0 * t)),
+    "wall": Wall(),
+}
+
+
+class TestLeanStep:
+    geometry = PipeGeometry.circular(
+        length=300.0, section=1.5, wall_thickness=0.2, young_modulus=23e9,
+        altitude=LinearAltitude(0.0, 0.0))
+
+    @pytest.mark.parametrize("friction", [FRICTIONLESS,
+                                          FrictionParams(enabled=True, strickler=40.0)],
+                             ids=["frictionless", "friction"])
+    @pytest.mark.parametrize("up", sorted(ENDS))
+    @pytest.mark.parametrize("down", sorted(ENDS))
+    def test_bitwise_equal_to_reference_formula(self, up, down, friction):
+        rng = np.random.default_rng(7)
+        nodes, a, dx = 31, 950.0, 10.0
+        for _ in range(5):
+            state = MocState(head=120.0 + 5.0 * rng.standard_normal(nodes),
+                             discharge=2.0 * rng.standard_normal(nodes),
+                             wave_speed=a, node_spacing=dx,
+                             time=float(rng.uniform(0.0, 3.0)))
+            lean, ref = state, state
+            for _ in range(4):   # each marches its own output
+                lean = moc_step(lean, G, 1.5, friction, ENDS[up], ENDS[down],
+                                geometry=self.geometry)
+                ref = reference_step(ref, G, 1.5, friction, ENDS[up], ENDS[down],
+                                     self.geometry)
+                assert same_bits(lean.head, ref.head)
+                assert same_bits(lean.discharge, ref.discharge)
+                assert lean.time == ref.time
+
+    def test_two_node_grid(self):
+        state = MocState(head=np.array([100.0, 101.0]), discharge=np.array([1.0, 0.5]),
+                         wave_speed=900.0, node_spacing=5.0)
+        lean = moc_step(state, G, 2.0, FRICTIONLESS, ENDS["reservoir"], ENDS["valve"])
+        ref = reference_step(state, G, 2.0, FRICTIONLESS, ENDS["reservoir"],
+                             ENDS["valve"], None)
+        assert same_bits(lean.head, ref.head)
+        assert same_bits(lean.discharge, ref.discharge)
+
+
+class TestMocErrors:
+    def test_unsolvable_reservoir(self):
+        # an invariant far above the reservoir head leaves the quadratic
+        # velocity-head law without a real root
+        state = quiescent_state(head=1e6)
+        with pytest.raises(SolverError, match="upstream reservoir law unsolvable"):
+            moc_step(state, G, 2.0, FRICTIONLESS, ReservoirHead(total_head=150.0),
+                     Wall())
+        with pytest.raises(SolverError, match="downstream reservoir law unsolvable"):
+            moc_step(state, G, 2.0, FRICTIONLESS, Wall(),
+                     ReservoirHead(total_head=150.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_law(self, bad):
+        state = quiescent_state()
+        law = PrescribedDischarge(law=lambda t: bad)
+        with pytest.raises(SolverError, match=r"^downstream boundary gave a non-finite "
+                                              r"discharge at t=0\.01: Q="):
+            moc_step(state, G, 2.0, FRICTIONLESS, Wall(), law)
+        with pytest.raises(SolverError, match="^upstream boundary gave a non-finite"):
+            moc_step(state, G, 2.0, FRICTIONLESS, law, Wall())
+
+    def test_run_names_the_step(self):
+        scenario = section4_scenario(cells=50, t_end=1.0)
+        dt = initial_moc_state(scenario).dt
+        late = Scenario(**{**scenario.__dict__, "downstream": PrescribedDischarge(
+            law=lambda t: 10.0 if t < 2.5 * dt else math.nan)})
+        with pytest.raises(SolverError, match=r"^step 3 from t=0\.07\d*: downstream "
+                                              r"boundary gave a non-finite discharge"):
+            moc_run(late)
+
+    def test_run_names_the_step_of_an_unsolvable_reservoir(self):
+        scenario = section4_scenario(cells=50, t_end=1.0)
+        initial = initial_moc_state(scenario)
+        high = MocState(head=np.full(initial.n, 1e6), discharge=initial.discharge,
+                        wave_speed=initial.wave_speed,
+                        node_spacing=initial.node_spacing)
+        with pytest.raises(SolverError, match=r"^step 1 from t=0\.0: upstream "
+                                              r"reservoir law unsolvable"):
+            moc_run(scenario, initial=high)
 
 
 class TestMocRun:

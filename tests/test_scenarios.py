@@ -3,7 +3,8 @@ import pytest
 
 from oracles import bisect_total_head_area
 from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
-                           PipeGeometry, State, total_head)
+                           PipeGeometry, SolverError, State,
+                           area_from_piezometric_head, total_head)
 from pipewave.kinetic import KineticParams, cfl_timestep, run, step
 from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
                                 Scenario, ValveClosure, Wall,
@@ -182,10 +183,43 @@ class TestGhostStates:
         scenario = section4_scenario()
         mesh = scenario.mesh()
         state = steady_state_init(scenario, mesh)
-        from pipewave.core import SolverError
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="non-positive wetted area"):
             ghost_states(state, mesh, ReservoirHead(total_head=-1e6), Wall(), 0.0,
                          scenario.constants.c, scenario.constants.g,
+                         scenario.geometry)
+
+    def test_reservoir_ghost_equals_array_inversion_bitwise(self):
+        # the scalar closed form in ghost_states against the array inversion
+        # of core, over random reservoir heads and interior states; slow
+        # waves make the head term of order one, so a reordered operation
+        # changes the last bits instead of vanishing in 1.0 + term
+        scenario = section4_scenario()
+        mesh = scenario.mesh()
+        g = scenario.constants.g
+        geom = scenario.geometry
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            c = float(rng.uniform(20.0, 60.0))
+            state = State(area=rng.uniform(1.9, 2.1, mesh.n),
+                          discharge=rng.uniform(-15.0, 15.0, mesh.n))
+            up = ReservoirHead(total_head=float(rng.uniform(260.0, 900.0)))
+            down = ReservoirHead(total_head=float(rng.uniform(100.0, 700.0)))
+            ghosts = ghost_states(state, mesh, up, down, 0.0, c, g, geom)
+            for bc, (a_ghost, q_ghost), i in zip((up, down), ghosts, (0, -1)):
+                u = float(state.discharge[i]) / float(state.area[i])
+                expected = float(area_from_piezometric_head(
+                    bc.total_head - 0.5 * u * u / g, geom.section,
+                    float(mesh.z_cells[i]), geom.diameter, c, g))
+                assert np.float64(a_ghost).tobytes() == np.float64(expected).tobytes()
+                assert np.float64(q_ghost).tobytes() == np.float64(expected * u).tobytes()
+
+    def test_reservoir_nan_head_errors(self):
+        scenario = section4_scenario()
+        mesh = scenario.mesh()
+        state = steady_state_init(scenario, mesh)
+        with pytest.raises(SolverError, match="non-positive wetted area"):
+            ghost_states(state, mesh, Wall(), ReservoirHead(total_head=float("nan")),
+                         0.0, scenario.constants.c, scenario.constants.g,
                          scenario.geometry)
 
 
