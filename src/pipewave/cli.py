@@ -6,7 +6,8 @@ Commands
     pipewave check <config>     run the invariant suites
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 failed
-invariant check.
+invariant check, 5 I/O error (an output file or directory could not be
+written).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
+EXIT_IO = 5
 
 
 def _build_parser():
@@ -112,6 +114,9 @@ def main(argv=None):
         # invalid values reaching library constructors (e.g. flag overrides)
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
 """Drive complete runs from a RunConfig: solver marches, probe series,
-snapshot frames, summaries and the kinetic-vs-MOC comparison."""
+snapshot frames, summaries and the kinetic-vs-MOC comparison.
+
+A run that writes files hands every CSV to one ``output.CsvWriter`` as it is
+taken, so a writer process formats them while the marches go on; the run
+returns once that process has written them all."""
 
 from __future__ import annotations
 
 import time as _time
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -15,7 +20,7 @@ from . import kinetic, moc
 from .compare import ComparisonReport, ProbeSeries, compare_series
 from .config import RunConfig
 from .core import area_from_piezometric_head, piezometric_head
-from .output import PROBE_HEADER, SNAPSHOT_HEADER, frame_rows, write_rows_csv
+from .output import PROBE_HEADER, SNAPSHOT_HEADER, CsvWriter, frame_rows
 from .scenarios import (PrescribedDischarge, Scenario, ValveClosure,
                         boundary_provider, steady_state_init)
 
@@ -122,11 +127,13 @@ def _moc(config: RunConfig):
                    snapshot_stride=0)
 
 
-def _record(config: RunConfig, out_dir: Path | None, label, solver: _Solver):
-    """March one solver under a recorder; summarize it and, with ``out_dir``,
-    write its probe and snapshot CSVs and its summary.  The snapshots are
-    written during the march, so the summary's wall clock includes them."""
+def _record(config: RunConfig, writer: CsvWriter | None, label, solver: _Solver):
+    """March one solver under a recorder; summarize it and, with a
+    ``writer``, hand its probe and snapshot CSVs over to it and write its
+    summary.  The snapshots are handed over during the march, so the
+    summary's wall clock includes the handover (not the formatting)."""
     scenario = config.scenario
+    out_dir = Path(config.output_dir)
     geom = scenario.geometry
     c, g = scenario.constants.c, scenario.constants.g
     probe_x = np.asarray(scenario.probes, dtype=float)
@@ -136,10 +143,10 @@ def _record(config: RunConfig, out_dir: Path | None, label, solver: _Solver):
         return frame_rows(lead, area, discharge, geom.section, z, geom.diameter, c, g)
 
     def write_snapshot(step_no, snap):
-        if out_dir is not None:
+        if writer is not None:
             area = solver.area(solver.level(snap), solver.z)
-            write_rows_csv(out_dir / f"{label}_snap_{step_no:08d}.csv", SNAPSHOT_HEADER,
-                           rows(solver.x, area, snap.discharge, solver.z))
+            writer.write(out_dir / f"{label}_snap_{step_no:08d}.csv", SNAPSHOT_HEADER,
+                         rows(solver.x, area, snap.discharge, solver.z))
 
     recorder = _Recorder(solver, probe_x, scenario.output_stride, write_snapshot)
     started = _time.perf_counter()
@@ -162,10 +169,10 @@ def _record(config: RunConfig, out_dir: Path | None, label, solver: _Solver):
         final_mass=float(np.sum(solver.weights * solver.area(solver.level(final), solver.z))),
         final_time=float(final.time), cells=solver.x.size)
 
-    if out_dir is not None:
+    if writer is not None:
         for k, z in enumerate(probe_z):
-            write_rows_csv(out_dir / f"{label}_probe_{k:02d}.csv", PROBE_HEADER,
-                           rows(t, areas[k], discharges[:, k], z))
+            writer.write(out_dir / f"{label}_probe_{k:02d}.csv", PROBE_HEADER,
+                         rows(t, areas[k], discharges[:, k], z))
         _write_summary(out_dir, result)
     return result
 
@@ -185,13 +192,15 @@ def _write_summary(out_dir: Path, result: SolverOutput):
 
 
 def run_simulation(config: RunConfig, write_files=True):
-    """Run the configured solver(s); returns {label: SolverOutput}."""
-    out_dir = Path(config.output_dir) if write_files else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    return {label: _record(config, out_dir, label, solver(config))
-            for label, solver in (("kinetic", _kinetic), ("moc", _moc))
-            if config.solver in (label, "both")}
+    """Run the configured solver(s); returns {label: SolverOutput}.  With
+    ``write_files`` it returns once every CSV is on disk, and raises
+    ``OSError`` when one could not be written."""
+    if write_files:
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    with CsvWriter() if write_files else nullcontext() as writer:
+        return {label: _record(config, writer, label, solver(config))
+                for label, solver in (("kinetic", _kinetic), ("moc", _moc))
+                if config.solver in (label, "both")}
 
 
 def closure_end_time(scenario: Scenario):

@@ -127,6 +127,24 @@ class TestExitCodes:
         # snapshots are written as they are taken; probes and summary at the end
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "kinetic_snap_00000000.csv"]
+        assert len((tmp_path / "out" / "kinetic_snap_00000000.csv").read_text()
+                   .splitlines()) == 1 + 4      # complete: header and 4 cells
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_output_below_a_file_is_exit_5(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        (tmp_path / "plain").write_text("")
+        code = main([command, str(cfg), "--out", str(tmp_path / "plain" / "out")])
+        assert code == 5
+        assert "I/O error" in capsys.readouterr().err
+
+    def test_unwritable_snapshot_is_exit_5(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        blocked = tmp_path / "out" / "kinetic_snap_00000000.csv"
+        blocked.mkdir(parents=True)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(blocked) in err, err
 
     def test_bad_override_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

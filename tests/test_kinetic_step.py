@@ -9,7 +9,7 @@ from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
                            PhysicalConstants, PipeGeometry, SolverError, State,
                            entropy_cell)
 from pipewave.kinetic import (SQRT3, KineticParams, cfl_timestep, run, step)
-from pipewave.scenarios import PrescribedDischarge, Wall, ghost_states
+from pipewave.scenarios import PrescribedDischarge, Periodic, Wall, ghost_states
 
 FRICTIONLESS = FrictionParams.disabled()
 
@@ -18,14 +18,10 @@ def flat_altitude(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def wall_boundary(state):
-    return ((float(state.area[0]), -float(state.discharge[0])),
-            (float(state.area[-1]), -float(state.discharge[-1])))
-
-
-def periodic_boundary(state):
-    return ((float(state.area[-1]), float(state.discharge[-1])),
-            (float(state.area[0]), float(state.discharge[0])))
+def both_ends(bc, mesh, c, g):
+    """Ghost-state callable with ``bc`` (``Wall()`` or ``Periodic()``) at
+    both ends, as the check suites build it."""
+    return lambda state: ghost_states(state, mesh, bc, bc, state.time, c, g)
 
 
 def still_water_setup(cells=100, angle_deg=-5.0, c=1086.6, length=2000.0):
@@ -70,7 +66,7 @@ class TestStep:
         state = State(area=np.full(16, 2.0), discharge=np.full(16, 3.0))
         c, g = 10.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
-        new = step(state, mesh, c, g, dt, FRICTIONLESS, periodic_boundary)
+        new = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Periodic(), mesh, c, g))
         assert new.area == pytest.approx(state.area, rel=1e-12)
         assert new.discharge == pytest.approx(state.discharge, rel=1e-12)
 
@@ -80,7 +76,8 @@ class TestStep:
         c = 10.0
         dt_max = mesh.min_width / (c * SQRT3)
         with pytest.raises(SolverError):
-            step(state, mesh, c, 9.81, 1.5 * dt_max, FRICTIONLESS, periodic_boundary)
+            step(state, mesh, c, 9.81, 1.5 * dt_max, FRICTIONLESS,
+                 both_ends(Periodic(), mesh, c, 9.81))
 
     def test_matches_quadrature_driven_update(self):
         rng = np.random.default_rng(31)
@@ -94,7 +91,8 @@ class TestStep:
                         z_cells=z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 0.9)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS, periodic_boundary)
+            new = step(state, mesh, c, g, dt, FRICTIONLESS,
+                       both_ends(Periodic(), mesh, c, g))
 
             # independent update: the hydrostatic reconstruction at
             # z* = max(z_L, z_R), written out per interface, then the flux of
@@ -135,7 +133,7 @@ class TestStep:
                         z_cells=z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 1.0)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS, wall_boundary)
+            new = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
             assert np.all(new.area > 0)
 
     def test_conservation_periodic(self):
@@ -149,7 +147,8 @@ class TestStep:
         mom0 = np.sum(mesh.widths * state.discharge)
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, periodic_boundary)
+            state = step(state, mesh, c, g, dt, FRICTIONLESS,
+                         both_ends(Periodic(), mesh, c, g))
         assert np.sum(mesh.widths * state.area) == pytest.approx(mass0, rel=1e-12)
         assert np.sum(mesh.widths * state.discharge) == pytest.approx(
             mom0, abs=1e-12 * mass0 * c)
@@ -166,11 +165,11 @@ class TestStep:
         state = State(area=area, discharge=q)
         dt = cfl_timestep(state, c, mesh, 0.9)
 
-        stepped = step(state, mesh, c, g, dt, FRICTIONLESS, wall_boundary)
+        stepped = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
         mirrored_first = State(area=area[::-1], discharge=-q[::-1])
         mesh_m = Mesh(centers=mesh.centers, widths=mesh.widths, z_cells=z[::-1])
         stepped_mirrored = step(mirrored_first, mesh_m, c, g, dt, FRICTIONLESS,
-                                wall_boundary)
+                                both_ends(Wall(), mesh_m, c, g))
         assert stepped_mirrored.area == pytest.approx(stepped.area[::-1], rel=1e-12)
         assert stepped_mirrored.discharge == pytest.approx(
             -stepped.discharge[::-1], rel=1e-12, abs=1e-13 * np.max(area) * c)
@@ -184,9 +183,9 @@ class TestStep:
         c, g = 50.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
         friction = FrictionParams(enabled=True, strickler=30.0)
-        with_friction = step(state, mesh, c, g, dt, friction, periodic_boundary,
-                             geometry=geom)
-        without = step(state, mesh, c, g, dt, FRICTIONLESS, periodic_boundary)
+        periodic = both_ends(Periodic(), mesh, c, g)
+        with_friction = step(state, mesh, c, g, dt, friction, periodic, geometry=geom)
+        without = step(state, mesh, c, g, dt, FRICTIONLESS, periodic)
         assert np.all(with_friction.discharge < without.discharge)
         assert np.all(with_friction.discharge > 0)
         assert with_friction.area == pytest.approx(without.area, rel=1e-15)
@@ -221,14 +220,16 @@ class TestStep:
         dt = cfl_timestep(state, 10.0, mesh, 0.8)
         with np.errstate(all="ignore"), pytest.raises(
                 SolverError, match=rf"cell 0 .* at t={dt!r}: A=nan, Q=nan"):
-            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, wall_boundary)
+            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS,
+                 both_ends(Wall(), mesh, 10.0, 9.81))
 
     def test_friction_requires_geometry(self):
         mesh = Mesh.uniform(10.0, 4, flat_altitude)
         state = State(area=np.ones(4), discharge=np.ones(4))
         friction = FrictionParams(enabled=True, strickler=30.0)
         with pytest.raises(ValueError):
-            step(state, mesh, 10.0, 9.81, 1e-3, friction, periodic_boundary)
+            step(state, mesh, 10.0, 9.81, 1e-3, friction,
+                 both_ends(Periodic(), mesh, 10.0, 9.81))
 
 
 class TestStillWaterBalance:
@@ -242,7 +243,7 @@ class TestStillWaterBalance:
         area0 = state.area.copy()
         for _ in range(100):
             dt = cfl_timestep(state, c, mesh, 0.8)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, wall_boundary)
+            state = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
         eps = g * float(np.max(np.abs(np.diff(mesh.z_cells)))) / (c * c)
         assert np.max(np.abs(state.discharge)) / (np.max(area0) * c) <= eps
         assert np.max(np.abs(state.area - area0) / area0) <= eps
@@ -254,7 +255,7 @@ class TestStillWaterBalance:
         for cells in (50, 100, 200):
             mesh, state, c, g = still_water_setup(cells=cells)
             dt = cfl_timestep(state, c, mesh, 0.8)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS, wall_boundary)
+            new = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
             a_max = np.max(state.area)
             assert np.max(np.abs(new.area - state.area)) <= 1e-13 * a_max
             assert np.max(np.abs(new.discharge)) <= 1e-13 * a_max * c
@@ -273,7 +274,8 @@ class TestEntropyDiagnostic:
         violations = 0
         for _ in range(500):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, periodic_boundary)
+            state = step(state, mesh, c, g, dt, FRICTIONLESS,
+                         both_ends(Periodic(), mesh, c, g))
             new_total = float(np.sum(mesh.widths * entropy_cell(
                 state.area, state.discharge, 0.0, c, g)))
             if new_total > total + 1e-8 * abs(total):
@@ -290,7 +292,7 @@ class TestRun:
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         out = run(state, mesh, KineticParams(), self._constants(10.0),
-                  FRICTIONLESS, periodic_boundary, t_end=2.0)
+                  FRICTIONLESS, both_ends(Periodic(), mesh, 10.0, 9.81), t_end=2.0)
         assert out is state
 
     def test_rejects_past_t_end(self):
@@ -298,14 +300,14 @@ class TestRun:
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         with pytest.raises(ValueError):
             run(state, mesh, KineticParams(), self._constants(10.0),
-                FRICTIONLESS, periodic_boundary, t_end=1.0)
+                FRICTIONLESS, both_ends(Periodic(), mesh, 10.0, 9.81), t_end=1.0)
 
     def test_lands_exactly_on_t_end(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         t_end = 0.0137
         out = run(state, mesh, KineticParams(cfl=0.73), self._constants(25.0),
-                  FRICTIONLESS, periodic_boundary, t_end=t_end)
+                  FRICTIONLESS, both_ends(Periodic(), mesh, 25.0, 9.81), t_end=t_end)
         assert out.time == t_end
 
     def test_uniform_flow_preserved(self):
@@ -314,7 +316,7 @@ class TestRun:
         c = 10.0
         steps = []
         out = run(state, mesh, KineticParams(cfl=1.0), self._constants(c),
-                  FRICTIONLESS, periodic_boundary,
+                  FRICTIONLESS, both_ends(Periodic(), mesh, c, 9.81),
                   t_end=100 * mesh.min_width / (0.5 + c * SQRT3),
                   observer=lambda s: steps.append(s.time))
         assert len(steps) >= 100
@@ -329,7 +331,7 @@ class TestRun:
         with pytest.raises(SolverError,
                            match=r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
             run(state, mesh, KineticParams(), self._constants(10.0), FRICTIONLESS,
-                periodic_boundary, t_end=1e15 + 1.0)
+                both_ends(Periodic(), mesh, 10.0, 9.81), t_end=1e15 + 1.0)
 
     def test_diverging_run_names_step_time_and_cell(self):
         # the downstream discharge jumps to 1e160 at t = 0.3: the flux at the
@@ -355,6 +357,7 @@ class TestRun:
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         times = []
         run(state, mesh, KineticParams(), self._constants(40.0), FRICTIONLESS,
-            periodic_boundary, t_end=0.05, observer=lambda s: times.append(s.time))
+            both_ends(Periodic(), mesh, 40.0, 9.81), t_end=0.05,
+            observer=lambda s: times.append(s.time))
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert times[-1] == 0.05

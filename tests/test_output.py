@@ -1,6 +1,9 @@
-import numpy as np
+import re
 
-from pipewave.output import PROBE_HEADER, write_rows_csv
+import numpy as np
+import pytest
+
+from pipewave.output import PROBE_HEADER, SNAPSHOT_HEADER, CsvWriter, write_rows_csv
 
 
 def per_value_csv(header, rows):
@@ -41,3 +44,43 @@ def test_header_only_when_no_rows(tmp_path):
     write_rows_csv(path, PROBE_HEADER, np.empty((0, 6)))
     assert path.read_text() == PROBE_HEADER + "\n"
 
+
+def test_writer_process_bytes_match_per_value_format(tmp_path):
+    cases = {tmp_path / "probe.csv": (PROBE_HEADER, awkward_rows(1300)),
+             tmp_path / "rows.csv": ("a,b,c", [[1, 2.5, -0.0], [3, 4, 5e-324]]),
+             tmp_path / "sub" / "empty.csv": (PROBE_HEADER, np.empty((0, 6)))}
+    with CsvWriter() as writer:
+        for path, (header, rows) in cases.items():
+            writer.write(path, header, rows)
+    assert writer.process.returncode == 0
+    for path, (header, rows) in cases.items():
+        assert path.read_bytes() == per_value_csv(header, rows).encode()
+
+
+def test_writer_process_finishes_before_an_exception_propagates(tmp_path):
+    rows = awkward_rows(700)
+    with pytest.raises(KeyError), CsvWriter() as writer:
+        for k in range(3):
+            writer.write(tmp_path / f"snap_{k}.csv", SNAPSHOT_HEADER, rows)
+        raise KeyError("stop")
+    assert writer.process.returncode is not None
+    assert writer.process.wait(timeout=10) == 0
+    expected = per_value_csv(SNAPSHOT_HEADER, rows).encode()
+    assert [(tmp_path / f"snap_{k}.csv").read_bytes() for k in range(3)] == [expected] * 3
+
+
+def test_writer_process_failure_names_the_file(tmp_path):
+    # a directory sitting at the file name: permissions would not stop root
+    blocked = tmp_path / "kinetic_snap_00000010.csv"
+    blocked.mkdir()
+    writer = CsvWriter()
+    with pytest.raises(OSError, match=re.escape(str(blocked))):
+        writer.write(tmp_path / "kinetic_snap_00000000.csv", SNAPSHOT_HEADER,
+                     awkward_rows(5))
+        writer.write(blocked, SNAPSHOT_HEADER, awkward_rows(5))
+        for _ in range(200):        # the child has exited: the pipe breaks
+            writer.write(tmp_path / "later.csv", SNAPSHOT_HEADER, awkward_rows(600))
+        writer.close()
+    assert writer.process.wait(timeout=10) != 0
+    assert (tmp_path / "kinetic_snap_00000000.csv").exists()
+    assert not (tmp_path / "later.csv").exists()

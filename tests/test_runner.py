@@ -3,17 +3,18 @@ solver: every step counts toward the summary, and the probes sample the
 initial state, every ``output_stride``-th step and the final state."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pipewave import kinetic, moc
+from pipewave import kinetic, moc, runner
 from pipewave.config import RunConfig
 from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
                            PipeGeometry, area_from_piezometric_head)
 from pipewave.kinetic import KineticParams, run
 from pipewave.moc import initial_moc_state, moc_step
-from pipewave.output import SNAPSHOT_HEADER, frame_rows, write_rows_csv
+from pipewave.output import SNAPSHOT_HEADER, CsvWriter, frame_rows, write_rows_csv
 from pipewave.runner import run_simulation
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
                                 ValveClosure, boundary_provider,
@@ -112,28 +113,32 @@ def test_zero_duration_records_the_initial_state_once(tmp_path):
 
 
 def test_kinetic_snapshots_written_as_taken(tmp_path, monkeypatch):
-    # each snapshot CSV exists as soon as the recorder has seen its step, and
-    # holds the same bytes as one written from a direct march's state
+    # each snapshot is handed to the CSV writer as soon as the recorder has
+    # seen its step, and its file, complete once the run returns, holds the
+    # same bytes as one written from a direct march's state
     config = surge_config("kinetic", tmp_path / "run", snapshot_stride=25)
     real_run = kinetic.run
-    late = []
+    steps = 0
+    handed = {}                  # file name -> march steps seen at handover
 
-    def run_checking(*args, observer, **kwargs):
-        steps = 0
-
-        def check(state):
+    def run_counting(*args, observer, **kwargs):
+        def count(state):
             nonlocal steps
-            observer(state)
             steps += 1
-            snapshot = tmp_path / "run" / f"kinetic_snap_{steps:08d}.csv"
-            if steps % 25 == 0 and not snapshot.exists():
-                late.append(steps)
-        return real_run(*args, observer=check, **kwargs)
+            observer(state)
+        return real_run(*args, observer=count, **kwargs)
 
-    monkeypatch.setattr(kinetic, "run", run_checking)
+    class SpyWriter(CsvWriter):
+        def write(self, path, header, rows):
+            handed[Path(path).name] = steps
+            super().write(path, header, rows)
+
+    monkeypatch.setattr(kinetic, "run", run_counting)
+    monkeypatch.setattr(runner, "CsvWriter", SpyWriter)
     result = run_simulation(config)["kinetic"]
     assert result.steps > 50
-    assert late == []
+    taken = {f"kinetic_snap_{k:08d}.csv": k for k in range(25, result.steps + 1, 25)}
+    assert {name: handed.get(name) for name in taken} == taken
     states, _ = direct_march("kinetic", config.scenario)
     mesh = config.scenario.mesh()
     geom = config.scenario.geometry
