@@ -12,9 +12,7 @@ from .core import (FrictionParams, LinearAltitude, Mesh, PhysicalConstants,
                    PipeGeometry, SolverError, State, TabulatedAltitude,
                    effective_wave_speed, entropy_cell, friction_slope,
                    piezometric_head, sound_speed, total_head)
-from .kinetic import (HalfFlux, InterfaceFluxPair, KineticParams, cfl_timestep,
-                      interface_fluxes, maxwellian_density, run,
-                      shifted_half_moments, step)
+from .kinetic import cfl_timestep, run, step
 from .moc import MocState, moc_run, moc_step
 from .runner import compare_runs, run_simulation
 from .scenarios import (Periodic, PrescribedDischarge, ReservoirHead, Scenario,

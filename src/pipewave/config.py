@@ -8,6 +8,7 @@ serializer: ``parse_config(emit_config(cfg))`` reproduces an equal config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,9 +63,12 @@ def _parse_int(key, raw):
 
 def _parse_floats(key, raw):
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
+        values = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"key {key}: expected comma-separated numbers, got {raw!r}") from None
+        values = ()
+    if not values:
+        raise ConfigError(f"key {key}: expected comma-separated numbers, got {raw!r}")
+    return values
 
 
 def _parse_str(key, raw):
@@ -144,8 +148,9 @@ def _build(v) -> RunConfig:
                 "fluid.wave_speed_m_s", "boundary.closure_duration_s",
                 "run.cells"):
         positive(key)
-    if v["run.t_end_s"] < 0:
-        raise ConfigError("key run.t_end_s: must be non-negative")
+    if not 0.0 <= v["run.t_end_s"] < math.inf:
+        raise ConfigError(f"key run.t_end_s: must be finite and non-negative, "
+                          f"got {v['run.t_end_s']}")
     if v["friction.enabled"] and v["friction.strickler"] <= 0:
         raise ConfigError("key friction.strickler: must be positive when friction is enabled")
 

@@ -62,9 +62,8 @@ dZ = None ("no jump") and only the two rows of plain flux-vector splitting
 are evaluated (``_split_flux_arrays``; the bits of the six at dZ = 0, save
 the sign of a zero F+ mass flux).
 The six rows stay as the reference flux of the paper, reached with every
-numeric dZ, 0 included, by ``interface_fluxes``,
-``checks.check_flux_continuity``, the flux tests against quadrature and
-demo 02.
+numeric dZ, 0 included, by ``checks.check_flux_continuity``, the flux tests
+against quadrature and demo 02.
 
 The macroscopic update is the first-order explicit scheme
 
@@ -78,7 +77,7 @@ the discharge after the hyperbolic update through a semi-implicit relaxation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,52 +88,6 @@ SQRT3 = math.sqrt(3.0)
 
 # slack for CFL comparisons so dt computed *from* the condition passes it
 _CFL_SLACK = 1.0 + 1e-12
-
-
-@dataclass(frozen=True)
-class KineticParams:
-    """Time-step safety factor; the rectangle half-width sqrt(3) is fixed by
-    the unit-mass / unit-second-moment constraints on the equilibrium."""
-
-    cfl: float = 0.8
-    chi_support_halfwidth = SQRT3
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-
-
-@dataclass(frozen=True)
-class HalfFlux:
-    """One-sided numerical flux (mass component, momentum component)."""
-
-    f_area: float
-    f_momentum: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.f_area) and math.isfinite(self.f_momentum)):
-            raise ValueError("flux components must be finite")
-
-
-@dataclass(frozen=True)
-class InterfaceFluxPair:
-    """The two fluxes at one interface: ``minus`` feeds the left cell,
-    ``plus`` the right cell; their mass components coincide."""
-
-    minus: HalfFlux
-    plus: HalfFlux
-
-
-def maxwellian_density(area, velocity, c, xi):
-    """Rectangular equilibrium density at microscopic velocity xi."""
-    if not np.all(np.asarray(area) > 0):
-        raise ValueError("area must be positive")
-    if c <= 0:
-        raise ValueError("sound speed must be positive")
-    s = c * SQRT3
-    xi = np.asarray(xi, dtype=float)
-    inside = np.abs(xi - velocity) <= s
-    return np.where(inside, area / (2.0 * s), 0.0)[()]
 
 
 def _row_moments(dens, x, jump):
@@ -161,27 +114,6 @@ def _row_moments(dens, x, jump):
     m1 *= dens
     m1 /= 3.0
     return m0, m1
-
-
-def shifted_half_moments(area, velocity, c, potential_jump, positive_half):
-    """Closed-form transmission moments
-
-        m0 = int xi   M(sgn sqrt(xi^2 - potential_jump)) dxi
-        m1 = int xi^2 M(sgn sqrt(xi^2 - potential_jump)) dxi
-
-    over {xi >= 0} (``positive_half``) or {xi <= 0}, restricted to
-    xi^2 >= potential_jump; (0, 0) when the transformed support misses the
-    integration domain (total reflection).  The xi <= 0 case is evaluated in
-    the mirrored frame xi -> -xi, which flips the sign of m0 only.
-    """
-    if area <= 0 or c <= 0:
-        raise ValueError("area and sound speed must be positive")
-    s = c * SQRT3
-    mirror = 1.0 if positive_half else -1.0
-    u = mirror * velocity
-    x = np.array([[max(u - s, math.sqrt(max(-potential_jump, 0.0)))], [u + s]])
-    m0, m1 = _row_moments(area / (2.0 * s), x, potential_jump)
-    return mirror * float(m0[0]), float(m1[0])
 
 
 # rows of each half block: direct, reflected, transmitted; only the
@@ -277,24 +209,6 @@ def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
             f[1, 0].reshape(shape), f[1, 1].reshape(shape))
 
 
-def interface_fluxes(left, right, z_left, z_right, c, g):
-    """Flux pair at one interface from the (A, Q) states of its two cells.
-
-    ``minus`` combines the left cell's outgoing particles with reflected and
-    transmitted incomers; ``plus`` is the mirror construction seen by the
-    right cell.  Mass components agree to roundoff by construction.
-    """
-    a_l, q_l = left
-    a_r, q_r = right
-    if a_l <= 0 or a_r <= 0:
-        raise ValueError("wetted areas must be positive")
-    fm_a, fm_q, fp_a, fp_q = _interface_flux_arrays(
-        np.float64(a_l), np.float64(q_l), np.float64(a_r), np.float64(q_r),
-        np.float64(z_right - z_left), c, g)
-    return InterfaceFluxPair(minus=HalfFlux(float(fm_a), float(fm_q)),
-                             plus=HalfFlux(float(fp_a), float(fp_q)))
-
-
 def cfl_timestep(state: State, c, mesh: Mesh, cfl_coefficient):
     """dt = cfl * min(h) / max(|u| + c sqrt(3))."""
     if not 0.0 < cfl_coefficient <= 1.0:
@@ -381,20 +295,23 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     return State._checked(a_new, q_new, state.time + dt)
 
 
-def run(initial: State, mesh: Mesh, params: KineticParams,
-        constants, friction: FrictionParams, boundary, t_end,
-        observer=None, geometry: PipeGeometry | None = None) -> State:
-    """March ``initial`` to t_end with adaptive CFL steps, clamping the last
-    step so the final time is exactly t_end; ``observer(state)`` is invoked
-    after every accepted step.  A ``SolverError`` names the step number
-    (counted from 1) and the time the step started from."""
+def run(initial: State, mesh: Mesh, cfl, constants, friction: FrictionParams,
+        boundary, t_end, observer=None,
+        geometry: PipeGeometry | None = None) -> State:
+    """March ``initial`` to t_end with adaptive steps at CFL coefficient
+    ``cfl`` in (0, 1], clamping the last step so the final time is exactly
+    t_end; ``observer(state)`` is invoked after every accepted step.  A
+    ``SolverError`` names the step number (counted from 1) and the time the
+    step started from."""
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if t_end < initial.time:
         raise ValueError(f"t_end={t_end} precedes the initial time {initial.time}")
     state = initial
     steps = 0
     while state.time < t_end:
         steps += 1
-        dt = cfl_timestep(state, constants.c, mesh, params.cfl)
+        dt = cfl_timestep(state, constants.c, mesh, cfl)
         if state.time + dt == state.time:
             raise SolverError(f"step {steps}: time step dt={dt:g} makes no progress at "
                               f"t={state.time!r} (t_end={t_end!r})")

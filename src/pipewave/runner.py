@@ -101,7 +101,7 @@ def _kinetic(config: RunConfig):
     scenario = config.scenario
     mesh = scenario.mesh()
     state = steady_state_init(scenario, mesh)
-    march = partial(kinetic.run, state, mesh, kinetic.KineticParams(cfl=config.cfl),
+    march = partial(kinetic.run, state, mesh, config.cfl,
                     scenario.constants, scenario.friction,
                     boundary_provider(scenario, mesh), scenario.t_end,
                     geometry=scenario.geometry)

@@ -99,8 +99,8 @@ class Scenario:
     def __post_init__(self):
         if self.mesh_cells < 2:
             raise ValueError("need at least two cells")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
         if self.output_stride < 1:
             raise ValueError("output stride must be >= 1")
         if isinstance(self.upstream, Periodic) != isinstance(self.downstream, Periodic):

@@ -26,8 +26,9 @@ from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
 from pipewave.kinetic import SQRT3, cfl_timestep, step
 from pipewave.kinetic import _interface_flux_arrays
 from pipewave.runner import compare_runs
-from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
-                                ValveClosure, steady_state_init)
+from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
+                                Scenario, ValveClosure, Wall, ghost_states,
+                                steady_state_init)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FRICTIONLESS = FrictionParams.disabled()
@@ -41,14 +42,10 @@ def report(number, name, ok, detail):
     return ok
 
 
-def wall_boundary(state):
-    return ((float(state.area[0]), -float(state.discharge[0])),
-            (float(state.area[-1]), -float(state.discharge[-1])))
-
-
-def periodic_boundary(state):
-    return ((float(state.area[-1]), float(state.discharge[-1])),
-            (float(state.area[0]), float(state.discharge[0])))
+def both_ends(bc, mesh, c):
+    """Ghost-state callable with ``bc`` (``Wall()`` or ``Periodic()``) at
+    both ends, from ``scenarios.ghost_states``."""
+    return lambda state: ghost_states(state, mesh, bc, bc, state.time, c, G)
 
 
 def validation_scenario(cells, t_end, stride=1):
@@ -82,7 +79,8 @@ def smooth_periodic_march(steps):
     state = State(area=area, discharge=area * u)
     for _ in range(steps):
         dt = cfl_timestep(state, c, mesh, 0.9)
-        state = step(state, mesh, c, G, dt, FRICTIONLESS, periodic_boundary)
+        state = step(state, mesh, c, G, dt, FRICTIONLESS,
+                     both_ends(Periodic(), mesh, c))
         yield state, mesh, c
 
 
@@ -106,7 +104,7 @@ def test_criterion_2_well_balanced_still_water():
     state = State(area=area0, discharge=np.zeros(cells))
     for _ in range(1000):
         dt = cfl_timestep(state, C4, mesh, 0.8)
-        state = step(state, mesh, C4, G, dt, FRICTIONLESS, wall_boundary)
+        state = step(state, mesh, C4, G, dt, FRICTIONLESS, both_ends(Wall(), mesh, C4))
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * C4))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))
     ok = q_resid <= 1e-10 and a_resid <= 1e-12
@@ -133,7 +131,8 @@ def test_criterion_3_positivity():
         state = State(area=area, discharge=area * u)
         dt = cfl_timestep(state, C4, mesh, 1.0)
         try:
-            new = step(state, mesh, C4, G, dt, FRICTIONLESS, wall_boundary)
+            new = step(state, mesh, C4, G, dt, FRICTIONLESS,
+                       both_ends(Wall(), mesh, C4))
             if np.any(new.area <= 0):
                 failures += 1
         except Exception:

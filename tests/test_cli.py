@@ -98,6 +98,12 @@ class TestExitCodes:
         cfg = write_config(tmp_path, run__cfl="1.5")
         assert main(["run", str(cfg)]) == 2
 
+    def test_nan_end_time_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, run__t_end_s="nan")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "run.t_end_s" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_solver_failure_is_exit_3(self, tmp_path, capsys):
         # tiny wave speed: the velocity head swamps the reservoir head and
         # the steady-state inversion leaves the positive-area domain

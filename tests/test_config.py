@@ -92,6 +92,19 @@ class TestParse:
                                          "pipe.length_m = -4"))
         assert "pipe.length_m" in str(err.value)
 
+    @pytest.mark.parametrize("t_end", ["nan", "inf"])
+    def test_non_finite_end_time_names_key(self, t_end):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("run.t_end_s = 40", f"run.t_end_s = {t_end}"))
+        assert "run.t_end_s" in str(err.value)
+
+    def test_empty_probe_list_names_key(self):
+        # an empty list would compare nothing, and emit_config could not
+        # write it back
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "\noutput.probes_m = ,\n")
+        assert "output.probes_m" in str(err.value)
+
     def test_cfl_above_one_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\nrun.cfl = 1.5\n")

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import quad_interface_fluxes, quad_shifted_half_moments
-from pipewave.kinetic import SQRT3, _interface_flux_arrays, shifted_half_moments
+from pipewave.kinetic import SQRT3, _interface_flux_arrays
 
 G = 9.81
 
@@ -107,45 +107,69 @@ def test_total_reflection_of_the_left_cell(c, a_l, m_l, a_r, m_r, k):
     assert_matches_oracle(case, got)
 
 
-@given(st.floats(0.5, 10.0), areas, mach, energy_ratio, st.booleans())
-@example(3.0, 2.0, 1.0 / SQRT3, 4.0 / 36.0, False)     # the reference case
-def test_shifted_half_moments_match_quadrature(c, a, m, k, positive):
+def received(cell, other, dz, c, positive):
+    """The half-flux of ``other`` at its interface with ``cell``: F+ when
+    ``cell`` is the left cell (``positive``, xi >= 0), else F-.  Of ``cell``
+    it holds only the transmitted row."""
+    if positive:
+        return zero_d_fluxes((*cell, *other, dz, c))[2:]
+    return zero_d_fluxes((*other, *cell, dz, c))[:2]
+
+
+def silent(c, positive):
+    """A cell that sends nothing into the other half: it moves away from the
+    interface (to the left when ``positive``) at twice the half-width."""
+    speed = 2.0 * c * SQRT3
+    return 1.0, -speed if positive else speed
+
+
+@given(st.floats(0.5, 10.0), areas, mach, energy_ratio, st.booleans(), areas, mach)
+@example(3.0, 2.0, 1.0 / SQRT3, 4.0 / 36.0, False, 2.0, 0.0)     # the reference case
+def test_shifted_half_moments_match_quadrature(c, a, m, k, positive, a_o, m_o):
+    # replacing a silent cell by (a, u) changes the other cell's half-flux
+    # by the transmitted row of (a, u) alone
     s = c * SQRT3
     u = m * s
     fastest = abs(u) + s
     w = k * fastest * fastest
-    got = shifted_half_moments(a, u, c, w, positive)
-    want = quad_shifted_half_moments(a, u, c, w, positive)
+    dz = (-w if positive else w) / (2.0 * G)
+    other = (a_o, a_o * m_o * s)
+    quiet = silent(c, positive)
+    new_f = received((a, a * u), other, dz, c, positive)
+    old_f = received(quiet, other, dz, c, positive)
+    new_t = quad_shifted_half_moments(a, u, c, w, positive)
+    old_t = quad_shifted_half_moments(quiet[0], quiet[1] / quiet[0], c, w, positive)
     scale = a * c * SQRT3 + a * c * c
-    for value, expected in zip(got, want):
-        assert value == pytest.approx(expected, rel=1e-8, abs=1e-10 * scale)
+    for k in range(2):
+        assert float(new_f[k] - old_f[k]) == pytest.approx(
+            new_t[k] - old_t[k], rel=1e-8, abs=1e-10 * scale)
 
 
-@given(st.floats(0.5, 10.0), areas, mach, st.floats(1.0, 3.0), st.booleans())
-def test_shifted_half_moments_vanish_under_total_reflection(c, a, m, k, positive):
-    # climbing a jump above the largest kinetic energy transmits nothing
+@given(st.floats(0.5, 10.0), areas, mach, st.floats(1.0, 3.0), st.booleans(), areas, mach)
+def test_shifted_half_moments_vanish_under_total_reflection(c, a, m, k, positive, a_o, m_o):
+    # a cell climbing a jump above its largest kinetic energy transmits
+    # nothing, so replacing it by a silent cell leaves the other half-flux as is
     u = m * c * SQRT3
     climb = k * (abs(u) + c * SQRT3) ** 2 * (1.0 + 1e-9)
-    assert shifted_half_moments(a, u, c, -climb, positive) == (0.0, 0.0)
+    dz = (climb if positive else -climb) / (2.0 * G)
+    other = (a_o, a_o * m_o * c * SQRT3)
+    assert (received((a, a * u), other, dz, c, positive)
+            == received(silent(c, positive), other, dz, c, positive))
 
 
 @given(interface_cases(), areas, mach)
 def test_transmitted_rows_are_shifted_half_moments(case, a_new, m_new):
     # replacing one cell of an interface changes, in the other cell's flux,
-    # only the transmitted row, which is shifted_half_moments of that cell
+    # only the transmitted row, which the kernel gives alone against a
+    # silent neighbour
     a_l, q_l, a_r, q_r, dz, c = case
-    q_new = a_new * m_new * c * SQRT3
-    w = 2.0 * G * dz
-    minus = zero_d_fluxes(case)[:2]
-    minus_new = zero_d_fluxes((a_l, q_l, a_new, q_new, dz, c))[:2]
-    t = shifted_half_moments(a_r, q_r / a_r, c, w, False)
-    t_new = shifted_half_moments(a_new, q_new / a_new, c, w, False)
-    plus = zero_d_fluxes(case)[2:]
-    plus_new = zero_d_fluxes((a_new, q_new, a_r, q_r, dz, c))[2:]
-    u = shifted_half_moments(a_l, q_l / a_l, c, -w, True)
-    u_new = shifted_half_moments(a_new, q_new / a_new, c, -w, True)
-    for old_f, new_f, old_t, new_t in ((minus, minus_new, t, t_new),
-                                       (plus, plus_new, u, u_new)):
+    new = (a_new, a_new * m_new * c * SQRT3)
+    for positive, old, other in ((False, (a_r, q_r), (a_l, q_l)),
+                                 (True, (a_l, q_l), (a_r, q_r))):
+        old_f = received(old, other, dz, c, positive)
+        new_f = received(new, other, dz, c, positive)
+        old_t = received(old, silent(c, not positive), dz, c, positive)
+        new_t = received(new, silent(c, not positive), dz, c, positive)
         for k in range(2):
             size = abs(old_f[k]) + abs(new_f[k]) + abs(old_t[k]) + abs(new_t[k])
             assert float(old_f[k] - old_t[k]) == pytest.approx(

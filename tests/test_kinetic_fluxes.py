@@ -1,73 +1,85 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import quad_interface_fluxes, quad_shifted_half_moments
-from pipewave.kinetic import (SQRT3, HalfFlux, InterfaceFluxPair,
-                              KineticParams, _interface_flux_arrays,
-                              interface_fluxes, maxwellian_density,
-                              shifted_half_moments)
+from oracles import (quad_interface_fluxes, quad_shifted_half_moments,
+                     rect_maxwellian)
+from pipewave.kinetic import SQRT3, _interface_flux_arrays
 
 
 class TestMaxwellian:
+    """The rectangle every quadrature oracle integrates."""
+
     def test_center_of_support(self):
         a, u, c = 2.0, 1.0, 3.0
-        assert maxwellian_density(a, u, c, u) == pytest.approx(a / (2 * c * SQRT3))
+        assert rect_maxwellian(a, u, c)(u) == pytest.approx(a / (2 * c * SQRT3))
 
     def test_outside_support(self):
         a, u, c = 2.0, 1.0, 3.0
-        assert maxwellian_density(a, u, c, u + 2 * c * SQRT3) == 0.0
+        assert rect_maxwellian(a, u, c)(u + 2 * c * SQRT3) == 0.0
 
     def test_mass_moment(self):
         a, u, c = 2.0, 1.0, 3.0
-        val, _ = quad(lambda xi: maxwellian_density(a, u, c, xi),
-                      u - c * SQRT3, u + c * SQRT3)
+        val, _ = quad(rect_maxwellian(a, u, c), u - c * SQRT3, u + c * SQRT3)
         assert val == pytest.approx(a, abs=1e-10)
 
     def test_momentum_and_energy_moments(self):
         a, u, c = 1.7, -2.3, 4.0
         s = c * SQRT3
-        q, _ = quad(lambda xi: xi * maxwellian_density(a, u, c, xi), u - s, u + s)
-        e, _ = quad(lambda xi: xi * xi * maxwellian_density(a, u, c, xi), u - s, u + s)
+        m = rect_maxwellian(a, u, c)
+        q, _ = quad(lambda xi: xi * m(xi), u - s, u + s)
+        e, _ = quad(lambda xi: xi * xi * m(xi), u - s, u + s)
         assert q == pytest.approx(a * u, rel=1e-12)
         assert e == pytest.approx(a * u * u + c * c * a, rel=1e-12)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            maxwellian_density(-1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            maxwellian_density(1.0, 0.0, 0.0, 0.0)
+
+def fluxes(a_l, q_l, a_r, q_r, z_l, z_r, c, g):
+    """(F-_A, F-_Q, F+_A, F+_Q) at one interface, as floats."""
+    return tuple(map(float, _interface_flux_arrays(
+        np.float64(a_l), np.float64(q_l), np.float64(a_r), np.float64(q_r),
+        np.float64(z_r - z_l), c, g)))
+
+
+def transmitted(a, u, c, w, positive, g=9.81):
+    """The transmitted row of the cell (a, u) across the potential jump w,
+    read through the kernel: the change in the neighbour's half-flux (F+ on
+    xi >= 0 when ``positive``, else F-) when a cell moving away from the
+    interface at twice the half-width, which transmits nothing, is replaced
+    by (a, u).  The neighbour is (a, u) too."""
+    away = -2.0 * c * SQRT3 if positive else 2.0 * c * SQRT3
+    dz = (-w if positive else w) / (2.0 * g)
+
+    def half(v):
+        if positive:
+            return fluxes(a, a * v, a, a * u, 0.0, dz, c, g)[2:]
+        return fluxes(a, a * u, a, a * v, 0.0, dz, c, g)[:2]
+
+    return tuple(new - old for new, old in zip(half(u), half(away)))
 
 
 class TestShiftedHalfMoments:
     def test_rest_positive_half_no_jump(self):
         a, c = 2.0, 3.0
-        m0, m1 = shifted_half_moments(a, 0.0, c, 0.0, True)
+        m0, m1 = transmitted(a, 0.0, c, 0.0, True)
         assert m0 == pytest.approx(a * c * SQRT3 / 4.0, rel=1e-14)
         assert m1 == pytest.approx(a * c * c / 2.0, rel=1e-14)
 
     def test_total_reflection_is_empty(self):
-        # climbing against a jump larger than the maximal kinetic energy
+        # climbing against a jump larger than the maximal kinetic energy:
+        # replacing the reflected cell leaves the neighbour's half-flux as it is
         a, c = 2.0, 3.0
         for u, positive in ((-1.0, False), (1.0, True)):
             climb = 1.05 * (abs(u) + c * SQRT3) ** 2
-            assert shifted_half_moments(a, u, c, -climb, positive) == (0.0, 0.0)
+            assert transmitted(a, u, c, -climb, positive) == (0.0, 0.0)
 
     def test_against_quadrature_reference_case(self):
         a, u, c, w = 2.0, 1.0, 3.0, 4.0
-        m0, m1 = shifted_half_moments(a, u, c, w, False)
+        m0, m1 = transmitted(a, u, c, w, False)
         o0, o1 = quad_shifted_half_moments(a, u, c, w, False)
         assert m0 == pytest.approx(o0, rel=1e-8)
         assert m1 == pytest.approx(o1, rel=1e-8)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            shifted_half_moments(0.0, 1.0, 3.0, 1.0, True)
-        with pytest.raises(ValueError):
-            shifted_half_moments(1.0, 1.0, -3.0, 1.0, True)
 
     def test_against_quadrature_randomized(self):
         rng = np.random.default_rng(42)
@@ -77,7 +89,7 @@ class TestShiftedHalfMoments:
             u = rng.uniform(-2 * c * SQRT3, 2 * c * SQRT3)
             w = rng.uniform(-1.0, 1.0) * (abs(u) + 2 * c * SQRT3) ** 2
             positive = bool(rng.integers(2))
-            m = shifted_half_moments(a, u, c, w, positive)
+            m = transmitted(a, u, c, w, positive)
             o = quad_shifted_half_moments(a, u, c, w, positive)
             scale = a * c * SQRT3 + a * c * c
             for got, want in zip(m, o):
@@ -96,30 +108,28 @@ class TestInterfaceFluxes:
     def test_consistency_flat_equal_states(self):
         c, g = 12.0, 9.81
         a, q = 2.5, 4.0   # |u| = 1.6 < c*sqrt(3)
-        pair = interface_fluxes((a, q), (a, q), 3.0, 3.0, c, g)
+        fm_a, fm_q, fp_a, fp_q = fluxes(a, q, a, q, 3.0, 3.0, c, g)
         exact = (q, q * q / a + c * c * a)
-        for flux in (pair.minus, pair.plus):
-            assert flux.f_area == pytest.approx(exact[0], rel=1e-12)
-            assert flux.f_momentum == pytest.approx(exact[1], rel=1e-12)
+        for f_area, f_momentum in ((fm_a, fm_q), (fp_a, fp_q)):
+            assert f_area == pytest.approx(exact[0], rel=1e-12)
+            assert f_momentum == pytest.approx(exact[1], rel=1e-12)
 
     def test_rest_flat_symmetry(self):
         c, g = 7.0, 9.81
         a = 3.2
-        pair = interface_fluxes((a, 0.0), (a, 0.0), 1.0, 1.0, c, g)
-        assert pair.minus.f_area == 0.0
-        assert pair.plus.f_area == 0.0
-        assert pair.minus.f_momentum == pytest.approx(c * c * a, rel=1e-12)
-        assert pair.plus.f_momentum == pytest.approx(c * c * a, rel=1e-12)
+        fm_a, fm_q, fp_a, fp_q = fluxes(a, 0.0, a, 0.0, 1.0, 1.0, c, g)
+        assert fm_a == 0.0
+        assert fp_a == 0.0
+        assert fm_q == pytest.approx(c * c * a, rel=1e-12)
+        assert fp_q == pytest.approx(c * c * a, rel=1e-12)
 
     def test_reference_case_against_quadrature(self):
-        pair = interface_fluxes((2.0, 3.0), (1.5, -1.0), 0.0, 0.5, 10.0, 9.81)
-        (fm_a, fm_q), (fp_a, fp_q) = quad_interface_fluxes(
+        got = fluxes(2.0, 3.0, 1.5, -1.0, 0.0, 0.5, 10.0, 9.81)
+        oracle_m, oracle_p = quad_interface_fluxes(
             2.0, 3.0, 1.5, -1.0, 0.0, 0.5, 10.0, 9.81)
-        assert pair.minus.f_area == pytest.approx(fm_a, rel=1e-8)
-        assert pair.minus.f_momentum == pytest.approx(fm_q, rel=1e-8)
-        assert pair.plus.f_area == pytest.approx(fp_a, rel=1e-8)
-        assert pair.plus.f_momentum == pytest.approx(fp_q, rel=1e-8)
-        assert pair.minus.f_area == pytest.approx(pair.plus.f_area, abs=1e-12 * 2.0 * 10.0)
+        for value, want in zip(got, oracle_m + oracle_p):
+            assert value == pytest.approx(want, rel=1e-8)
+        assert got[0] == pytest.approx(got[2], abs=1e-12 * 2.0 * 10.0)
 
     def test_randomized_against_quadrature(self):
         rng = np.random.default_rng(5)
@@ -127,12 +137,10 @@ class TestInterfaceFluxes:
         for _ in range(50):
             c = rng.uniform(0.5, 20.0)
             left, right, z_l, z_r = random_interface(rng, c)
-            pair = interface_fluxes(left, right, z_l, z_r, c, g)
+            got = fluxes(*left, *right, z_l, z_r, c, g)
             oracle_m, oracle_p = quad_interface_fluxes(
                 left[0], left[1], right[0], right[1], z_l, z_r, c, g)
             scale = (left[0] + right[0]) * c * (1 + c)
-            got = (pair.minus.f_area, pair.minus.f_momentum,
-                   pair.plus.f_area, pair.plus.f_momentum)
             for value, want in zip(got, oracle_m + oracle_p):
                 assert value == pytest.approx(want, rel=1e-8, abs=1e-9 * scale)
 
@@ -142,9 +150,9 @@ class TestInterfaceFluxes:
         for _ in range(500):
             c = rng.uniform(0.5, 20.0)
             left, right, z_l, z_r = random_interface(rng, c)
-            pair = interface_fluxes(left, right, z_l, z_r, c, g)
-            tol = 1e-12 * (abs(pair.minus.f_area) + left[0] * c)
-            assert abs(pair.minus.f_area - pair.plus.f_area) <= tol
+            fm_a, _, fp_a, _ = fluxes(*left, *right, z_l, z_r, c, g)
+            tol = 1e-12 * (abs(fm_a) + left[0] * c)
+            assert abs(fm_a - fp_a) <= tol
 
     def test_mirror_symmetry(self):
         # reversing the axis swaps the half-fluxes, negates mass components
@@ -153,20 +161,12 @@ class TestInterfaceFluxes:
         for _ in range(200):
             c = rng.uniform(0.5, 20.0)
             (a_l, q_l), (a_r, q_r), z_l, z_r = random_interface(rng, c)
-            pair = interface_fluxes((a_l, q_l), (a_r, q_r), z_l, z_r, c, g)
-            mirror = interface_fluxes((a_r, -q_r), (a_l, -q_l), z_r, z_l, c, g)
-            assert pair.minus.f_area == pytest.approx(-mirror.plus.f_area, rel=1e-12,
-                                                      abs=1e-13 * a_l * c)
-            assert pair.minus.f_momentum == pytest.approx(mirror.plus.f_momentum,
-                                                          rel=1e-12)
-            assert pair.plus.f_area == pytest.approx(-mirror.minus.f_area, rel=1e-12,
-                                                     abs=1e-13 * a_l * c)
-            assert pair.plus.f_momentum == pytest.approx(mirror.minus.f_momentum,
-                                                         rel=1e-12)
-
-    def test_rejects_nonpositive_area(self):
-        with pytest.raises(ValueError):
-            interface_fluxes((0.0, 1.0), (1.0, 1.0), 0.0, 0.0, 10.0, 9.81)
+            fm_a, fm_q, fp_a, fp_q = fluxes(a_l, q_l, a_r, q_r, z_l, z_r, c, g)
+            mm_a, mm_q, mp_a, mp_q = fluxes(a_r, -q_r, a_l, -q_l, z_r, z_l, c, g)
+            assert fm_a == pytest.approx(-mp_a, rel=1e-12, abs=1e-13 * a_l * c)
+            assert fm_q == pytest.approx(mp_q, rel=1e-12)
+            assert fp_a == pytest.approx(-mm_a, rel=1e-12, abs=1e-13 * a_l * c)
+            assert fp_q == pytest.approx(mm_q, rel=1e-12)
 
 
 def split_states(rng, shape, c):
@@ -219,21 +219,3 @@ class TestNoJumpKernel:
         fluxes = _interface_flux_arrays(*states, None, 10.0, 9.81)
         for one, other in itertools.combinations(fluxes, 2):
             assert not np.shares_memory(one, other)
-
-
-class TestKineticParams:
-    def test_cfl_bounds(self):
-        KineticParams(cfl=1.0)
-        with pytest.raises(ValueError):
-            KineticParams(cfl=0.0)
-        with pytest.raises(ValueError):
-            KineticParams(cfl=1.5)
-
-    def test_chi_halfwidth_is_sqrt3(self):
-        assert KineticParams().chi_support_halfwidth == pytest.approx(math.sqrt(3.0))
-
-    def test_halfflux_finite(self):
-        with pytest.raises(ValueError):
-            HalfFlux(f_area=math.nan, f_momentum=0.0)
-        pair = InterfaceFluxPair(minus=HalfFlux(1.0, 2.0), plus=HalfFlux(1.0, 3.0))
-        assert pair.minus.f_area == pair.plus.f_area

@@ -8,7 +8,7 @@ from oracles import quad_interface_fluxes
 from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
                            PhysicalConstants, PipeGeometry, SolverError, State,
                            entropy_cell)
-from pipewave.kinetic import (SQRT3, KineticParams, cfl_timestep, run, step)
+from pipewave.kinetic import SQRT3, cfl_timestep, run, step
 from pipewave.scenarios import PrescribedDischarge, Periodic, Wall, ghost_states
 
 FRICTIONLESS = FrictionParams.disabled()
@@ -291,22 +291,31 @@ class TestRun:
     def test_empty_run_returns_initial(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
-        out = run(state, mesh, KineticParams(), self._constants(10.0),
+        out = run(state, mesh, 0.8, self._constants(10.0),
                   FRICTIONLESS, both_ends(Periodic(), mesh, 10.0, 9.81), t_end=2.0)
         assert out is state
+
+    def test_rejects_cfl_out_of_range(self):
+        # checked before the first step, so a zero-length run rejects it too
+        mesh = Mesh.uniform(10.0, 8, flat_altitude)
+        state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
+        for cfl in (0.0, 1.5):
+            with pytest.raises(ValueError, match="cfl"):
+                run(state, mesh, cfl, self._constants(10.0), FRICTIONLESS,
+                    both_ends(Periodic(), mesh, 10.0, 9.81), t_end=2.0)
 
     def test_rejects_past_t_end(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         with pytest.raises(ValueError):
-            run(state, mesh, KineticParams(), self._constants(10.0),
+            run(state, mesh, 0.8, self._constants(10.0),
                 FRICTIONLESS, both_ends(Periodic(), mesh, 10.0, 9.81), t_end=1.0)
 
     def test_lands_exactly_on_t_end(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         t_end = 0.0137
-        out = run(state, mesh, KineticParams(cfl=0.73), self._constants(25.0),
+        out = run(state, mesh, 0.73, self._constants(25.0),
                   FRICTIONLESS, both_ends(Periodic(), mesh, 25.0, 9.81), t_end=t_end)
         assert out.time == t_end
 
@@ -315,7 +324,7 @@ class TestRun:
         state = State(area=np.full(20, 2.0), discharge=np.full(20, 1.0))
         c = 10.0
         steps = []
-        out = run(state, mesh, KineticParams(cfl=1.0), self._constants(c),
+        out = run(state, mesh, 1.0, self._constants(c),
                   FRICTIONLESS, both_ends(Periodic(), mesh, c, 9.81),
                   t_end=100 * mesh.min_width / (0.5 + c * SQRT3),
                   observer=lambda s: steps.append(s.time))
@@ -330,7 +339,7 @@ class TestRun:
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8), time=1e15)
         with pytest.raises(SolverError,
                            match=r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
-            run(state, mesh, KineticParams(), self._constants(10.0), FRICTIONLESS,
+            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
                 both_ends(Periodic(), mesh, 10.0, 9.81), t_end=1e15 + 1.0)
 
     def test_diverging_run_names_step_time_and_cell(self):
@@ -345,7 +354,7 @@ class TestRun:
 
         times = []
         with np.errstate(all="ignore"), pytest.raises(SolverError) as failure:
-            run(state, mesh, KineticParams(), self._constants(10.0), FRICTIONLESS,
+            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
                 boundary, t_end=1.0, observer=lambda s: times.append(s.time))
         assert len(times) >= 2
         assert re.match(rf"step {len(times) + 1} from t={times[-1]!r}: cell 3 left "
@@ -356,7 +365,7 @@ class TestRun:
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         times = []
-        run(state, mesh, KineticParams(), self._constants(40.0), FRICTIONLESS,
+        run(state, mesh, 0.8, self._constants(40.0), FRICTIONLESS,
             both_ends(Periodic(), mesh, 40.0, 9.81), t_end=0.05,
             observer=lambda s: times.append(s.time))
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))

@@ -12,7 +12,7 @@ from pipewave import kinetic, moc, runner
 from pipewave.config import RunConfig
 from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
                            PipeGeometry, area_from_piezometric_head)
-from pipewave.kinetic import KineticParams, run
+from pipewave.kinetic import run
 from pipewave.moc import initial_moc_state, moc_step
 from pipewave.output import SNAPSHOT_HEADER, CsvWriter, frame_rows, write_rows_csv
 from pipewave.runner import run_simulation
@@ -55,7 +55,7 @@ def direct_march(solver, scenario):
                  for s in states]
     else:
         mesh = scenario.mesh()
-        run(steady_state_init(scenario, mesh), mesh, KineticParams(cfl=0.8),
+        run(steady_state_init(scenario, mesh), mesh, 0.8,
             scenario.constants, scenario.friction, boundary_provider(scenario, mesh),
             scenario.t_end, observer=states.append, geometry=geom)
         areas = [s.area for s in states]

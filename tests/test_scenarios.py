@@ -5,7 +5,7 @@ from oracles import bisect_total_head_area
 from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
                            PipeGeometry, SolverError, State,
                            area_from_piezometric_head, total_head)
-from pipewave.kinetic import KineticParams, cfl_timestep, run, step
+from pipewave.kinetic import cfl_timestep, run, step
 from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
                                 Scenario, ValveClosure, Wall,
                                 boundary_provider, ghost_states,
@@ -76,6 +76,11 @@ class TestScenarioValidation:
         scenario = section4_scenario()
         with pytest.raises(ValueError):
             Scenario(**{**scenario.__dict__, "upstream": Periodic()})
+
+    @pytest.mark.parametrize("t_end", [-1.0, float("nan"), float("inf")])
+    def test_end_time_finite_and_non_negative(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            section4_scenario(t_end=t_end)
 
     def test_reservoir_must_cover_crown(self):
         scenario = section4_scenario()
@@ -249,7 +254,7 @@ class TestSteadyRunProperties:
         mesh = scenario.mesh()
         state = steady_state_init(scenario, mesh)
         provider = boundary_provider(scenario, mesh)
-        out = run(state, mesh, KineticParams(cfl=0.8), scenario.constants,
+        out = run(state, mesh, 0.8, scenario.constants,
                   FRICTIONLESS, provider, t_end=1.0, geometry=scenario.geometry)
         assert np.max(np.abs(out.discharge - 10.0)) / 10.0 <= 0.01
 
