@@ -54,16 +54,20 @@ def check_flux_continuity(c, g, cases=2000, seed=0):
 def check_positivity(c, g, cases=2000, seed=1):
     """No wetted area reaches zero in one CFL-limited step from randomized
     states over randomized bottom steps."""
-    rng = np.random.default_rng(seed)
     s = c * kinetic.SQRT3
+    n = 4
+    # one draw for every case's n areas, velocities and bottom steps, scaled as
+    # Generator.uniform scales (low + (high - low) r): the bits of a per-case draw
+    r = np.random.default_rng(seed).random((cases, 3, n))
+    area = 1e-6 + (10.0 - 1e-6) * r[:, 0]
+    discharge = area * (-2 * s + (2 * s - -2 * s) * r[:, 1])
+    z = (-5.0 + (5.0 - -5.0) * r[:, 2]).cumsum(axis=1)
+    centers = np.arange(n, dtype=float)
+    widths = np.ones(n)
     failures = 0
-    for _ in range(cases):
-        n = 4
-        area = rng.uniform(1e-6, 10.0, n)
-        u = rng.uniform(-2 * s, 2 * s, n)
-        z = np.cumsum(rng.uniform(-5.0, 5.0, n))
-        mesh = Mesh(centers=np.arange(n, dtype=float), widths=np.ones(n), z_cells=z)
-        state = State(area=area, discharge=area * u)
+    for i in range(cases):
+        mesh = Mesh(centers=centers, widths=widths, z_cells=z[i])
+        state = State(area=area[i], discharge=discharge[i])
         dt = kinetic.cfl_timestep(state, c, mesh, 1.0)
         try:
             kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION,

@@ -49,9 +49,12 @@ def _parse_bool(key, raw):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key {key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(key, raw):
@@ -62,10 +65,7 @@ def _parse_int(key, raw):
 
 
 def _parse_floats(key, raw):
-    try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        values = ()
+    values = tuple(_parse_float(key, part) for part in map(str.strip, raw.split(",")) if part)
     if not values:
         raise ConfigError(f"key {key}: expected comma-separated numbers, got {raw!r}")
     return values
@@ -148,9 +148,8 @@ def _build(v) -> RunConfig:
                 "fluid.wave_speed_m_s", "boundary.closure_duration_s",
                 "run.cells"):
         positive(key)
-    if not 0.0 <= v["run.t_end_s"] < math.inf:
-        raise ConfigError(f"key run.t_end_s: must be finite and non-negative, "
-                          f"got {v['run.t_end_s']}")
+    if v["run.t_end_s"] < 0:
+        raise ConfigError(f"key run.t_end_s: must be non-negative, got {v['run.t_end_s']}")
     if v["friction.enabled"] and v["friction.strickler"] <= 0:
         raise ConfigError("key friction.strickler: must be positive when friction is enabled")
 

@@ -181,9 +181,9 @@ class Mesh:
             raise ValueError("mesh arrays must be 1-d and of equal length")
         if centers.size == 0:
             raise ValueError("mesh must contain at least one cell")
-        if not np.all(widths > 0):
+        if not (widths > 0).all():
             raise ValueError("cell widths must be positive")
-        if not np.all(np.diff(centers) > 0):
+        if not (np.diff(centers) > 0).all():
             raise ValueError("cell centers must be strictly increasing")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
@@ -240,22 +240,25 @@ class State:
         discharge = _readonly(self.discharge)
         if area.shape != discharge.shape or area.ndim != 1:
             raise ValueError("area and discharge must be 1-d arrays of equal length")
-        if not np.all(area > 0):
+        if not (area > 0).all():
             raise ValueError("wetted area must stay positive")
-        if not np.all(np.isfinite(discharge)):
+        if not np.isfinite(discharge).all():
             raise ValueError("discharge must be finite")
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "discharge", discharge)
 
     @classmethod
-    def _checked(cls, area, discharge, time):
+    def _checked(cls, area, discharge, time, max_abs_velocity=None):
         """A state from fresh, equal-length float arrays whose values the
         caller has checked (A finite and positive, Q finite); they are made
-        read-only in place, without the copy and checks of ``__init__``."""
+        read-only in place, without the copy and checks of ``__init__``.  A
+        given ``max_abs_velocity`` is cached: it must be the property's bits."""
         area.setflags(write=False)
         discharge.setflags(write=False)
         state = object.__new__(cls)
         state.__dict__.update(area=area, discharge=discharge, time=time)
+        if max_abs_velocity is not None:
+            state.__dict__["max_abs_velocity"] = max_abs_velocity
         return state
 
     @property
@@ -265,7 +268,7 @@ class State:
     @cached_property
     def max_abs_velocity(self):
         """max |u|, computed once per state (the CFL bound and its check)."""
-        return float(np.max(np.abs(self.velocity)))
+        return float(np.abs(self.velocity).max())
 
     @property
     def n(self):

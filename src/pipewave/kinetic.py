@@ -72,6 +72,8 @@ The macroscopic update is the first-order explicit scheme
 stable and positivity-preserving under the CFL condition
 dt * max(|u| + c sqrt(3)) <= min h.  Friction, when enabled, is applied to
 the discharge after the hyperbolic update through a semi-implicit relaxation.
+Without friction ``step`` hands its new state's max |u|, formed as it tests
+admissibility, to the state, and the next ``cfl_timestep`` reads it there.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
     n = np.size(a_left)
     s = c * SQRT3
     x = np.empty((2, 2, n))                    # (lo, hi) x (left, right)
-    lo, hi = x
+    lo, hi = x[0], x[1]                        # unpacking x itself is slower
     np.divide(q_left, a_left, out=lo[0])
     np.divide(q_right, a_right, out=lo[1])
     np.add(lo, s, out=hi)
@@ -205,6 +207,8 @@ def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
     np.add(m0[0], m0[1], out=f[0, 0])
     np.subtract(m1[0], m1[1], out=f[0, 1])     # the right row lies on xi <= 0
     f[1] = f[0]
+    if len(shape) == 1:
+        return f[0, 0], f[0, 1], f[1, 0], f[1, 1]
     return (f[0, 0].reshape(shape), f[0, 1].reshape(shape),
             f[1, 0].reshape(shape), f[1, 1].reshape(shape))
 
@@ -235,7 +239,8 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     higher bottom (see the module docstring), so the flux kernel sees no
     jump anywhere.  The discharge is relaxed semi-implicitly,
     Q <- Q / (1 + dt g K |u|), when friction is enabled (this needs
-    ``geometry`` for the hydraulic radius).
+    ``geometry`` for the hydraulic radius).  Without friction the new state
+    carries max |Q/A|, formed as its admissibility is tested, as its CFL speed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -278,33 +283,42 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
     q_new = q - ratio * (fm_q[1:] - fp_q[:-1])
 
-    # NaN compares False with everything, so test for admissible values
-    admissible = np.isfinite(q_new) & (a_new > 0) & (a_new < math.inf)
-    if not admissible.all():
-        i = int(np.argmin(admissible))
-        raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
-                          f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
+    # NaN compares False with everything, so test for admissible values.
+    # With 0 < A < inf a finite max |Q/A| shows Q finite too; otherwise the
+    # mask decides (Q/A may overflow to inf with Q finite) and names the cell
+    speed = math.inf
+    if a_new.min() > 0.0 and a_new.max() < math.inf:
+        abs_u = np.abs(q_new / a_new)
+        speed = float(abs_u.max())
+    if not speed < math.inf:
+        admissible = np.isfinite(q_new) & (a_new > 0) & (a_new < math.inf)
+        if not admissible.all():
+            i = int(np.argmin(admissible))
+            raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
+                              f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
 
     if friction.enabled:
         if geometry is None:
             raise ValueError("friction needs the pipe geometry for the hydraulic radius")
         k = friction_coefficient(geometry, friction)
-        u_star = q_new / a_new
-        q_new = q_new / (1.0 + dt * g * k * np.abs(u_star))
+        q_new = q_new / (1.0 + dt * g * k * abs_u)
+        speed = None                           # Q changed: computed when asked
 
-    return State._checked(a_new, q_new, state.time + dt)
+    return State._checked(a_new, q_new, state.time + dt, speed)
 
 
 def run(initial: State, mesh: Mesh, cfl, constants, friction: FrictionParams,
         boundary, t_end, observer=None,
         geometry: PipeGeometry | None = None) -> State:
-    """March ``initial`` to t_end with adaptive steps at CFL coefficient
-    ``cfl`` in (0, 1], clamping the last step so the final time is exactly
-    t_end; ``observer(state)`` is invoked after every accepted step.  A
-    ``SolverError`` names the step number (counted from 1) and the time the
-    step started from."""
+    """March ``initial`` to the finite t_end with adaptive steps at CFL
+    coefficient ``cfl`` in (0, 1], clamping the last step so the final time
+    is exactly t_end; ``observer(state)`` is invoked after every accepted
+    step.  A ``SolverError`` names the step number (counted from 1) and the
+    time the step started from."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < initial.time:
         raise ValueError(f"t_end={t_end} precedes the initial time {initial.time}")
     state = initial

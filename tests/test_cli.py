@@ -104,6 +104,16 @@ class TestExitCodes:
         assert "run.t_end_s" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value", [("pipe.slope_deg", "nan"),
+                                           ("boundary.upstream_head_m", "nan"),
+                                           ("flow.initial_discharge_m3s", "inf")])
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys, key, value):
+        # these used to parse and then fail the run with exit 3
+        cfg = write_config(tmp_path, **{key.replace(".", "__"): value})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"key {key}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_solver_failure_is_exit_3(self, tmp_path, capsys):
         # tiny wave speed: the velocity head swamps the reservoir head and
         # the steady-state inversion leaves the positive-area domain

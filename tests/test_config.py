@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from pipewave.config import ConfigError, emit_config, load_config, parse_config
+from pipewave.config import (_SCHEMA, ConfigError, _parse_float, _parse_floats,
+                             emit_config, load_config, parse_config)
 from pipewave.scenarios import PrescribedDischarge, ReservoirHead
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +98,21 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL.replace("run.t_end_s = 40", f"run.t_end_s = {t_end}"))
         assert "run.t_end_s" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, (parser, _) in _SCHEMA.items()
+                                     if parser in (_parse_float, _parse_floats)])
+    def test_non_finite_float_names_key(self, key, value):
+        # NaN passed every "<= 0" check, and a run then failed with a solver
+        # error (exit 3) or marched nonsense
+        text = "\n".join(line for line in MINIMAL.splitlines()
+                         if not line.startswith(key + " "))
+        with pytest.raises(ConfigError, match=rf"^key {key}: expected a finite number"):
+            parse_config(text + f"\n{key} = {value}\n")
+
+    def test_non_finite_probe_in_list_names_key(self):
+        with pytest.raises(ConfigError, match="key output.probes_m"):
+            parse_config(MINIMAL + "\noutput.probes_m = 500, nan\n")
 
     def test_empty_probe_list_names_key(self):
         # an empty list would compare nothing, and emit_config could not

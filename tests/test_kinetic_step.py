@@ -1,17 +1,23 @@
 import math
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import quad_interface_fluxes
+from pipewave import kinetic
+from pipewave.config import load_config
 from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
                            PhysicalConstants, PipeGeometry, SolverError, State,
-                           entropy_cell)
+                           entropy_cell, friction_coefficient)
 from pipewave.kinetic import SQRT3, cfl_timestep, run, step
+from pipewave.runner import compare_runs
 from pipewave.scenarios import PrescribedDischarge, Periodic, Wall, ghost_states
 
 FRICTIONLESS = FrictionParams.disabled()
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def flat_altitude(x):
@@ -22,6 +28,53 @@ def both_ends(bc, mesh, c, g):
     """Ghost-state callable with ``bc`` (``Wall()`` or ``Periodic()``) at
     both ends, as the check suites build it."""
     return lambda state: ghost_states(state, mesh, bc, bc, state.time, c, g)
+
+
+def reference_step(state, mesh, c, g, dt, friction, boundary, geometry=None):
+    """One step written plainly: the CFL speed of ``state`` recomputed from
+    its arrays, admissibility decided by a full mask, and a new state that
+    computes its own ``max_abs_velocity`` when asked.  The lean ``step`` must
+    reproduce it bit for bit, errors included."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    speed = float(np.max(np.abs(state.discharge / state.area))) + c * SQRT3
+    if dt * speed > mesh.min_width * kinetic._CFL_SLACK:
+        raise SolverError(
+            f"dt={dt:g} violates the CFL condition: dt*max(|u|+c*sqrt(3))="
+            f"{dt * speed:g} > min width {mesh.min_width:g}")
+    (a_gl, q_gl), (a_gr, q_gr) = boundary(state)
+    kinetic._check_ghost("left", a_gl, q_gl)
+    kinetic._check_ghost("right", a_gr, q_gr)
+
+    a, q = state.area, state.discharge
+    a_ext = np.concatenate([[a_gl], a, [a_gr]])
+    q_ext = np.concatenate([[q_gl], q, [q_gr]])
+    shrink = mesh.rest_factors(c, g)
+    a_l, q_l = a_ext[:-1] * shrink[0], q_ext[:-1] * shrink[0]
+    a_r, q_r = a_ext[1:] * shrink[1], q_ext[1:] * shrink[1]
+    fm_a, fm_q, fp_a, fp_q = kinetic._interface_flux_arrays(a_l, q_l, a_r, q_r,
+                                                            None, c, g)
+    fm_q = fm_q + (a_ext[:-1] - a_l) * (c * c)
+    fp_q = fp_q + (a_ext[1:] - a_r) * (c * c)
+    ratio = dt / mesh.widths
+    a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
+    q_new = q - ratio * (fm_q[1:] - fp_q[:-1])
+
+    admissible = np.isfinite(q_new) & (a_new > 0) & (a_new < math.inf)
+    if not admissible.all():
+        i = int(np.argmin(admissible))
+        raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
+                          f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
+    if friction.enabled:
+        if geometry is None:
+            raise ValueError("friction needs the pipe geometry for the hydraulic radius")
+        k = friction_coefficient(geometry, friction)
+        q_new = q_new / (1.0 + dt * g * k * np.abs(q_new / a_new))
+    return State._checked(a_new, q_new, state.time + dt)
+
+
+def same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 def still_water_setup(cells=100, angle_deg=-5.0, c=1086.6, length=2000.0):
@@ -232,6 +285,97 @@ class TestStep:
                  both_ends(Periodic(), mesh, 10.0, 9.81))
 
 
+ENDS = {"wall": Wall(), "periodic": Periodic()}
+
+
+def breaking_kernel(kind, cell, area, ratio):
+    """The flux kernel with cell ``cell``'s two outer fluxes replaced so that
+    its update, with ``ratio`` = dt / width a power of two, lands exactly on
+    one inadmissible value, or on a tiny area whose finite Q/A overflows."""
+    kernel = kinetic._interface_flux_arrays
+
+    def broken(*args):
+        fm_a, fm_q, fp_a, fp_q = kernel(*args)
+        fp_a[cell] = fp_q[cell] = 0.0
+        if kind == "nan-discharge":
+            fm_q[cell + 1] = math.nan
+        elif kind == "zero-area":
+            fm_a[cell + 1] = area / ratio
+        elif kind == "negative-area":
+            fm_a[cell + 1] = 2.0 * area / ratio
+        elif kind == "inf-area":
+            fm_a[cell + 1] = -math.inf
+        elif kind == "speed-overflow":           # A' = one ulp, Q' ~ 1e305 dt
+            fm_a[cell + 1] = np.nextafter(area, 0.0) / ratio
+            fm_q[cell + 1] = -1e305
+        return fm_a, fm_q, fp_a, fp_q
+    return broken
+
+
+def outcome(stepper, *args):
+    try:
+        return stepper(*args)
+    except SolverError as exc:
+        return str(exc)
+
+
+class TestLeanStep:
+    """``step`` tests admissibility with min/max reductions and hands the new
+    state's max |u| forward; it must match ``reference_step`` bit for bit."""
+
+    geometry = PipeGeometry.circular(length=10.0, section=2.0, wall_thickness=0.2,
+                                     young_modulus=23e9,
+                                     altitude=LinearAltitude(0.0, 0.0))
+
+    @pytest.mark.parametrize("kind", ["none", "nan-discharge", "zero-area",
+                                      "negative-area", "inf-area", "speed-overflow"])
+    @pytest.mark.parametrize("friction", [FRICTIONLESS,
+                                          FrictionParams(enabled=True, strickler=30.0)],
+                             ids=["frictionless", "friction"])
+    @pytest.mark.parametrize("ends", sorted(ENDS))
+    def test_bitwise_equal_to_reference(self, ends, friction, kind, monkeypatch):
+        rng = np.random.default_rng(23)
+        g = 9.81
+        for _ in range(8):
+            n = int(rng.integers(3, 9))
+            c = float(rng.uniform(2.0, 20.0))
+            mesh = Mesh(centers=np.arange(n, dtype=float), widths=np.ones(n),
+                        z_cells=np.cumsum(rng.uniform(-0.5, 0.5, n)))
+            area = rng.uniform(0.5, 5.0, n)
+            state = State(area=area, discharge=area * rng.uniform(-c, c, n))
+            boundary = both_ends(ENDS[ends], mesh, c, g)
+            lean, ref = state, state
+            for k in range(4):                     # each marches its own output
+                dt = 2.0 ** math.floor(math.log2(cfl_timestep(ref, c, mesh, 0.9)))
+                if k == 3 and kind != "none":
+                    cell = int(rng.integers(n))
+                    monkeypatch.setattr(kinetic, "_interface_flux_arrays", breaking_kernel(
+                        kind, cell, float(ref.area[cell]), dt))
+                with np.errstate(over="ignore"):
+                    args = (mesh, c, g, dt, friction, boundary, self.geometry)
+                    lean = outcome(step, lean, *args)
+                    ref = outcome(reference_step, ref, *args)
+                    monkeypatch.undo()
+                    if isinstance(ref, str):
+                        assert lean == ref
+                        assert f"cell {cell} left the admissible states" in ref
+                        break
+                    assert same_bits(lean.area, ref.area)
+                    assert same_bits(lean.discharge, ref.discharge)
+                    assert lean.time == ref.time
+                    # handed forward only without friction, and always the
+                    # value the property computes from the arrays
+                    assert ("max_abs_velocity" in vars(lean)) is not friction.enabled
+                    assert lean.max_abs_velocity == ref.max_abs_velocity
+                    assert lean.max_abs_velocity == State(
+                        area=lean.area, discharge=lean.discharge).max_abs_velocity
+            else:
+                # friction relaxes the overflowing cell's Q to 0
+                assert kind in ("none", "speed-overflow")
+                overflows = kind == "speed-overflow" and not friction.enabled
+                assert (lean.max_abs_velocity == math.inf) is overflows
+
+
 class TestStillWaterBalance:
     """The hydrostatic reconstruction balances a sloped column at rest
     exactly: the drift stays within the first-order envelope g*dz_cell/c^2
@@ -311,6 +455,23 @@ class TestRun:
             run(state, mesh, 0.8, self._constants(10.0),
                 FRICTIONLESS, both_ends(Periodic(), mesh, 10.0, 9.81), t_end=1.0)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_rejects_non_finite_t_end(self, t_end):
+        # nan used to return the initial state after 0 steps and inf to
+        # march forever; the observer stops such a march after 10 steps
+        mesh = Mesh.uniform(10.0, 8, flat_altitude)
+        state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
+        times = []
+
+        def observer(s):
+            times.append(s.time)
+            assert len(times) < 10, "marched towards a non-finite t_end"
+
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
+                both_ends(Periodic(), mesh, 10.0, 9.81), t_end=t_end, observer=observer)
+        assert times == []
+
     def test_lands_exactly_on_t_end(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
@@ -370,3 +531,38 @@ class TestRun:
             observer=lambda s: times.append(s.time))
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert times[-1] == 0.05
+
+
+def test_recorded_run_byte_identical_to_reference(tmp_path, monkeypatch):
+    """A short recorded comparison of the shipped scenario (every step probed,
+    a snapshot every 10 steps) writes the same bytes whether the march takes
+    ``step`` or ``reference_step``; the summaries differ only in wall clock."""
+    config = load_config(REPO_ROOT / "waterhammer.cfg")
+    config = replace(config, snapshot_stride=10, scenario=replace(
+        config.scenario, mesh_cells=50, t_end=2.0, output_stride=1))
+    compare_runs(replace(config, output_dir=str(tmp_path / "lean")))
+    calls = []
+
+    def counted_reference(*args):
+        calls.append(args[0].time)
+        return reference_step(*args)
+
+    monkeypatch.setattr(kinetic, "step", counted_reference)
+    compare_runs(replace(config, output_dir=str(tmp_path / "reference")))
+    assert len(calls) > 100
+
+    def contents(name):
+        out = {}
+        for path in sorted((tmp_path / name).iterdir()):
+            data = path.read_bytes()
+            if path.name.endswith("_summary.txt"):
+                data = b"".join(line for line in data.splitlines(keepends=True)
+                                if not line.startswith(b"wall_clock_s:"))
+            out[path.name] = data
+        return out
+
+    lean, reference = contents("lean"), contents("reference")
+    assert list(lean) == list(reference)
+    assert sum(name.startswith("kinetic_snap_") for name in lean) > 10
+    for name in lean:
+        assert lean[name] == reference[name], name
