@@ -164,6 +164,18 @@ def _readonly(a):
     return a
 
 
+def rest_factors(z, c, g):
+    """(2, ..., n+1) factors exp(-g (z* - z) / c^2) for bottoms z of shape
+    (..., n): they lower the left and right side of each interface along
+    their rest profiles to z* = max(z_left, z_right).  Both ends are 1, as
+    ghosts share their neighbour's bottom."""
+    rise = np.zeros((2,) + z.shape[:-1] + (z.shape[-1] + 1,))
+    np.subtract(z[..., 1:], z[..., :-1], out=rise[0, ..., 1:-1])
+    np.negative(rise[0], out=rise[1])
+    np.maximum(rise, 0.0, out=rise)
+    return np.exp(np.multiply(rise, -g / (c * c), out=rise), out=rise)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Cell centers, widths and the piecewise-constant bottom z_cells[i] =
@@ -199,18 +211,10 @@ class Mesh:
         return float(self.widths.min())
 
     def rest_factors(self, c, g):
-        """Read-only (2, n+1) factors exp(-g (z* - z) / c^2) that lower the
-        left and right side of each interface along their rest profiles to
-        z* = max(z_left, z_right); both ends are 1, as ghosts share their
-        neighbour's bottom.  Computed once per (c, g)."""
+        """Read-only ``rest_factors(z_cells, c, g)``, computed once per (c, g)."""
         factors = self._rest_factors.get((c, g))
         if factors is None:
-            z = self.z_cells
-            rise = np.zeros((2, z.size + 1))
-            np.subtract(z[1:], z[:-1], out=rise[0, 1:-1])
-            np.negative(rise[0], out=rise[1])
-            np.maximum(rise, 0.0, out=rise)
-            factors = np.exp(np.multiply(rise, -g / (c * c), out=rise), out=rise)
+            factors = rest_factors(self.z_cells, c, g)
             factors.setflags(write=False)
             self._rest_factors[(c, g)] = factors
         return factors

@@ -70,8 +70,12 @@ The macroscopic update is the first-order explicit scheme
     U_i' = U_i - dt/h_i * (F-_{i+1/2} - F+_{i-1/2})
 
 stable and positivity-preserving under the CFL condition
-dt * max(|u| + c sqrt(3)) <= min h.  Friction, when enabled, is applied to
-the discharge after the hyperbolic update through a semi-implicit relaxation.
+dt * max(|u| + c sqrt(3)) <= min h.  ``_advance`` runs the reconstruction,
+the kernel, the add-back and this update on a ghost-extended block of any
+leading shape, cells on the last axis: ``step`` on one 1-d block,
+``checks.check_positivity`` on blocks of cases.  Friction, when enabled, is
+applied to the discharge after the hyperbolic update through a
+semi-implicit relaxation.
 Without friction ``step`` hands its new state's max |u|, formed as it tests
 admissibility, to the state, and the next ``cfl_timestep`` reads it there.
 """
@@ -124,7 +128,8 @@ _TRANSMITTED = np.array([[0.0], [0.0], [1.0]])
 
 
 def _interface_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
-    """Vectorized interface fluxes for 0-d or 1-d arrays of interfaces.
+    """Vectorized interface fluxes for 0-d or 1-d arrays of interfaces (any
+    shape with dz = None).
 
     dz = z_right - z_left, or None for no jump.  Returns (F-_A, F-_Q, F+_A,
     F+_Q), four separate arrays.  dz = None takes ``_split_flux_arrays``;
@@ -172,28 +177,29 @@ def _interface_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
 def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
     """The fluxes with no jump: plain flux-vector splitting, the xi >= 0 part
     of the left rectangle plus the xi <= 0 part of the right one, so F- = F+
-    (as separate arrays: ``step`` updates them in place).  Same bounds, frame
-    and operation order as rows 0 and 2 of the six; P(x) = x^2 |x| equals
-    y sqrt(y) for y = fl(x^2), as sqrt(fl(x^2)) = |x| exactly."""
+    (as separate arrays of the inputs' shape: ``_advance`` updates them in
+    place).  Same bounds, frame and operation order as rows 0 and 2 of the
+    six; P(x) = x^2 |x| equals y sqrt(y) for y = fl(x^2), as sqrt(fl(x^2))
+    = |x| exactly."""
     shape = np.shape(a_left)
-    n = np.size(a_left)
     s = c * SQRT3
-    x = np.empty((2, 2, n))                    # (lo, hi) x (left, right)
+    x = np.empty((2, 2) + shape)               # (lo, hi) x (left, right)
     lo, hi = x[0], x[1]                        # unpacking x itself is slower
-    np.divide(q_left, a_left, out=lo[0])
-    np.divide(q_right, a_right, out=lo[1])
+    # indexing with ... keeps a 0-d target an array
+    np.divide(q_left, a_left, out=lo[0, ...])
+    np.divide(q_right, a_right, out=lo[1, ...])
     np.add(lo, s, out=hi)
     lo -= s
-    np.maximum(lo[0], 0.0, out=lo[0])          # left rectangle: xi >= 0
-    np.minimum(hi[1], 0.0, out=hi[1])          # right rectangle: xi <= 0
+    np.maximum(lo[0], 0.0, out=lo[0, ...])     # left rectangle: xi >= 0
+    np.minimum(hi[1], 0.0, out=hi[1, ...])     # right rectangle: xi <= 0
     # an empty interval collapses onto its bound away from 0, as the empty
     # reflected-left and transmitted-right rows of the six do, so a speed
     # whose square overflows gives the same NaN
-    np.minimum(lo[0], hi[0], out=lo[0])
-    np.maximum(hi[1], lo[1], out=hi[1])
-    dens = np.empty((2, n))
-    np.divide(a_left, 2.0 * s, out=dens[0])
-    np.divide(a_right, 2.0 * s, out=dens[1])
+    np.minimum(lo[0], hi[0], out=lo[0, ...])
+    np.maximum(hi[1], lo[1], out=hi[1, ...])
+    dens = np.empty((2,) + shape)
+    np.divide(a_left, 2.0 * s, out=dens[0, ...])
+    np.divide(a_right, 2.0 * s, out=dens[1, ...])
     p = np.abs(x)
     x *= x
     p *= x
@@ -203,14 +209,11 @@ def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
     m1 = p[1] - p[0]
     m1 *= dens
     m1 /= 3.0
-    f = np.empty((2, 2, n))                    # (F-, F+) x (A, Q)
-    np.add(m0[0], m0[1], out=f[0, 0])
-    np.subtract(m1[0], m1[1], out=f[0, 1])     # the right row lies on xi <= 0
+    f = np.empty((2, 2) + shape)               # (F-, F+) x (A, Q)
+    np.add(m0[0], m0[1], out=f[0, 0, ...])
+    np.subtract(m1[0], m1[1], out=f[0, 1, ...])  # the right row lies on xi <= 0
     f[1] = f[0]
-    if len(shape) == 1:
-        return f[0, 0], f[0, 1], f[1, 0], f[1, 1]
-    return (f[0, 0].reshape(shape), f[0, 1].reshape(shape),
-            f[1, 0].reshape(shape), f[1, 1].reshape(shape))
+    return f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...]
 
 
 def cfl_timestep(state: State, c, mesh: Mesh, cfl_coefficient):
@@ -228,6 +231,35 @@ def _check_ghost(side, area, discharge):
                           f"A={area!r}, Q={discharge!r}")
 
 
+def _admissible(area, discharge):
+    """Per cell, 0 < A < inf and Q/A finite (so Q too); NaN fails each test."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return (area > 0.0) & (area < math.inf) & np.isfinite(discharge / area)
+
+
+def _advance(ext, shrink, ratio, c, g):
+    """New (A, Q) of the n inner cells of ``ext`` (2, ..., n+2): (A, Q), any
+    batch axes, then the cells with a ghost on each end.  ``shrink`` is
+    ``core.rest_factors`` (2, ..., n+1) and ``ratio`` dt / h, broadcast
+    against the cells; see the module docstring for the update."""
+    left = ext[..., :-1]
+    right = ext[..., 1:]
+    left_star = left * shrink[0]
+    right_star = right * shrink[1]
+    fm_a, fm_q, fp_a, fp_q = _interface_flux_arrays(
+        left_star[0], left_star[1], right_star[0], right_star[1], None, c, g)
+    # each side keeps the pressure c^2 (A - A*) the reconstruction removed
+    lost = np.subtract(left[0], left_star[0], out=left_star[0])
+    lost *= c * c
+    fm_q += lost
+    lost = np.subtract(right[0], right_star[0], out=right_star[0])
+    lost *= c * c
+    fp_q += lost
+    a_new = ext[0, ..., 1:-1] - ratio * (fm_a[..., 1:] - fp_a[..., :-1])
+    q_new = ext[1, ..., 1:-1] - ratio * (fm_q[..., 1:] - fp_q[..., :-1])
+    return a_new, q_new
+
+
 def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
          boundary, geometry: PipeGeometry | None = None) -> State:
     """One explicit update of every cell.
@@ -235,12 +267,14 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     ``boundary`` maps the current state to the pair of ghost cells
     ((A, Q) left, (A, Q) right); ghosts sit at the same bottom elevation as
     their adjacent interior cell so the boundary interfaces carry no
-    topography jump.  Both sides of every interface are reconstructed at the
-    higher bottom (see the module docstring), so the flux kernel sees no
-    jump anywhere.  The discharge is relaxed semi-implicitly,
-    Q <- Q / (1 + dt g K |u|), when friction is enabled (this needs
-    ``geometry`` for the hydraulic radius).  Without friction the new state
-    carries max |Q/A|, formed as its admissibility is tested, as its CFL speed.
+    topography jump.  ``_advance`` updates the ghost-extended 1-d block,
+    reconstructing both sides of every interface at the higher bottom (see
+    the module docstring), so the flux kernel sees no jump anywhere.  A new
+    cell outside ``_admissible`` raises ``SolverError`` naming it.  The
+    discharge is relaxed semi-implicitly, Q <- Q / (1 + dt g K |u|), when
+    friction is enabled (this needs ``geometry`` for the hydraulic radius).
+    Without friction the new state carries max |Q/A|, formed as its
+    admissibility is tested, as its CFL speed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -254,48 +288,24 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     _check_ghost("left", a_gl, q_gl)
     _check_ghost("right", a_gr, q_gr)
 
-    a = state.area
-    q = state.discharge
-    n = a.size
+    n = state.area.size
     ext = np.empty((2, n + 2))                 # (A, Q) with one ghost on each end
     ext[:, 0] = a_gl, q_gl
-    ext[0, 1:-1] = a
-    ext[1, 1:-1] = q
+    ext[0, 1:-1] = state.area
+    ext[1, 1:-1] = state.discharge
     ext[:, -1] = a_gr, q_gr
-    left = ext[:, :-1]
-    right = ext[:, 1:]
-    # hydrostatic reconstruction: each side is lowered along its own rest
-    # profile A exp(-g z / c^2) to z* = max(z_left, z_right), at its velocity
-    shrink = mesh.rest_factors(c, g)
-    left_star = left * shrink[0]
-    right_star = right * shrink[1]
-    fm_a, fm_q, fp_a, fp_q = _interface_flux_arrays(
-        left_star[0], left_star[1], right_star[0], right_star[1], None, c, g)
-    # each side keeps the pressure c^2 (A - A*) the reconstruction removed
-    lost = np.subtract(left[0], left_star[0], out=left_star[0])
-    lost *= c * c
-    fm_q += lost
-    lost = np.subtract(right[0], right_star[0], out=right_star[0])
-    lost *= c * c
-    fp_q += lost
+    a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.widths, c, g)
 
-    ratio = dt / mesh.widths
-    a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
-    q_new = q - ratio * (fm_q[1:] - fp_q[:-1])
-
-    # NaN compares False with everything, so test for admissible values.
-    # With 0 < A < inf a finite max |Q/A| shows Q finite too; otherwise the
-    # mask decides (Q/A may overflow to inf with Q finite) and names the cell
+    # with 0 < A < inf a finite max |Q/A| shows every cell admissible;
+    # otherwise some cell is not, and the mask names the first
     speed = math.inf
     if a_new.min() > 0.0 and a_new.max() < math.inf:
         abs_u = np.abs(q_new / a_new)
         speed = float(abs_u.max())
     if not speed < math.inf:
-        admissible = np.isfinite(q_new) & (a_new > 0) & (a_new < math.inf)
-        if not admissible.all():
-            i = int(np.argmin(admissible))
-            raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
-                              f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
+        i = int(np.argmin(_admissible(a_new, q_new)))
+        raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
+                          f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
 
     if friction.enabled:
         if geometry is None:

@@ -14,8 +14,10 @@ Boundary nodes combine the single available invariant with the boundary law.
 Without friction a step allocates four node arrays: B Q, the invariant
 H + B Q, and the new heads and discharges.  H - B Q overwrites B Q in place,
 the friction loss (only when friction is on) is subtracted from and added to
-the two invariants in place, and the interior averages are written straight
-into the new arrays, which become the next state without a copy.
+the two invariants in place, and the interior values are written straight
+into the new arrays, which become the next state without a copy: the heads
+as the half-sum of the invariants, the discharges as their difference
+divided by 2 B (the bits of halving, then dividing by B).
 """
 
 from __future__ import annotations
@@ -125,8 +127,7 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
     h_mid = np.add(cp[:-2], cm[2:], out=h_new[1:-1])
     h_mid *= 0.5
     q_mid = np.subtract(cp[:-2], cm[2:], out=q_new[1:-1])
-    q_mid *= 0.5
-    q_mid /= b
+    q_mid /= 2.0 * b
 
     alpha = 1.0 / (2.0 * g * section * section)   # velocity-head coefficient
     # each end meets the one invariant reaching it: cm from node 1 upstream,

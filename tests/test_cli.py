@@ -10,6 +10,8 @@ from pipewave import runner, scenarios
 from pipewave.cli import main
 from pipewave.output import read_probe_csv
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
 SMALL = """
 pipe.length_m = 2000
 pipe.section_m2 = 2
@@ -189,6 +191,14 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+    def test_check_residuals_on_repository_config(self, tmp_path, capsys, monkeypatch):
+        # the shipped waterhammer.cfg, not SMALL: the four residuals pin what
+        # each suite measures, not only that it passes
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", str(REPO_ROOT / "waterhammer.cfg")]) == 0
+        residuals = re.findall(r"residual=(\S+)", capsys.readouterr().out)
+        assert residuals == ["3.287e-16", "0.000e+00", "2.816e-16", "4.219e-15"]
 
     def test_failing_suite_gives_exit_4(self, tmp_path, capsys, monkeypatch):
         from pipewave import cli

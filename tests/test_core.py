@@ -7,7 +7,7 @@ from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
                            PhysicalConstants, PipeGeometry, State,
                            TabulatedAltitude, effective_wave_speed,
                            entropy_cell, friction_slope, piezometric_head,
-                           sound_speed, total_head)
+                           rest_factors, sound_speed, total_head)
 
 
 def section4_geometry():
@@ -255,6 +255,19 @@ class TestMeshAndState:
         assert other is not factors
         assert np.array_equal(other, np.exp(np.array([z_star - z[:-1], z_star - z[1:]])
                                             * (-g / (4.0 * c * c))))
+
+    def test_rest_factors_of_a_block_are_each_meshs(self):
+        # core.rest_factors takes bottoms of shape (m, n), one row per mesh
+        rng = np.random.default_rng(4)
+        c, g = 300.0, 9.81
+        z = np.cumsum(rng.uniform(-5.0, 5.0, (6, 5)), axis=1)
+        block = rest_factors(z, c, g)
+        assert block.shape == (2, 6, 6)
+        for k in range(6):
+            mesh = Mesh(centers=np.arange(5.0), widths=np.ones(5), z_cells=z[k])
+            factors = mesh.rest_factors(c, g)
+            assert block[:, k].tobytes() == factors.tobytes()
+            assert not factors.flags.writeable
 
     def test_state_arrays_read_only(self):
         state = State(area=np.ones(3), discharge=np.zeros(3))

@@ -212,6 +212,22 @@ class TestNoJumpKernel:
             nan_seen |= bool(np.isnan(rows[0]).any() and np.isnan(rows[1]).any())
         assert nan_seen
 
+    def test_batch_axes_match_raveled_evaluation(self):
+        # a block of cases (step's positivity suite) is evaluated elementwise:
+        # (3, 7) inputs give the bits of the raveled 1-d call, NaNs included
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            c = rng.uniform(0.5, 1500.0)
+            states = split_states(rng, (3, 7), c)
+            with np.errstate(all="ignore"):
+                block = _interface_flux_arrays(*states, None, c, 9.81)
+                flat = _interface_flux_arrays(*(x.ravel() for x in states), None, c, 9.81)
+            for got, want in zip(block, flat):
+                assert got.shape == (3, 7)
+                assert got.ravel().tobytes() == want.tobytes()
+            for one, other in itertools.combinations(block, 2):
+                assert not np.shares_memory(one, other)
+
     @pytest.mark.parametrize("shape", [(), (7,)])
     def test_returns_separate_arrays(self, shape):
         # step adds a different c^2 (A - A*) to F-_Q and F+_Q in place

@@ -32,9 +32,10 @@ def both_ends(bc, mesh, c, g):
 
 def reference_step(state, mesh, c, g, dt, friction, boundary, geometry=None):
     """One step written plainly: the CFL speed of ``state`` recomputed from
-    its arrays, admissibility decided by a full mask, and a new state that
-    computes its own ``max_abs_velocity`` when asked.  The lean ``step`` must
-    reproduce it bit for bit, errors included."""
+    its arrays, admissibility decided by a full mask (0 < A < inf and Q/A
+    finite, so a finite Q whose Q/A overflows is rejected), and a new state
+    that computes its own ``max_abs_velocity`` when asked.  The lean ``step``
+    must reproduce it bit for bit, errors included."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     speed = float(np.max(np.abs(state.discharge / state.area))) + c * SQRT3
@@ -60,7 +61,8 @@ def reference_step(state, mesh, c, g, dt, friction, boundary, geometry=None):
     a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
     q_new = q - ratio * (fm_q[1:] - fp_q[:-1])
 
-    admissible = np.isfinite(q_new) & (a_new > 0) & (a_new < math.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        admissible = np.isfinite(q_new / a_new) & (a_new > 0) & (a_new < math.inf)
     if not admissible.all():
         i = int(np.argmin(admissible))
         raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
@@ -370,10 +372,10 @@ class TestLeanStep:
                     assert lean.max_abs_velocity == State(
                         area=lean.area, discharge=lean.discharge).max_abs_velocity
             else:
-                # friction relaxes the overflowing cell's Q to 0
-                assert kind in ("none", "speed-overflow")
-                overflows = kind == "speed-overflow" and not friction.enabled
-                assert (lean.max_abs_velocity == math.inf) is overflows
+                # a finite Q whose Q/A overflows is inadmissible, with or
+                # without friction
+                assert kind == "none"
+                assert lean.max_abs_velocity < math.inf
 
 
 class TestStillWaterBalance:
@@ -471,6 +473,31 @@ class TestRun:
             run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
                 both_ends(Periodic(), mesh, 10.0, 9.81), t_end=t_end, observer=observer)
         assert times == []
+
+    def test_speed_overflow_names_step_and_cell(self, monkeypatch):
+        # a tiny area with a finite discharge makes Q/A overflow to inf; the
+        # step used to accept it and the run stopped one step later with
+        # "time step dt=0 makes no progress", naming no cell
+        mesh = Mesh.uniform(4.0, 4, flat_altitude)
+        state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
+        advance = kinetic._advance
+        calls = []
+
+        def overflowing(*args):
+            a_new, q_new = advance(*args)
+            calls.append(None)
+            if len(calls) == 4:
+                a_new[2] = 5e-324
+                q_new[2] = 1e303
+            return a_new, q_new
+
+        monkeypatch.setattr(kinetic, "_advance", overflowing)
+        with np.errstate(over="ignore"), pytest.raises(
+                SolverError, match=r"^step 4 from t=.*: cell 2 left the admissible "
+                                   r"states at t=.*: A=5e-324, Q=1e\+303$"):
+            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
+                both_ends(Wall(), mesh, 10.0, 9.81), t_end=1.0)
+        assert len(calls) == 4
 
     def test_lands_exactly_on_t_end(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
