@@ -9,16 +9,15 @@ boundary-condition machinery, and a small CLI.
 """
 
 from .compare import ComparisonReport, ProbeSeries, compare_series
-from .config import ConfigError, RunConfig, emit_config, load_config, parse_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .core import (FrictionParams, LinearAltitude, Mesh, PhysicalConstants,
-                   PipeGeometry, SolverError, State, TabulatedAltitude,
-                   effective_wave_speed, entropy_cell, friction_slope,
-                   piezometric_head, sound_speed, total_head)
+                   PipeGeometry, SolverError, State, effective_wave_speed,
+                   entropy_cell, friction_slope, piezometric_head, sound_speed,
+                   total_head)
 from .kinetic import cfl_timestep, run, step
 from .moc import MocState, moc_run, moc_step
 from .runner import compare_runs, run_simulation
 from .scenarios import (Periodic, PrescribedDischarge, ReservoirHead, Scenario,
-                        ValveClosure, Wall, boundary_provider, ghost_states,
-                        steady_state_init)
+                        ValveClosure, Wall, ghost_states, steady_state_init)
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ blocks through ``kinetic._advance``, the update inside ``kinetic.step``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,11 +33,6 @@ class CheckResult:
     @property
     def passed(self):
         return self.residual <= self.tolerance
-
-
-def _both_ends(bc, mesh, c, g):
-    """Ghost-state callable with the boundary condition ``bc`` at both ends."""
-    return lambda state: ghost_states(state, mesh, bc, bc, state.time, c, g)
 
 
 def check_flux_continuity(c, g, cases=2000, seed=0):
@@ -95,7 +91,8 @@ def check_conservation(c, g, cells=64, steps=500, seed=2):
     mom0 = float(np.sum(mesh.widths * state.discharge))
     mom_scale = max(abs(mom0), mass0 * c)
     drift = 0.0
-    boundary = _both_ends(Periodic(), mesh, c, g)
+    boundary = partial(ghost_states, mesh=mesh, upstream=Periodic(),
+                       downstream=Periodic(), c=c, g=g)
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.9)
         state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, boundary)
@@ -114,7 +111,8 @@ def check_still_water(scenario: Scenario, cells=100, steps=200):
     z = mesh.z_cells
     area0 = geom.section * np.exp(-g * (z - z[0]) / (c * c))
     state = State(area=area0, discharge=np.zeros(cells))
-    boundary = _both_ends(Wall(), mesh, c, g)
+    boundary = partial(ghost_states, mesh=mesh, upstream=Wall(), downstream=Wall(),
+                       c=c, g=g)
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.8)
         state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, boundary)

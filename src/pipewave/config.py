@@ -2,8 +2,7 @@
 
 Dotted keys group related settings (``pipe.length_m = 2000``); ``#`` starts a
 comment.  Unknown keys, duplicates and missing required keys are rejected
-with the offending key and line number.  :func:`emit_config` is the inverse
-serializer: ``parse_config(emit_config(cfg))`` reproduces an equal config.
+with the offending key and line number.
 """
 
 from __future__ import annotations
@@ -192,50 +191,6 @@ def _build(v) -> RunConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def emit_config(config: RunConfig) -> str:
-    """Serialize a RunConfig back to the key=value format."""
-    scenario = config.scenario
-    geometry = scenario.geometry
-    closure = scenario.downstream.law
-    if not isinstance(closure, ValveClosure):
-        raise ConfigError("only valve-closure discharge laws can be serialized")
-    pairs = [
-        ("pipe.length_m", geometry.length),
-        ("pipe.section_m2", geometry.section),
-        ("pipe.wall_thickness_m", geometry.wall_thickness),
-        ("pipe.young_modulus_pa", geometry.young_modulus),
-        ("pipe.upstream_altitude_m", geometry.altitude.upstream_z),
-        ("pipe.slope_deg", geometry.altitude.angle_deg),
-        ("fluid.gravity_m_s2", scenario.constants.g),
-        ("fluid.compressibility_per_pa", scenario.constants.beta),
-        ("fluid.density_kg_m3", scenario.constants.rho0),
-        ("fluid.wave_speed_m_s", scenario.constants.c),
-        ("friction.enabled", scenario.friction.enabled),
-        ("friction.strickler", scenario.friction.strickler),
-        ("boundary.upstream_head_m", scenario.upstream.total_head),
-        ("boundary.closure_duration_s", closure.t_close),
-        ("boundary.closure_law", closure.kind),
-        ("flow.initial_discharge_m3s", scenario.initial_discharge),
-        ("run.t_end_s", scenario.t_end),
-        ("run.cells", scenario.mesh_cells),
-        ("run.cfl", config.cfl),
-        ("run.solver", config.solver),
-        ("output.dir", config.output_dir),
-        ("output.stride", scenario.output_stride),
-        ("output.snapshot_stride", config.snapshot_stride),
-        ("output.probes_m", ",".join(repr(x) for x in scenario.probes)),
-    ]
-
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    return "\n".join(f"{key} = {fmt(value)}" for key, value in pairs) + "\n"
 
 
 def load_config(path) -> RunConfig:

@@ -87,27 +87,6 @@ class LinearAltitude:
 
 
 @dataclass(frozen=True)
-class TabulatedAltitude:
-    """Bottom elevation interpolated linearly from (x, z) samples."""
-
-    x: tuple
-    z: tuple
-
-    def __post_init__(self):
-        xs = np.asarray(self.x, dtype=float)
-        zs = np.asarray(self.z, dtype=float)
-        if xs.ndim != 1 or xs.shape != zs.shape or xs.size < 2:
-            raise ValueError("altitude table needs matching 1-d x and z with >= 2 points")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("altitude table x must be strictly increasing")
-        object.__setattr__(self, "x", tuple(xs))
-        object.__setattr__(self, "z", tuple(zs))
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.x, self.z)
-
-
-@dataclass(frozen=True)
 class PipeGeometry:
     """Uniform pipe: section, wetted perimeter, diameter, wall data and the
     bottom elevation profile."""

@@ -226,7 +226,8 @@ def cfl_timestep(state: State, c, mesh: Mesh, cfl_coefficient):
 
 
 def _check_ghost(side, area, discharge):
-    if not (0.0 < area < math.inf and math.isfinite(discharge)):
+    """The cell rule of ``_admissible``: 0 < A < inf and Q/A finite."""
+    if not (0.0 < area < math.inf and math.isfinite(float(discharge) / float(area))):
         raise SolverError(f"boundary produced an invalid {side} ghost cell: "
                           f"A={area!r}, Q={discharge!r}")
 

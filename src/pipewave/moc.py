@@ -9,7 +9,9 @@ with constant wave speed a, marched at unit Courant number (dt = dx/a) so the
 characteristics land exactly on grid nodes.  Along dx/dt = +a the invariant
 H + B Q (B = a/(g S)) is carried, along dx/dt = -a the invariant H - B Q;
 friction enters as the head loss S_f * dx accumulated over one step.
-Boundary nodes combine the single available invariant with the boundary law.
+Boundary nodes combine the single available invariant with the boundary law:
+the law's ``node`` method gives the discharge (see ``scenarios``) and the head
+follows as H = invariant + sign B Q.
 
 Without friction a step allocates four node arrays: B Q, the invariant
 H + B Q, and the new heads and discharges.  H - B Q overwrites B Q in place,
@@ -29,8 +31,8 @@ import numpy as np
 
 from .core import (FrictionParams, PipeGeometry, SolverError, friction_slope,
                    piezometric_head)
-from .scenarios import (PrescribedDischarge, ReservoirHead, Scenario, Wall,
-                        solve_area_profile, steady_head_constant)
+from .scenarios import (Periodic, Scenario, solve_area_profile,
+                        steady_head_constant)
 
 
 @dataclass(frozen=True)
@@ -78,20 +80,10 @@ class MocState:
 
 
 def _boundary_node(bc, invariant, sign, b, alpha, t, end):
-    """(Q, H) at one end node from its boundary law and the invariant
-    H - sign B Q arriving there; sign is +1 upstream and -1 downstream."""
-    if isinstance(bc, ReservoirHead):
-        # total head: H + alpha Q^2 = H0 together with H = invariant + sign B Q
-        disc = b * b - 4.0 * alpha * (invariant - bc.total_head)
-        if disc < 0:
-            raise SolverError(f"{end} reservoir law unsolvable (head below the line)")
-        q = sign * (-b + math.sqrt(disc)) / (2.0 * alpha)
-    elif isinstance(bc, PrescribedDischarge):
-        q = float(bc.law(t))
-    elif isinstance(bc, Wall):
-        q = 0.0
-    else:
-        raise TypeError(f"unsupported {end} boundary {bc!r}")
+    """(Q, H) at one end node from its boundary law's ``node`` discharge and
+    the invariant H - sign B Q arriving there; sign is +1 upstream and -1
+    downstream."""
+    q = bc.node(invariant, sign, b, alpha, t, end)
     if not math.isfinite(q):
         raise SolverError(f"{end} boundary gave a non-finite discharge at t={t!r}: Q={q!r}")
     return q, invariant + sign * b * q
@@ -165,10 +157,10 @@ def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) 
     to the last full step at or before t_end; ``observer(state)`` is invoked
     after every step.  Returns the final state.  A ``SolverError`` names the
     step number (counted from 1) and the time the step started from."""
-    for bc in (scenario.upstream, scenario.downstream):
-        if not isinstance(bc, (ReservoirHead, PrescribedDischarge, Wall)):
-            raise ValueError("the characteristics solver needs reservoir, "
-                             "discharge or wall boundaries")
+    # a Scenario has periodic ends in pairs or not at all
+    if isinstance(scenario.upstream, Periodic):
+        raise ValueError("the characteristics solver needs reservoir, "
+                         "discharge or wall boundaries")
 
     state = initial_moc_state(scenario) if initial is None else initial
     # unit Courant number: cannot clamp dt, so stop at the last full step

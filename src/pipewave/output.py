@@ -99,9 +99,3 @@ def frame_rows(lead, area, discharge, section, z, diameter, c, g):
     rho = area / section
     piezo = z + diameter + c * c * (rho - 1.0) / g
     return np.column_stack([lead, area, discharge, u, rho, piezo])
-
-
-def read_probe_csv(path):
-    """Probe file back as (t, A, Q, u, rho_ratio, piezo) arrays."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return tuple(data[:, k] for k in range(6))

@@ -21,8 +21,8 @@ from .compare import ComparisonReport, ProbeSeries, compare_series
 from .config import RunConfig
 from .core import area_from_piezometric_head, piezometric_head
 from .output import PROBE_HEADER, SNAPSHOT_HEADER, CsvWriter, frame_rows
-from .scenarios import (PrescribedDischarge, Scenario, ValveClosure,
-                        boundary_provider, steady_state_init)
+from .scenarios import (PrescribedDischarge, Scenario, ValveClosure, ghost_states,
+                        steady_state_init)
 
 
 @dataclass
@@ -101,10 +101,12 @@ def _kinetic(config: RunConfig):
     scenario = config.scenario
     mesh = scenario.mesh()
     state = steady_state_init(scenario, mesh)
+    boundary = partial(ghost_states, mesh=mesh, upstream=scenario.upstream,
+                       downstream=scenario.downstream, c=scenario.constants.c,
+                       g=scenario.constants.g, geometry=scenario.geometry)
     march = partial(kinetic.run, state, mesh, config.cfl,
-                    scenario.constants, scenario.friction,
-                    boundary_provider(scenario, mesh), scenario.t_end,
-                    geometry=scenario.geometry)
+                    scenario.constants, scenario.friction, boundary,
+                    scenario.t_end, geometry=scenario.geometry)
     return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.widths,
                    level=lambda s: s.area, area=lambda area, z: area,
                    initial=state, march=march, snapshot_stride=config.snapshot_stride)

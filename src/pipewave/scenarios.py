@@ -1,16 +1,23 @@
 """Boundary laws, steady-state construction and complete run scenarios.
 
-Boundary conditions are applied through ghost cells.  A ghost carries the
-same bottom elevation as its adjacent interior cell, so the boundary
-interface sees no topography jump and the condition reduces to choosing the
-ghost (A, Q):
+Each boundary law is one class holding both of its boundary forms, so both
+solvers close the pipe with the same law from one definition.
+
+``ghost`` gives the kinetic scheme's ghost cell.  A ghost carries the same
+bottom elevation as its adjacent interior cell, so the boundary interface
+sees no topography jump and the condition reduces to choosing the ghost
+(A, Q):
 
 * reservoir with fixed total head: A from inverting the head with the
   interior velocity, Q = A * u_interior;
-* prescribed discharge (e.g. a closing valve): Q from the law at the current
+* prescribed discharge (e.g. a closing valve): Q from the law at the state's
   time, A copied from the interior;
 * wall: mirror state with negated discharge;
 * periodic: the opposite end's interior cell.
+
+``node`` gives the discharge at a method-of-characteristics end node from the
+one invariant reaching it (``moc`` forms the head); a periodic pipe has no
+such node.
 """
 
 from __future__ import annotations
@@ -33,6 +40,25 @@ class ReservoirHead:
 
     total_head: float
 
+    def ghost(self, state, i, z, c, g, geometry):
+        if geometry is None:
+            raise ValueError("a reservoir boundary needs the pipe geometry")
+        a_in = float(state.area[i])
+        u = float(state.discharge[i]) / a_in
+        head = self.total_head - 0.5 * u * u / g
+        # core.area_from_piezometric_head in scalar float arithmetic
+        a_ghost = geometry.section * (1.0 + g * (head - z - geometry.diameter) / (c * c))
+        if not a_ghost > 0:
+            raise SolverError(f"piezometric head {head!r} implies a non-positive wetted area")
+        return a_ghost, a_ghost * u
+
+    def node(self, invariant, sign, b, alpha, t, end):
+        # total head: H + alpha Q^2 = H0 together with H = invariant + sign B Q
+        disc = b * b - 4.0 * alpha * (invariant - self.total_head)
+        if disc < 0:
+            raise SolverError(f"{end} reservoir law unsolvable (head below the line)")
+        return sign * (-b + math.sqrt(disc)) / (2.0 * alpha)
+
 
 @dataclass(frozen=True)
 class PrescribedDischarge:
@@ -40,15 +66,27 @@ class PrescribedDischarge:
 
     law: Callable[[float], float]
 
+    def ghost(self, state, i, z, c, g, geometry):
+        return float(state.area[i]), float(self.law(state.time))
+
+    def node(self, invariant, sign, b, alpha, t, end):
+        return float(self.law(t))
+
 
 @dataclass(frozen=True)
 class Wall:
-    pass
+    def ghost(self, state, i, z, c, g, geometry):
+        return float(state.area[i]), -float(state.discharge[i])
+
+    def node(self, invariant, sign, b, alpha, t, end):
+        return 0.0
 
 
 @dataclass(frozen=True)
 class Periodic:
-    pass
+    def ghost(self, state, i, z, c, g, geometry):
+        # the cell at the other end: index -1 for i = 0, 0 for i = -1
+        return float(state.area[-1 - i]), float(state.discharge[-1 - i])
 
 
 BoundaryCondition = ReservoirHead | PrescribedDischarge | Wall | Periodic
@@ -186,45 +224,10 @@ def solve_area_profile(z_values, q0, head_const, c, g, start):
 
 
 def ghost_states(state: State, mesh: Mesh, upstream: BoundaryCondition,
-                 downstream: BoundaryCondition, t, c, g,
+                 downstream: BoundaryCondition, c, g,
                  geometry: PipeGeometry | None = None):
-    """Ghost (A, Q) pairs for both ends at time t."""
-
-    def one_side(bc, interior_idx, opposite_idx, z_ghost):
-        a_in = float(state.area[interior_idx])
-        q_in = float(state.discharge[interior_idx])
-        if isinstance(bc, Wall):
-            return a_in, -q_in
-        if isinstance(bc, Periodic):
-            return float(state.area[opposite_idx]), float(state.discharge[opposite_idx])
-        if isinstance(bc, PrescribedDischarge):
-            return a_in, float(bc.law(t))
-        if isinstance(bc, ReservoirHead):
-            if geometry is None:
-                raise ValueError("a reservoir boundary needs the pipe geometry")
-            u = q_in / a_in
-            head = bc.total_head - 0.5 * u * u / g
-            # core.area_from_piezometric_head in scalar float arithmetic
-            a_ghost = geometry.section * (1.0 + g * (head - z_ghost - geometry.diameter)
-                                          / (c * c))
-            if not a_ghost > 0:
-                raise SolverError(
-                    f"piezometric head {head!r} implies a non-positive wetted area")
-            return a_ghost, a_ghost * u
-        raise TypeError(f"unsupported boundary condition {bc!r}")
-
-    left = one_side(upstream, 0, -1, float(mesh.z_cells[0]))
-    right = one_side(downstream, -1, 0, float(mesh.z_cells[-1]))
-    return left, right
-
-
-def boundary_provider(scenario: Scenario, mesh: Mesh):
-    """Ghost-state callable for :func:`pipewave.kinetic.step` /
-    :func:`pipewave.kinetic.run`, closing over the scenario boundaries."""
-
-    def provider(state: State):
-        return ghost_states(state, mesh, scenario.upstream, scenario.downstream,
-                            state.time, scenario.constants.c, scenario.constants.g,
-                            scenario.geometry)
-
-    return provider
+    """Ghost (A, Q) pairs for both ends at ``state.time``; each law's
+    ``ghost`` takes the state, its end's interior cell index, that cell's
+    bottom elevation, c, g and the geometry (a reservoir needs it)."""
+    return (upstream.ghost(state, 0, float(mesh.z_cells[0]), c, g, geometry),
+            downstream.ghost(state, -1, float(mesh.z_cells[-1]), c, g, geometry))

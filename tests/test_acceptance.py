@@ -10,6 +10,7 @@ profile only to first order in g*dz_cell/c^2, and the residuals saturate near
 """
 
 import hashlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ def report(number, name, ok, detail):
 def both_ends(bc, mesh, c):
     """Ghost-state callable with ``bc`` (``Wall()`` or ``Periodic()``) at
     both ends, from ``scenarios.ghost_states``."""
-    return lambda state: ghost_states(state, mesh, bc, bc, state.time, c, G)
+    return partial(ghost_states, mesh=mesh, upstream=bc, downstream=bc, c=c, g=G)
 
 
 def validation_scenario(cells, t_end, stride=1):

@@ -1,0 +1,73 @@
+"""The benchmark worker's view of the program (``perfbench/worker.py``):
+every layer it traces and every name it calls exists and takes the worker's
+arguments, so a rename fails here instead of in a benchmark run."""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _listing():
+    # _work is the benchmark runner's own scratch directory
+    return sorted(str(p) for p in PERFBENCH.rglob("*") if "_work" not in p.parts)
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """(worker module, its program namespace, perfbench listing before)."""
+    before = _listing()
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    saved_flag = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True             # no __pycache__ under perfbench/
+    sys.path.insert(0, str(PERFBENCH))         # the worker imports its siblings
+    try:
+        spec = importlib.util.spec_from_file_location("bench_worker",
+                                                      PERFBENCH / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        pw = worker.import_program(PERFBENCH.parent)
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+        for name in ("spans", "workloads"):
+            if name not in saved_modules:
+                sys.modules.pop(name, None)
+    return worker, pw, before
+
+
+def test_traced_layers_are_owner_attributes(loaded):
+    worker, pw, _ = loaded
+    layers = worker.traced_layers(pw) + worker.counted_layers(pw)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in layers if attr not in vars(owner)]
+    assert not missing
+
+
+def test_called_names_take_the_workers_arguments(loaded):
+    _, pw, _ = loaded
+    calls = [
+        (pw.config.load_config, ("cfg",), {}),
+        (pw.runner.compare_runs, ("config",), {"write_files": True}),
+        (pw.runner.run_simulation, ("config",), {"write_files": True}),
+        (pw.runner.format_report, ("report",), {}),
+        (pw.runner.closure_end_time, ("scenario",), {}),
+        (pw.compare.detect_period, ("t", "head", "closure"), {}),
+        (pw.scenarios.steady_state_init, ("scenario", "mesh"), {}),
+        (pw.checks.check_flux_continuity, ("c", "g"), {"seed": 1}),
+        (pw.checks.check_positivity, ("c", "g"), {"cases": 1, "seed": 2}),
+        (pw.checks.check_conservation, ("c", "g"), {"seed": 3}),
+        (pw.checks.check_still_water, ("scenario",), {}),
+    ]
+    for func, args, kwargs in calls:
+        inspect.signature(func).bind(*args, **kwargs)
+
+
+def test_loading_leaves_path_and_perfbench_untouched(loaded):
+    *_, before = loaded
+    assert str(PERFBENCH) not in sys.path
+    assert _listing() == before

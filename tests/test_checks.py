@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_positivity_cases_are_the_per_case_draws(seed, cases, monkeypatch):
         assert ext[1, 1:-1].tobytes() == discharge.tobytes()
         mesh = Mesh(centers=np.arange(4.0), widths=np.ones(4), z_cells=z)
         state = State(area=area, discharge=discharge)
-        ghosts = ghost_states(state, mesh, Wall(), Wall(), 0.0, C, G)
+        ghosts = ghost_states(state, mesh, Wall(), Wall(), C, G)
         assert ext[:, [0, -1]].tobytes() == np.array(ghosts).T.tobytes()
         assert shrink.tobytes() == mesh.rest_factors(C, G).tobytes()
         dt = kinetic.cfl_timestep(state, C, mesh, 1.0)
@@ -85,7 +86,8 @@ def test_positivity_blocks_match_per_case_step(c, monkeypatch):
         dt = kinetic.cfl_timestep(state, c, mesh, 1.0)
         try:
             new = kinetic.step(state, mesh, c, G, dt, FrictionParams.disabled(),
-                               lambda s: ghost_states(s, mesh, Wall(), Wall(), s.time, c, G))
+                               partial(ghost_states, mesh=mesh, upstream=Wall(),
+                                       downstream=Wall(), c=c, g=G))
         except SolverError:
             failures += 1
             assert not kinetic._admissible(a_block, q_block).all()

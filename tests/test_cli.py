@@ -1,6 +1,5 @@
 import hashlib
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from pipewave import runner, scenarios
 from pipewave.cli import main
-from pipewave.output import read_probe_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,7 +55,8 @@ class TestRunCommand:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        t, area, q, u, rho, piezo = read_probe_csv(out / "kinetic_probe_00.csv")
+        t, area, q, u, rho, piezo = np.loadtxt(out / "kinetic_probe_00.csv",
+                                               delimiter=",", skiprows=1, ndmin=2).T
         assert t[0] == 0.0
         assert t[-1] == 2.0
         assert np.all(np.diff(t) > 0)          # strictly ordered, no duplicates
@@ -72,7 +71,8 @@ class TestRunCommand:
         cfg = write_config(tmp_path, run__t_end_s="0")
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        t, *_ = read_probe_csv(out / "kinetic_probe_00.csv")
+        t, *_ = np.loadtxt(out / "kinetic_probe_00.csv", delimiter=",", skiprows=1,
+                           ndmin=2).T
         assert t.shape == (1,)
         assert len(list(out.glob("kinetic_snap_*.csv"))) == 1
 
@@ -130,11 +130,12 @@ class TestExitCodes:
     def test_diverging_run_is_exit_3(self, tmp_path, capsys, monkeypatch):
         # the valve discharge jumps to 1e160 after 0.5 s: the 4-cell march
         # overflows mid-run, and the message names the step, time and cell
-        def diverging(scenario, mesh):
-            law = scenarios.PrescribedDischarge(law=lambda t: 1e160 if t > 0.5 else 10.0)
-            return scenarios.boundary_provider(replace(scenario, downstream=law), mesh)
+        law = scenarios.PrescribedDischarge(law=lambda t: 1e160 if t > 0.5 else 10.0)
 
-        monkeypatch.setattr(runner, "boundary_provider", diverging)
+        def diverging(state, mesh, upstream, downstream, c, g, geometry=None):
+            return scenarios.ghost_states(state, mesh, upstream, law, c, g, geometry)
+
+        monkeypatch.setattr(runner, "ghost_states", diverging)
         cfg = write_config(tmp_path, run__cells="4")
         with np.errstate(all="ignore"):
             code = main(["run", str(cfg), "--out", str(tmp_path / "out")])

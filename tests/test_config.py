@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from pipewave.config import (_SCHEMA, ConfigError, _parse_float, _parse_floats,
-                             emit_config, load_config, parse_config)
+                             load_config, parse_config)
 from pipewave.scenarios import PrescribedDischarge, ReservoirHead
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -115,8 +115,7 @@ class TestParse:
             parse_config(MINIMAL + "\noutput.probes_m = 500, nan\n")
 
     def test_empty_probe_list_names_key(self):
-        # an empty list would compare nothing, and emit_config could not
-        # write it back
+        # an empty list would leave no probe to record or compare
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "\noutput.probes_m = ,\n")
         assert "output.probes_m" in str(err.value)
@@ -134,27 +133,18 @@ class TestParse:
         config = parse_config(MINIMAL + "\n# comment only\n\nrun.cfl = 0.5 # trailing\n")
         assert config.cfl == 0.5
 
+    def test_optional_keys_reach_the_config(self):
+        config = parse_config(MINIMAL + ("\nrun.cfl = 0.35\nrun.solver = moc\n"
+                                         "output.probes_m = 3.5, 1207\n"
+                                         "boundary.closure_law = cosine\n"
+                                         "friction.enabled = true\nfriction.strickler = 75\n"))
+        assert config.cfl == 0.35
+        assert config.solver == "moc"
+        assert config.scenario.probes == (3.5, 1207.0)
+        assert config.scenario.downstream.law.kind == "cosine"
+        assert config.scenario.friction.enabled is True
+        assert config.scenario.friction.strickler == 75.0
+
     def test_explicit_wave_speed_overrides_elastic(self):
         config = parse_config(MINIMAL + "\nfluid.wave_speed_m_s = 1086.6\n")
         assert config.scenario.constants.c == 1086.6
-
-
-class TestEmit:
-    def test_round_trip_shipped_config(self):
-        config = load_config(REPO_ROOT / "waterhammer.cfg")
-        assert parse_config(emit_config(config)) == config
-
-    def test_round_trip_minimal(self):
-        config = parse_config(MINIMAL)
-        assert parse_config(emit_config(config)) == config
-
-    def test_round_trip_with_overrides(self):
-        text = MINIMAL + ("\nrun.cfl = 0.35\nrun.solver = moc\n"
-                          "output.probes_m = 3.5, 1207\n"
-                          "boundary.closure_law = cosine\n"
-                          "friction.enabled = true\nfriction.strickler = 75\n")
-        config = parse_config(text)
-        again = parse_config(emit_config(config))
-        assert again == config
-        assert again.scenario.friction.strickler == 75.0
-        assert again.scenario.downstream.law.kind == "cosine"

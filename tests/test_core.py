@@ -5,9 +5,8 @@ import pytest
 
 from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
                            PhysicalConstants, PipeGeometry, State,
-                           TabulatedAltitude, effective_wave_speed,
-                           entropy_cell, friction_slope, piezometric_head,
-                           rest_factors, sound_speed, total_head)
+                           effective_wave_speed, entropy_cell, friction_slope,
+                           piezometric_head, rest_factors, sound_speed, total_head)
 
 
 def section4_geometry():
@@ -202,13 +201,6 @@ class TestGeometryAndConstants:
     def test_constants_validation(self):
         with pytest.raises(ValueError):
             PhysicalConstants(g=-1.0)
-
-    def test_tabulated_altitude(self):
-        alt = TabulatedAltitude(x=(0.0, 100.0, 200.0), z=(50.0, 40.0, 35.0))
-        assert alt(0.0) == 50.0
-        assert alt(150.0) == pytest.approx(37.5)
-        with pytest.raises(ValueError):
-            TabulatedAltitude(x=(0.0, 0.0), z=(1.0, 2.0))
 
 
 class TestMeshAndState:

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ def flat_altitude(x):
 def both_ends(bc, mesh, c, g):
     """Ghost-state callable with ``bc`` (``Wall()`` or ``Periodic()``) at
     both ends, as the check suites build it."""
-    return lambda state: ghost_states(state, mesh, bc, bc, state.time, c, g)
+    return partial(ghost_states, mesh=mesh, upstream=bc, downstream=bc, c=c, g=g)
 
 
 def reference_step(state, mesh, c, g, dt, friction, boundary, geometry=None):
@@ -247,12 +248,13 @@ class TestStep:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("ghost", [(np.nan, 0.0), (np.inf, 0.0), (-1.0, 0.0),
-                                       (2.0, np.nan), (2.0, -np.inf)],
+                                       (2.0, np.nan), (2.0, -np.inf), (5e-324, 1.0)],
                              ids=["nan-area", "inf-area", "negative-area",
-                                  "nan-discharge", "inf-discharge"])
+                                  "nan-discharge", "inf-discharge", "speed-overflow"])
     def test_invalid_ghost_rejected(self, side, ghost):
         # NaN compares False with everything, so a bare "area <= 0" guard
-        # let a NaN ghost through and the step silently lost mass
+        # let a NaN ghost through and the step silently lost mass; a finite
+        # ghost whose Q/A overflows used to surface as a NaN interior cell
         mesh = Mesh.uniform(10.0, 4, flat_altitude)
         state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
 
@@ -264,6 +266,22 @@ class TestStep:
         with pytest.raises(SolverError,
                            match=f"{side} ghost cell: A={ghost[0]!r}, Q={ghost[1]!r}"):
             step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, boundary)
+
+    def test_prescribed_discharge_read_at_state_time(self):
+        # ghost_states takes the time from the state it is handed
+        mesh = Mesh.uniform(10.0, 4, flat_altitude)
+        state = State(area=np.full(4, 2.0), discharge=np.zeros(4), time=3.25)
+        times = []
+
+        def law(t):
+            times.append(t)
+            return 0.0
+
+        boundary = partial(ghost_states, mesh=mesh, upstream=Wall(),
+                           downstream=PrescribedDischarge(law=law), c=10.0, g=9.81)
+        step(state, mesh, 10.0, 9.81, cfl_timestep(state, 10.0, mesh, 0.8),
+             FRICTIONLESS, boundary)
+        assert times == [3.25]
 
     def test_non_finite_update_rejected(self):
         # Q^2 overflows in the flux kernel; the NaN area passed the bare
@@ -538,7 +556,7 @@ class TestRun:
         valve = PrescribedDischarge(law=lambda t: 1e160 if t >= 0.3 else 0.0)
 
         def boundary(s):
-            return ghost_states(s, mesh, Wall(), valve, s.time, 10.0, 9.81)
+            return ghost_states(s, mesh, Wall(), valve, 10.0, 9.81)
 
         times = []
         with np.errstate(all="ignore"), pytest.raises(SolverError) as failure:

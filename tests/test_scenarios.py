@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,17 @@ from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
                            area_from_piezometric_head, total_head)
 from pipewave.kinetic import cfl_timestep, run, step
 from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
-                                Scenario, ValveClosure, Wall,
-                                boundary_provider, ghost_states,
+                                Scenario, ValveClosure, Wall, ghost_states,
                                 steady_state_init)
 
 FRICTIONLESS = FrictionParams.disabled()
+
+
+def scenario_ghosts(scenario, mesh):
+    """Ghost-state callable for the scenario's ends, as the runner builds it."""
+    return partial(ghost_states, mesh=mesh, upstream=scenario.upstream,
+                   downstream=scenario.downstream, c=scenario.constants.c,
+                   g=scenario.constants.g, geometry=scenario.geometry)
 
 
 def section4_scenario(cells=100, t_end=10.0, c=1086.6, angle_deg=-5.0, q0=10.0):
@@ -142,7 +150,7 @@ class TestGhostStates:
         state = State(area=np.linspace(2.0, 2.1, mesh.n),
                       discharge=np.linspace(3.0, 4.0, mesh.n))
         (a_l, q_l), (a_r, q_r) = ghost_states(
-            state, mesh, Wall(), Wall(), 0.0,
+            state, mesh, Wall(), Wall(),
             scenario.constants.c, scenario.constants.g, scenario.geometry)
         assert (a_l, q_l) == (2.0, -3.0)
         assert (a_r, q_r) == (2.1, -4.0)
@@ -153,7 +161,7 @@ class TestGhostStates:
         state = State(area=np.linspace(2.0, 2.1, mesh.n),
                       discharge=np.linspace(3.0, 4.0, mesh.n))
         (a_l, q_l), (a_r, q_r) = ghost_states(
-            state, mesh, Periodic(), Periodic(), 0.0,
+            state, mesh, Periodic(), Periodic(),
             scenario.constants.c, scenario.constants.g, scenario.geometry)
         assert (a_l, q_l) == (2.1, 4.0)
         assert (a_r, q_r) == (2.0, 3.0)
@@ -162,11 +170,10 @@ class TestGhostStates:
         scenario = section4_scenario()
         mesh = scenario.mesh()
         area = np.full(mesh.n, 2.1)
-        state = State(area=area, discharge=np.full(mesh.n, 4.0))
+        state = State(area=area, discharge=np.full(mesh.n, 4.0), time=6.0)
         law = PrescribedDischarge(law=ValveClosure(q0=10.0, t_close=5.0))
-        _, (a_r, q_r) = ghost_states(state, mesh, Wall(), law, 6.0,
-                                     scenario.constants.c, scenario.constants.g,
-                                     scenario.geometry)
+        _, (a_r, q_r) = ghost_states(state, mesh, Wall(), law, scenario.constants.c,
+                                     scenario.constants.g, scenario.geometry)
         assert (a_r, q_r) == (2.1, 0.0)
 
     def test_reservoir_inversion_reproduces_head(self):
@@ -174,7 +181,7 @@ class TestGhostStates:
         mesh = scenario.mesh()
         state = steady_state_init(scenario, mesh)
         (a_l, q_l), _ = ghost_states(
-            state, mesh, scenario.upstream, scenario.downstream, 0.0,
+            state, mesh, scenario.upstream, scenario.downstream,
             scenario.constants.c, scenario.constants.g, scenario.geometry)
         c, g = scenario.constants.c, scenario.constants.g
         geom = scenario.geometry
@@ -189,12 +196,12 @@ class TestGhostStates:
         mesh = scenario.mesh()
         state = steady_state_init(scenario, mesh)
         with pytest.raises(SolverError, match="non-positive wetted area"):
-            ghost_states(state, mesh, ReservoirHead(total_head=-1e6), Wall(), 0.0,
+            ghost_states(state, mesh, ReservoirHead(total_head=-1e6), Wall(),
                          scenario.constants.c, scenario.constants.g,
                          scenario.geometry)
 
     def test_reservoir_ghost_equals_array_inversion_bitwise(self):
-        # the scalar closed form in ghost_states against the array inversion
+        # the scalar closed form of ReservoirHead.ghost against the array inversion
         # of core, over random reservoir heads and interior states; slow
         # waves make the head term of order one, so a reordered operation
         # changes the last bits instead of vanishing in 1.0 + term
@@ -209,7 +216,7 @@ class TestGhostStates:
                           discharge=rng.uniform(-15.0, 15.0, mesh.n))
             up = ReservoirHead(total_head=float(rng.uniform(260.0, 900.0)))
             down = ReservoirHead(total_head=float(rng.uniform(100.0, 700.0)))
-            ghosts = ghost_states(state, mesh, up, down, 0.0, c, g, geom)
+            ghosts = ghost_states(state, mesh, up, down, c, g, geom)
             for bc, (a_ghost, q_ghost), i in zip((up, down), ghosts, (0, -1)):
                 u = float(state.discharge[i]) / float(state.area[i])
                 expected = float(area_from_piezometric_head(
@@ -224,7 +231,7 @@ class TestGhostStates:
         state = steady_state_init(scenario, mesh)
         with pytest.raises(SolverError, match="non-positive wetted area"):
             ghost_states(state, mesh, Wall(), ReservoirHead(total_head=float("nan")),
-                         0.0, scenario.constants.c, scenario.constants.g,
+                         scenario.constants.c, scenario.constants.g,
                          scenario.geometry)
 
 
@@ -239,7 +246,7 @@ class TestSteadyRunProperties:
         area = scenario.geometry.section * np.exp(
             -g * (mesh.z_cells - mesh.z_cells[0]) / (c * c))
         state = State(area=area, discharge=np.zeros(mesh.n))
-        provider = boundary_provider(scenario, mesh)
+        provider = scenario_ghosts(scenario, mesh)
         for _ in range(100):
             dt = cfl_timestep(state, c, mesh, 0.8)
             state = step(state, mesh, c, g, dt, FRICTIONLESS, provider)
@@ -253,7 +260,7 @@ class TestSteadyRunProperties:
                                "downstream": PrescribedDischarge(law=lambda t: 10.0)})
         mesh = scenario.mesh()
         state = steady_state_init(scenario, mesh)
-        provider = boundary_provider(scenario, mesh)
+        provider = scenario_ghosts(scenario, mesh)
         out = run(state, mesh, 0.8, scenario.constants,
                   FRICTIONLESS, provider, t_end=1.0, geometry=scenario.geometry)
         assert np.max(np.abs(out.discharge - 10.0)) / 10.0 <= 0.01
@@ -267,7 +274,7 @@ class TestSteadyRunProperties:
         rng = np.random.default_rng(4)
         area = 2.0 + 0.1 * rng.random(mesh.n)
         state = State(area=area, discharge=np.zeros(mesh.n))
-        provider = boundary_provider(scenario, mesh)
+        provider = scenario_ghosts(scenario, mesh)
         mass0 = np.sum(mesh.widths * state.area)
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
