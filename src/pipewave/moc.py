@@ -13,13 +13,18 @@ Boundary nodes combine the single available invariant with the boundary law:
 the law's ``node`` method gives the discharge (see ``scenarios``) and the head
 follows as H = invariant + sign B Q.
 
-Without friction a step allocates four node arrays: B Q, the invariant
-H + B Q, and the new heads and discharges.  H - B Q overwrites B Q in place,
-the friction loss (only when friction is on) is subtracted from and added to
-the two invariants in place, and the interior values are written straight
-into the new arrays, which become the next state without a copy: the heads
-as the half-sum of the invariants, the discharges as their difference
-divided by 2 B (the bits of halving, then dividing by B).
+The march carries each state's half-invariants ((H + B Q)/2, (H - B Q)/2)
+as a read-only (2, n) block.  At unit Courant number a step shifts the first
+row one node right and the second one node left, exactly; with friction the
+same shift subtracts dx S_f / 2 from the first row and adds it to the second.
+The heads are the sum of the two rows and the discharges their difference
+divided by B, formed only when read.  Halving is exact (above the subnormal
+range), so these are the bits of (cp + cm) / 2 and (cp - cm) / (2 B) for
+the full invariants cp and cm that the rows carry; unlike H and Q, the rows
+are not rounded again from step to step.  Each end writes its head and the
+half-invariant it sends back into the pipe.  A state built with the
+constructor, or stepped with another B, first has its block formed from
+(H, Q).
 """
 
 from __future__ import annotations
@@ -37,37 +42,61 @@ from .scenarios import (Periodic, Scenario, solve_area_profile,
 
 @dataclass(frozen=True)
 class MocState:
-    """Piezometric heads and discharges at the grid nodes."""
+    """Piezometric heads and discharges at the grid nodes.
+
+    A state made by ``moc_step`` also carries its half-invariant block, the
+    B it was formed with and its two end discharges; its discharges are
+    formed from them when first read, then kept read-only."""
 
     head: np.ndarray
     discharge: np.ndarray
     wave_speed: float
     node_spacing: float
     time: float = 0.0
+    _b = None        # B of the carried block; None when no block is carried
 
     def __post_init__(self):
         head = np.array(self.head, dtype=float)
         discharge = np.array(self.discharge, dtype=float)
         if head.ndim != 1 or head.shape != discharge.shape or head.size < 2:
             raise ValueError("head and discharge must be 1-d arrays with >= 2 nodes")
-        if self.wave_speed <= 0 or self.node_spacing <= 0:
-            raise ValueError("wave speed and node spacing must be positive")
+        if not (0 < self.wave_speed < math.inf and 0 < self.node_spacing < math.inf
+                and math.isfinite(self.time)):
+            raise ValueError("wave speed and node spacing must be positive and finite, "
+                             "and the time finite")
+        for name, values in (("head", head), ("discharge", discharge)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} must be finite: node {bad[0]} is "
+                                 f"{float(values[bad[0]])!r}")
         head.setflags(write=False)
         discharge.setflags(write=False)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "discharge", discharge)
 
     @classmethod
-    def _checked(cls, head, discharge, wave_speed, node_spacing, time):
-        """A state from fresh, equal-length float arrays and a valid grid;
-        the arrays are made read-only in place, without the copy and checks
-        of ``__init__``."""
+    def _checked(cls, head, block, b, ends, wave_speed, node_spacing, time):
+        """A state from fresh heads, the (2, n) half-invariant block formed
+        with ``b``, its end discharges and a valid grid; the arrays are made
+        read-only in place, without the copy and checks of ``__init__``."""
         head.setflags(write=False)
-        discharge.setflags(write=False)
+        block.setflags(write=False)
         state = object.__new__(cls)
-        state.__dict__.update(head=head, discharge=discharge, wave_speed=wave_speed,
-                              node_spacing=node_spacing, time=time)
+        state.__dict__.update(head=head, wave_speed=wave_speed, node_spacing=node_spacing,
+                              time=time, _block=block, _b=b, _ends=ends)
         return state
+
+    def __getattr__(self, name):
+        # only a stepped state lacks its discharges until they are read
+        if name != "discharge" or self._b is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        block = self._block
+        discharge = np.subtract(block[0], block[1])
+        discharge /= self._b
+        discharge[0], discharge[-1] = self._ends
+        discharge.setflags(write=False)
+        self.__dict__["discharge"] = discharge
+        return discharge
 
     @property
     def dt(self):
@@ -93,43 +122,43 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
              upstream, downstream, geometry: PipeGeometry | None = None) -> MocState:
     """Advance one unit-Courant step.
 
-    Interior nodes take the average of the two characteristic invariants;
-    each end solves its boundary law against the one invariant reaching it.
+    The half-invariants move one node along their characteristics and the
+    interior heads are their sum; each end solves its boundary law against
+    the one invariant reaching it.
     """
-    h = state.head
-    q = state.discharge
     b = state.wave_speed / (g * section)
     dx = state.node_spacing
     t_new = state.time + state.dt
 
-    # invariants carried toward a node from its left (cp) and right (cm);
-    # cm takes over the buffer of b*q
-    bq = b * q
-    cp = h + bq
-    cm = np.subtract(h, bq, out=bq)
+    if state._b == b:
+        block = state._block
+    else:   # a constructed state, or another g or section: form the block
+        bq = b * state.discharge
+        block = 0.5 * np.array([state.head + bq, state.head - bq])
+
+    # row 0 (H + B Q)/2 moves one node right, row 1 (H - B Q)/2 one node left
+    new = np.empty_like(block)
     if friction.enabled:
         if geometry is None:
             raise ValueError("friction needs the pipe geometry for the hydraulic radius")
-        loss = dx * friction_slope(q / section, geometry, friction)
-        cp -= loss
-        cm += loss
-
-    h_new = np.empty_like(h)
-    q_new = np.empty_like(q)
-    h_mid = np.add(cp[:-2], cm[2:], out=h_new[1:-1])
-    h_mid *= 0.5
-    q_mid = np.subtract(cp[:-2], cm[2:], out=q_new[1:-1])
-    q_mid /= 2.0 * b
+        loss = (0.5 * dx) * friction_slope(state.discharge / section, geometry, friction)
+        np.subtract(block[0, :-1], loss[:-1], out=new[0, 1:])
+        np.add(block[1, 1:], loss[1:], out=new[1, :-1])
+    else:
+        new[0, 1:] = block[0, :-1]
+        new[1, :-1] = block[1, 1:]
 
     alpha = 1.0 / (2.0 * g * section * section)   # velocity-head coefficient
-    # each end meets the one invariant reaching it: cm from node 1 upstream,
-    # cp from node n-2 downstream
-    q_new[0], h_new[0] = _boundary_node(upstream, cm[1], 1.0, b, alpha, t_new,
-                                        "upstream")
-    q_new[-1], h_new[-1] = _boundary_node(downstream, cp[-2], -1.0, b, alpha,
-                                          t_new, "downstream")
-
-    return MocState._checked(h_new, q_new, state.wave_speed, dx, t_new)
+    # each end meets the one invariant reaching it: H - B Q upstream,
+    # H + B Q downstream; it sends back the other
+    q0, h0 = _boundary_node(upstream, 2.0 * new.item(1, 0), 1.0, b, alpha, t_new, "upstream")
+    qn, hn = _boundary_node(downstream, 2.0 * new.item(0, -1), -1.0, b, alpha, t_new,
+                            "downstream")
+    new[0, 0] = 0.5 * (h0 + b * q0)
+    new[1, -1] = 0.5 * (hn - b * qn)
+    head = np.add(new[0], new[1])
+    head[0], head[-1] = h0, hn
+    return MocState._checked(head, new, b, (q0, qn), state.wave_speed, dx, t_new)
 
 
 def initial_moc_state(scenario: Scenario, node_count=None):
@@ -164,13 +193,13 @@ def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) 
 
     state = initial_moc_state(scenario) if initial is None else initial
     # unit Courant number: cannot clamp dt, so stop at the last full step
-    steps = 0
-    while state.time + state.dt <= scenario.t_end * (1.0 + 1e-12):
+    steps, t_stop, dt = 0, scenario.t_end * (1.0 + 1e-12), state.dt
+    args = (scenario.constants.g, scenario.geometry.section, scenario.friction,
+            scenario.upstream, scenario.downstream, scenario.geometry)
+    while state.time + dt <= t_stop:
         steps += 1
         try:
-            state = moc_step(state, scenario.constants.g, scenario.geometry.section,
-                             scenario.friction, scenario.upstream, scenario.downstream,
-                             scenario.geometry)
+            state = moc_step(state, *args)
         except SolverError as exc:
             raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
         if observer is not None:

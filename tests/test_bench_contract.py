@@ -5,6 +5,7 @@ arguments, so a rename fails here instead of in a benchmark run."""
 import importlib.util
 import inspect
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,56 @@ def test_loading_leaves_path_and_perfbench_untouched(loaded):
     *_, before = loaded
     assert str(PERFBENCH) not in sys.path
     assert _listing() == before
+
+
+def _counting(monkeypatch, owner, attr):
+    """Replace ``owner.attr`` as the worker's spans do; returns the node or
+    cell count (``.n`` of the first argument) of every call."""
+    seen, inner = [], getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        seen.append(args[0].n)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return seen
+
+
+def _surge(pw, cells, t_end):
+    core, scenarios = pw.core, pw.scenarios
+    geometry = core.PipeGeometry.circular(
+        length=2000.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+        altitude=core.LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
+    return scenarios.Scenario(
+        geometry=geometry, constants=core.PhysicalConstants(c=1086.6),
+        friction=core.FrictionParams.disabled(), mesh_cells=cells,
+        upstream=scenarios.ReservoirHead(total_head=300.0),
+        downstream=scenarios.PrescribedDischarge(
+            law=scenarios.ValveClosure(q0=10.0, t_close=0.5)),
+        initial_discharge=10.0, t_end=t_end, output_stride=1, probes=(1000.0,))
+
+
+def test_marches_step_through_the_module_attributes(loaded, monkeypatch):
+    """The worker counts steps and node or cell updates from the calls to
+    ``moc.moc_step`` and ``kinetic.step`` it wraps; a march that bypassed
+    them would report no steps counted, a failed operation."""
+    _, pw, _ = loaded
+    scenario = _surge(pw, cells=40, t_end=0.8)
+    moc_calls = _counting(monkeypatch, pw.moc, "moc_step")
+    moc_states = []
+    pw.moc.moc_run(scenario, observer=moc_states.append)
+    assert len(moc_states) == 17       # 0.8 s in steps of dx/a = 50/1086.6 s
+    assert moc_calls == [41] * 17
+
+    mesh = scenario.mesh()
+    boundary = partial(pw.scenarios.ghost_states, mesh=mesh,
+                       upstream=scenario.upstream, downstream=scenario.downstream,
+                       c=scenario.constants.c, g=scenario.constants.g,
+                       geometry=scenario.geometry)
+    kinetic_calls = _counting(monkeypatch, pw.kinetic, "step")
+    kinetic_states = []
+    pw.kinetic.run(pw.scenarios.steady_state_init(scenario, mesh), mesh, 0.8,
+                   scenario.constants, scenario.friction, boundary, scenario.t_end,
+                   observer=kinetic_states.append)
+    assert len(kinetic_states) > 20
+    assert kinetic_calls == [40] * len(kinetic_states)

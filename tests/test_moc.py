@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,9 +51,22 @@ def quiescent_state(nodes=21, head=150.0, a=1000.0, dx=10.0):
                     wave_speed=a, node_spacing=dx)
 
 
+def reference_end(bc, invariant, sign, b, alpha, t):
+    """(Q, H) at an end node from the law written out by type."""
+    if isinstance(bc, ReservoirHead):
+        disc = b * b - 4.0 * alpha * (invariant - bc.total_head)
+        q_end = sign * (-b + math.sqrt(disc)) / (2.0 * alpha)
+    elif isinstance(bc, PrescribedDischarge):
+        q_end = float(bc.law(t))
+    else:
+        q_end = 0.0
+    return q_end, invariant + sign * b * q_end
+
+
 def reference_step(state, g, section, friction, upstream, downstream, geometry):
     """One step written as whole-array expressions with a zero friction
-    array, the formula the in-place ``moc_step`` must reproduce bit for bit."""
+    array, re-forming the invariants from (H, Q): the formula the first
+    ``moc_step`` from a constructed state must reproduce bit for bit."""
     h, q = state.head, state.discharge
     b = state.wave_speed / (g * section)
     dx = state.node_spacing
@@ -68,18 +82,38 @@ def reference_step(state, g, section, friction, upstream, downstream, geometry):
     h_new[1:-1] = 0.5 * (cp[:-2] + cm[2:])
     q_new[1:-1] = 0.5 * (cp[:-2] - cm[2:]) / b
     alpha = 1.0 / (2.0 * g * section * section)
-    for i, bc, invariant, sign in ((0, upstream, cm[1], 1.0),
-                                   (-1, downstream, cp[-2], -1.0)):
-        if isinstance(bc, ReservoirHead):
-            disc = b * b - 4.0 * alpha * (invariant - bc.total_head)
-            q_end = sign * (-b + math.sqrt(disc)) / (2.0 * alpha)
-        elif isinstance(bc, PrescribedDischarge):
-            q_end = float(bc.law(t_new))
-        else:
-            q_end = 0.0
-        q_new[i], h_new[i] = q_end, invariant + sign * b * q_end
+    q_new[0], h_new[0] = reference_end(upstream, cm[1], 1.0, b, alpha, t_new)
+    q_new[-1], h_new[-1] = reference_end(downstream, cp[-2], -1.0, b, alpha, t_new)
     return MocState(head=h_new, discharge=q_new, wave_speed=state.wave_speed,
                     node_spacing=dx, time=t_new)
+
+
+def carried_reference(state, steps, g, section, friction, upstream, downstream,
+                      geometry):
+    """``steps`` steps written plainly with the half-invariants (cp/2, cm/2)
+    carried from step to step: each shifted one node with half the friction
+    loss, the ends from the laws, the heads and discharges formed from the
+    two.  Returns (head, discharge, time) after every step."""
+    b = state.wave_speed / (g * section)
+    alpha = 1.0 / (2.0 * g * section * section)
+    dx, t = state.node_spacing, state.time
+    h, q = state.head, state.discharge
+    hp, hm = 0.5 * (h + b * q), 0.5 * (h - b * q)
+    marched = []
+    for _ in range(steps):
+        t = t + state.dt
+        half_loss = 0.5 * dx * friction_slope(q / section, geometry, friction)
+        hp_new, hm_new = np.empty_like(hp), np.empty_like(hm)
+        hp_new[1:] = hp[:-1] - half_loss[:-1]
+        hm_new[:-1] = hm[1:] + half_loss[1:]
+        q0, h0 = reference_end(upstream, 2.0 * hm_new[0], 1.0, b, alpha, t)
+        qn, hn = reference_end(downstream, 2.0 * hp_new[-1], -1.0, b, alpha, t)
+        hp_new[0], hm_new[-1] = 0.5 * (h0 + b * q0), 0.5 * (hn - b * qn)
+        h, q = hp_new + hm_new, (hp_new - hm_new) / b
+        h[0], h[-1], q[0], q[-1] = h0, hn, q0, qn
+        hp, hm = hp_new, hm_new
+        marched.append((h, q, t))
+    return marched
 
 
 def same_bits(x, y):
@@ -102,13 +136,33 @@ class TestMocState:
                      wave_speed=-1.0, node_spacing=1.0)
 
     def test_checked_arrays_are_read_only(self):
-        head, discharge = np.full(4, 10.0), np.zeros(4)
-        state = MocState._checked(head, discharge, 100.0, 1.0, 0.5)
-        assert state.head is head and state.discharge is discharge
-        assert not head.flags.writeable and not discharge.flags.writeable
+        head = np.full(4, 10.0)
+        block = np.array([[6.0, 5.5, 5.0, 4.5], [4.0, 4.5, 5.0, 5.5]])
+        state = MocState._checked(head, block, 2.0, (0.5, -0.25), 100.0, 1.0, 0.5)
+        assert state.head is head and state._block is block
+        assert not head.flags.writeable and not block.flags.writeable
         assert (state.wave_speed, state.node_spacing, state.time) == (100.0, 1.0, 0.5)
+        # interior (row 0 - row 1) / B, ends from the laws
+        assert same_bits(state.discharge, [0.5, 0.5, 0.0, -0.25])
         with pytest.raises(ValueError):
             state.head[0] = 1.0
+
+    @pytest.mark.parametrize("field", ["head", "discharge"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        values = {"head": [1.0, 2.0, 3.0, 4.0], "discharge": [0.0, 1.0, 0.5, 0.0]}
+        values[field][2] = bad
+        with pytest.raises(ValueError, match=rf"^{field} must be finite: node 2 is "
+                                             rf"{re.escape(repr(bad))}$"):
+            MocState(**values, wave_speed=100.0, node_spacing=1.0)
+
+    @pytest.mark.parametrize("field", ["wave_speed", "node_spacing", "time"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_grid_and_time(self, field, bad):
+        # a nan time or spacing would end moc_run after zero steps, silently
+        grid = {"wave_speed": 100.0, "node_spacing": 1.0, "time": 0.0, field: bad}
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            MocState(head=np.zeros(3), discharge=np.zeros(3), **grid)
 
     def test_step_result_is_read_only(self):
         new = moc_step(quiescent_state(), G, 2.0, FRICTIONLESS,
@@ -243,20 +297,26 @@ class TestLeanStep:
     def test_bitwise_equal_to_reference_formula(self, up, down, friction):
         rng = np.random.default_rng(7)
         nodes, a, dx = 31, 950.0, 10.0
+        ends = (ENDS[up], ENDS[down])
         for _ in range(5):
             state = MocState(head=120.0 + 5.0 * rng.standard_normal(nodes),
                              discharge=2.0 * rng.standard_normal(nodes),
                              wave_speed=a, node_spacing=dx,
                              time=float(rng.uniform(0.0, 3.0)))
-            lean, ref = state, state
-            for _ in range(4):   # each marches its own output
-                lean = moc_step(lean, G, 1.5, friction, ENDS[up], ENDS[down],
-                                geometry=self.geometry)
-                ref = reference_step(ref, G, 1.5, friction, ENDS[up], ENDS[down],
-                                     self.geometry)
-                assert same_bits(lean.head, ref.head)
-                assert same_bits(lean.discharge, ref.discharge)
-                assert lean.time == ref.time
+            # the first step from a constructed state re-forms the invariants
+            lean = moc_step(state, G, 1.5, friction, *ends, geometry=self.geometry)
+            ref = reference_step(state, G, 1.5, friction, *ends, self.geometry)
+            assert same_bits(lean.head, ref.head)
+            assert same_bits(lean.discharge, ref.discharge)
+            assert lean.time == ref.time
+            # a chained march carries them
+            lean = state
+            for head, discharge, t in carried_reference(state, 6, G, 1.5, friction,
+                                                        *ends, self.geometry):
+                lean = moc_step(lean, G, 1.5, friction, *ends, geometry=self.geometry)
+                assert same_bits(lean.head, head)
+                assert same_bits(lean.discharge, discharge)
+                assert lean.time == t
 
     def test_two_node_grid(self):
         state = MocState(head=np.array([100.0, 101.0]), discharge=np.array([1.0, 0.5]),
@@ -266,6 +326,80 @@ class TestLeanStep:
                              ENDS["valve"], None)
         assert same_bits(lean.head, ref.head)
         assert same_bits(lean.discharge, ref.discharge)
+
+
+class TestCarriedInvariants:
+    def test_frictionless_transport_is_exact(self):
+        rng = np.random.default_rng(13)
+        nodes, a, section, dx = 40, 1000.0, 2.0, 5.0
+        valve = PrescribedDischarge(law=lambda t: 1.5 * math.sin(t))
+        state = MocState(head=100.0 + 10.0 * rng.standard_normal(nodes),
+                         discharge=3.0 * rng.standard_normal(nodes),
+                         wave_speed=a, node_spacing=dx)
+        b = a / (G * section)
+        hp0 = 0.5 * (state.head + b * state.discharge)
+        hm0 = 0.5 * (state.head - b * state.discharge)
+        for k in range(1, nodes // 2):
+            state = moc_step(state, G, section, FRICTIONLESS, Wall(), valve)
+            # node i sees the right-going half-invariant of node i-k and the
+            # left-going one of node i+k, untouched by the k steps between
+            assert same_bits(state.head[k:nodes - k],
+                             hp0[:nodes - 2 * k] + hm0[2 * k:])
+
+    def test_another_section_re_forms_the_invariants(self):
+        rng = np.random.default_rng(8)
+        ends = (ENDS["reservoir"], ENDS["valve"])
+        state = MocState(head=120.0 + rng.standard_normal(31),
+                         discharge=rng.standard_normal(31), wave_speed=950.0,
+                         node_spacing=10.0)
+        state = moc_step(state, G, 1.5, FRICTIONLESS, *ends)
+        lean = moc_step(state, G, 2.0, FRICTIONLESS, *ends)
+        ref = reference_step(state, G, 2.0, FRICTIONLESS, *ends, None)
+        assert same_bits(lean.head, ref.head)
+        assert same_bits(lean.discharge, ref.discharge)
+
+    def test_long_march_stays_near_the_re_rounding_chain(self):
+        scenario = section4_scenario(cells=50, t_end=1.0)
+        lean = ref = initial_moc_state(scenario)
+        args = (G, scenario.geometry.section, FRICTIONLESS, scenario.upstream,
+                scenario.downstream)
+        for _ in range(600):    # 11.0 s: the closure and three reflections
+            lean = moc_step(lean, *args)
+            ref = reference_step(ref, *args, None)
+        assert lean.time == ref.time
+        scale_h, scale_q = np.max(np.abs(ref.head)), np.max(np.abs(ref.discharge))
+        assert np.max(np.abs(lean.head - ref.head)) <= 1e-12 * scale_h
+        assert np.max(np.abs(lean.discharge - ref.discharge)) <= 1e-12 * scale_q
+
+    @pytest.mark.parametrize("friction", [FRICTIONLESS,
+                                          FrictionParams(enabled=True, strickler=40.0)],
+                             ids=["frictionless", "friction"])
+    def test_stepping_leaves_the_state_unchanged(self, friction):
+        rng = np.random.default_rng(4)
+        nodes = 25
+        ends = (ENDS["reservoir"], ENDS["valve"])
+        state = MocState(head=120.0 + rng.standard_normal(nodes),
+                         discharge=rng.standard_normal(nodes),
+                         wave_speed=950.0, node_spacing=10.0)
+        state = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
+        before = {name: getattr(state, name).copy()
+                  for name in ("head", "discharge", "_block")}
+        first = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
+        second = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
+        for name, values in before.items():
+            assert same_bits(getattr(first, name), getattr(second, name))
+            assert same_bits(getattr(state, name), values)
+        assert first.time == second.time
+
+    def test_discharge_is_formed_once_and_read_only(self):
+        state = moc_step(quiescent_state(), G, 2.0, FRICTIONLESS,
+                         ReservoirHead(total_head=150.0), Wall())
+        assert "discharge" not in vars(state)
+        discharge = state.discharge
+        assert state.discharge is discharge and vars(state)["discharge"] is discharge
+        assert not discharge.flags.writeable and not state._block.flags.writeable
+        with pytest.raises(AttributeError, match="has no attribute 'flow'"):
+            state.flow
 
 
 class TestMocErrors:
