@@ -14,17 +14,22 @@ the law's ``node`` method gives the discharge (see ``scenarios``) and the head
 follows as H = invariant + sign B Q.
 
 The march carries each state's half-invariants ((H + B Q)/2, (H - B Q)/2)
-as a read-only (2, n) block.  At unit Courant number a step shifts the first
-row one node right and the second one node left, exactly; with friction the
-same shift subtracts dx S_f / 2 from the first row and adds it to the second.
-The heads are the sum of the two rows and the discharges their difference
-divided by B, formed only when read.  Halving is exact (above the subnormal
-range), so these are the bits of (cp + cm) / 2 and (cp - cm) / (2 B) for
-the full invariants cp and cm that the rows carry; unlike H and Q, the rows
-are not rounded again from step to step.  Each end writes its head and the
-half-invariant it sends back into the pipe.  A state built with the
-constructor, or stepped with another B, first has its block formed from
-(H, Q).
+on a track shared with the states stepped before it: a (2, n + C) buffer,
+C = n, in which state k reads rows[0, C - k:C - k + n] and rows[1, k:k + n].
+A frictionless step from the track's tip (the last state written to it)
+writes only the half-invariants the two ends send back into the pipe, at
+rows[0, C - k - 1] and rows[1, k + n], and returns state k + 1.  Every state
+j <= k of the track starts its first row at C - j > C - k - 1 and ends its
+second at j + n - 1 < k + n, so no returned state ever changes.  Any other
+step starts a fresh track: one from a state that is not the tip, from a full
+track, or from a state built with the constructor or stepped with another B
+(whose rows are first formed from (H, Q)); and one with friction, which
+rewrites every node (the shift subtracts dx S_f / 2 from the first row and
+adds it to the second) into a track of capacity 0.  The heads are the sum of
+the two rows and the discharges their difference divided by B, formed only
+when read.  Halving is exact (above the subnormal range), so these are the
+bits of (cp + cm) / 2 and (cp - cm) / (2 B) for the full invariants cp and cm
+that the rows carry; unlike H and Q, the rows are not rounded again.
 """
 
 from __future__ import annotations
@@ -40,20 +45,35 @@ from .scenarios import (Periodic, Scenario, solve_area_profile,
                         steady_head_constant)
 
 
+class _Track:
+    """Half-invariant rows shared by the states one thread steps along them
+    (see the module docstring); ``tip`` is the last state written."""
+
+    def __init__(self, n, capacity):
+        self.rows = np.empty((2, n + capacity))
+        self.capacity, self.tip = capacity, 0
+
+    def window(self, k, n):
+        """State ``k``'s two rows, as views of the buffer."""
+        c = self.capacity
+        return self.rows[0, c - k:c - k + n], self.rows[1, k:k + n]
+
+
 @dataclass(frozen=True)
 class MocState:
     """Piezometric heads and discharges at the grid nodes.
 
-    A state made by ``moc_step`` also carries its half-invariant block, the
-    B it was formed with and its two end discharges; its discharges are
-    formed from them when first read, then kept read-only."""
+    A state made by ``moc_step`` also carries its place on a track (see the
+    module docstring), the B its half-invariants were formed with and its
+    two end discharges.  Its rows are read through the track, and its
+    discharges are formed from them when first read, then kept read-only."""
 
     head: np.ndarray
     discharge: np.ndarray
     wave_speed: float
     node_spacing: float
     time: float = 0.0
-    _b = None        # B of the carried block; None when no block is carried
+    _b = None        # B of the carried rows; None when no track is carried
 
     def __post_init__(self):
         head = np.array(self.head, dtype=float)
@@ -75,23 +95,27 @@ class MocState:
         object.__setattr__(self, "discharge", discharge)
 
     @classmethod
-    def _checked(cls, head, block, b, ends, wave_speed, node_spacing, time):
-        """A state from fresh heads, the (2, n) half-invariant block formed
-        with ``b``, its end discharges and a valid grid; the arrays are made
+    def _checked(cls, head, track, k, b, ends, wave_speed, node_spacing, time):
+        """State ``k`` of ``track`` from its fresh heads, the B its rows were
+        formed with, its end discharges and a valid grid; the heads are made
         read-only in place, without the copy and checks of ``__init__``."""
         head.setflags(write=False)
-        block.setflags(write=False)
         state = object.__new__(cls)
         state.__dict__.update(head=head, wave_speed=wave_speed, node_spacing=node_spacing,
-                              time=time, _block=block, _b=b, _ends=ends)
+                              time=time, _track=track, _k=k, _b=b, _ends=ends)
         return state
+
+    @property
+    def _block(self):
+        """The two half-invariant rows, as views of the track."""
+        return self._track.window(self._k, self.n)
 
     def __getattr__(self, name):
         # only a stepped state lacks its discharges until they are read
         if name != "discharge" or self._b is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        block = self._block
-        discharge = np.subtract(block[0], block[1])
+        up, down = self._block
+        discharge = np.subtract(up, down)
         discharge /= self._b
         discharge[0], discharge[-1] = self._ends
         discharge.setflags(write=False)
@@ -129,36 +153,46 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
     b = state.wave_speed / (g * section)
     dx = state.node_spacing
     t_new = state.time + state.dt
+    n = state.n
 
     if state._b == b:
-        block = state._block
-    else:   # a constructed state, or another g or section: form the block
+        track, k = state._track, state._k
+    else:   # a constructed state, or another g or section: form the rows
         bq = b * state.discharge
-        block = 0.5 * np.array([state.head + bq, state.head - bq])
+        track, k = _Track(n, n), 0
+        up, down = track.window(0, n)
+        np.multiply(np.add(state.head, bq, out=up), 0.5, out=up)
+        np.multiply(np.subtract(state.head, bq, out=down), 0.5, out=down)
 
     # row 0 (H + B Q)/2 moves one node right, row 1 (H - B Q)/2 one node left
-    new = np.empty_like(block)
     if friction.enabled:
         if geometry is None:
             raise ValueError("friction needs the pipe geometry for the hydraulic radius")
         loss = (0.5 * dx) * friction_slope(state.discharge / section, geometry, friction)
-        np.subtract(block[0, :-1], loss[:-1], out=new[0, 1:])
-        np.add(block[1, 1:], loss[1:], out=new[1, :-1])
+        up, down = track.window(k, n)
+        track, k = _Track(n, 0), 0
+        np.subtract(up[:-1], loss[:-1], out=track.rows[0, 1:])
+        np.add(down[1:], loss[1:], out=track.rows[1, :-1])
     else:
-        new[0, 1:] = block[0, :-1]
-        new[1, :-1] = block[1, 1:]
+        if k != track.tip or k == track.capacity:   # not the tip, or a full track
+            up, down = track.window(k, n)
+            track, k = _Track(n, n), 0
+            track.rows[0, n:], track.rows[1, :n] = up, down
+        k += 1
+    up, down = track.window(k, n)
 
     alpha = 1.0 / (2.0 * g * section * section)   # velocity-head coefficient
     # each end meets the one invariant reaching it: H - B Q upstream,
     # H + B Q downstream; it sends back the other
-    q0, h0 = _boundary_node(upstream, 2.0 * new.item(1, 0), 1.0, b, alpha, t_new, "upstream")
-    qn, hn = _boundary_node(downstream, 2.0 * new.item(0, -1), -1.0, b, alpha, t_new,
+    q0, h0 = _boundary_node(upstream, 2.0 * down.item(0), 1.0, b, alpha, t_new, "upstream")
+    qn, hn = _boundary_node(downstream, 2.0 * up.item(-1), -1.0, b, alpha, t_new,
                             "downstream")
-    new[0, 0] = 0.5 * (h0 + b * q0)
-    new[1, -1] = 0.5 * (hn - b * qn)
-    head = np.add(new[0], new[1])
+    up[0] = 0.5 * (h0 + b * q0)
+    down[-1] = 0.5 * (hn - b * qn)
+    track.tip = k
+    head = np.add(up, down)
     head[0], head[-1] = h0, hn
-    return MocState._checked(head, new, b, (q0, qn), state.wave_speed, dx, t_new)
+    return MocState._checked(head, track, k, b, (q0, qn), state.wave_speed, dx, t_new)
 
 
 def initial_moc_state(scenario: Scenario, node_count=None):
@@ -182,16 +216,22 @@ def initial_moc_state(scenario: Scenario, node_count=None):
 
 
 def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) -> MocState:
-    """March the scenario from ``initial`` (default: ``initial_moc_state``)
-    to the last full step at or before t_end; ``observer(state)`` is invoked
-    after every step.  Returns the final state.  A ``SolverError`` names the
-    step number (counted from 1) and the time the step started from."""
+    """March the scenario from ``initial`` (default: ``initial_moc_state``;
+    its nodes span the pipe, its time is at most t_end) to the last full step
+    at or before t_end, calling ``observer(state)`` after every step; returns
+    the final state.  A ``SolverError`` names the step (from 1) and its start time."""
     # a Scenario has periodic ends in pairs or not at all
     if isinstance(scenario.upstream, Periodic):
         raise ValueError("the characteristics solver needs reservoir, "
                          "discharge or wall boundaries")
 
     state = initial_moc_state(scenario) if initial is None else initial
+    if scenario.t_end < state.time:
+        raise ValueError(f"t_end={scenario.t_end} precedes the initial time {state.time}")
+    span, length = (state.n - 1) * state.node_spacing, scenario.geometry.length
+    if not math.isclose(span, length, rel_tol=1e-9):
+        raise ValueError(f"the initial state's {state.n} nodes span {span} m, "
+                         f"not the {length} m pipe")
     # unit Courant number: cannot clamp dt, so stop at the last full step
     steps, t_stop, dt = 0, scenario.t_end * (1.0 + 1e-12), state.dt
     args = (scenario.constants.g, scenario.geometry.section, scenario.friction,

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from oracles import coarse_moc_waterhammer
 from pipewave.compare import detect_period
 from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
                            PipeGeometry, SolverError, friction_slope)
-from pipewave.moc import MocState, initial_moc_state, moc_run, moc_step
+from pipewave.moc import MocState, _Track, initial_moc_state, moc_run, moc_step
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
                                 ValveClosure, Wall)
 
@@ -137,13 +138,17 @@ class TestMocState:
 
     def test_checked_arrays_are_read_only(self):
         head = np.full(4, 10.0)
-        block = np.array([[6.0, 5.5, 5.0, 4.5], [4.0, 4.5, 5.0, 5.5]])
-        state = MocState._checked(head, block, 2.0, (0.5, -0.25), 100.0, 1.0, 0.5)
-        assert state.head is head and state._block is block
-        assert not head.flags.writeable and not block.flags.writeable
+        track = _Track(4, 2)
+        track.rows[:] = [[9.0, 6.0, 5.5, 5.0, 4.5, 9.0], [9.0, 4.0, 4.5, 5.0, 5.5, 9.0]]
+        state = MocState._checked(head, track, 1, 2.0, (0.5, -0.25), 100.0, 1.0, 0.5)
+        assert state.head is head and state._track is track and state._k == 1
+        assert not head.flags.writeable
         assert (state.wave_speed, state.node_spacing, state.time) == (100.0, 1.0, 0.5)
+        # state 1 of a capacity-2 track reads rows[0, 1:5] and rows[1, 1:5]
+        assert same_bits(state._block, [[6.0, 5.5, 5.0, 4.5], [4.0, 4.5, 5.0, 5.5]])
         # interior (row 0 - row 1) / B, ends from the laws
         assert same_bits(state.discharge, [0.5, 0.5, 0.0, -0.25])
+        assert not state.discharge.flags.writeable
         with pytest.raises(ValueError):
             state.head[0] = 1.0
 
@@ -382,7 +387,7 @@ class TestCarriedInvariants:
                          discharge=rng.standard_normal(nodes),
                          wave_speed=950.0, node_spacing=10.0)
         state = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
-        before = {name: getattr(state, name).copy()
+        before = {name: np.array(getattr(state, name))
                   for name in ("head", "discharge", "_block")}
         first = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
         second = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
@@ -397,9 +402,79 @@ class TestCarriedInvariants:
         assert "discharge" not in vars(state)
         discharge = state.discharge
         assert state.discharge is discharge and vars(state)["discharge"] is discharge
-        assert not discharge.flags.writeable and not state._block.flags.writeable
+        assert not discharge.flags.writeable
+        # the rows are read through the track, not copied out of it
+        assert all(np.shares_memory(row, state._track.rows) for row in state._block)
         with pytest.raises(AttributeError, match="has no attribute 'flow'"):
             state.flow
+
+
+class TestTracks:
+    ends = (ENDS["reservoir"], ENDS["valve"])
+
+    def constructed(self, nodes, seed):
+        rng = np.random.default_rng(seed)
+        return MocState(head=120.0 + rng.standard_normal(nodes),
+                        discharge=rng.standard_normal(nodes), wave_speed=950.0,
+                        node_spacing=10.0, time=0.5)
+
+    def step(self, state, friction=FRICTIONLESS):
+        return moc_step(state, G, 1.5, friction, *self.ends,
+                        geometry=TestLeanStep.geometry)
+
+    def test_stepping_an_older_state_leaves_every_result_unchanged(self):
+        chain = [self.constructed(9, seed=21)]
+        for _ in range(4):
+            chain.append(self.step(chain[-1]))
+        assert len({id(s._track) for s in chain[1:]}) == 1
+        kept = [(np.array(s.head), np.array(s._block)) for s in chain[1:]]
+        # steps from states that are no longer the tip, one of them twice
+        again = [self.step(chain[k]) for k in (1, 2, 1)]
+        tip = self.step(chain[-1])
+        assert again[0]._track is not chain[1]._track and tip._track is chain[-1]._track
+        for s, (head, block) in zip(chain[1:], kept):
+            assert same_bits(s.head, head) and same_bits(s._block, block)
+        for k, s in zip((1, 2, 1), again):
+            assert same_bits(s.head, chain[k + 1].head)
+            assert same_bits(s.discharge, chain[k + 1].discharge)
+        marched = carried_reference(chain[0], 5, G, 1.5, FRICTIONLESS, *self.ends,
+                                    TestLeanStep.geometry)
+        for s, (head, discharge, t) in zip(chain[1:] + [tip], marched):
+            assert same_bits(s.head, head) and same_bits(s.discharge, discharge)
+            assert s.time == t
+
+    @pytest.mark.parametrize("friction", [FRICTIONLESS,
+                                          FrictionParams(enabled=True, strickler=40.0)],
+                             ids=["frictionless", "friction"])
+    def test_march_across_refills_matches_the_carried_reference(self, friction):
+        nodes = 7
+        state = self.constructed(nodes, seed=5)
+        marched = carried_reference(state, 3 * nodes, G, 1.5, friction, *self.ends,
+                                    TestLeanStep.geometry)
+        tracks = []
+        for head, discharge, t in marched:
+            state = self.step(state, friction)
+            tracks.append(state._track)
+            assert same_bits(state.head, head) and same_bits(state.discharge, discharge)
+            assert state.time == t
+        # a capacity-n track holds n states: three tracks, two refills, when
+        # frictionless; a friction step rewrites every node into a new track
+        expected = 3 if friction is FRICTIONLESS else 3 * nodes
+        assert len({id(track) for track in tracks}) == expected
+
+    def test_a_step_from_the_tip_allocates_the_heads_only(self):
+        nodes = 4001
+        state = self.step(self.step(self.constructed(nodes, seed=3)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            new = self.step(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert new._track is state._track     # a slide, not a refill
+        assert peak - before < 1.5 * 8 * nodes
 
 
 class TestMocErrors:
@@ -510,6 +585,23 @@ class TestMocRun:
         initial = mid[0]
         assert peak - initial == pytest.approx(peak_coarse - initial,
                                                rel=0.10)
+
+    def test_rejects_an_initial_time_after_t_end(self):
+        scenario = section4_scenario(cells=20, t_end=1.0)
+        late = initial_moc_state(scenario)
+        late = MocState(head=late.head, discharge=late.discharge,
+                        wave_speed=late.wave_speed, node_spacing=late.node_spacing,
+                        time=5.0)
+        with pytest.raises(ValueError, match=r"^t_end=1\.0 precedes the initial time 5\.0$"):
+            moc_run(scenario, initial=late)
+
+    def test_rejects_an_initial_grid_that_does_not_span_the_pipe(self):
+        scenario = section4_scenario(cells=20, t_end=1.0)
+        grid = initial_moc_state(scenario)
+        short = MocState(head=grid.head[:5], discharge=grid.discharge[:5],
+                         wave_speed=grid.wave_speed, node_spacing=grid.node_spacing)
+        with pytest.raises(ValueError, match=r"5 nodes span 400\.0 m, not the 2000\.0 m pipe"):
+            moc_run(scenario, initial=short)
 
     def test_rejects_periodic_boundaries(self):
         scenario = section4_scenario(t_end=1.0)

@@ -85,6 +85,31 @@ def test_area_range_covers_every_step(solver, tmp_path):
 
 
 @pytest.mark.parametrize("solver", ["kinetic", "moc"])
+def test_area_range_is_the_range_of_every_observed_level(solver, tmp_path, monkeypatch):
+    """The summary's area range equals, bit for bit, a brute-force range over
+    every node of every level the recorder was shown, the initial one too."""
+    built, levels = [], []
+    make = getattr(runner, f"_{solver}")
+
+    def keep(state, observer):
+        levels.append(np.array(built[0].level(state)))
+        observer(state)
+
+    def observed(config):
+        built.append(make(config))
+        keep(built[0].initial, lambda state: None)
+        return replace(built[0], march=lambda observer: built[0].march(
+            observer=partial(keep, observer=observer)))
+
+    monkeypatch.setattr(runner, f"_{solver}", observed)
+    result = run_simulation(surge_config(solver, tmp_path), write_files=False)[solver]
+    assert len(levels) == result.steps + 1
+    areas = np.array([built[0].area(level, built[0].z) for level in levels])
+    assert result.min_area.hex() == float(areas.min()).hex()
+    assert result.max_area.hex() == float(areas.max()).hex()
+
+
+@pytest.mark.parametrize("solver", ["kinetic", "moc"])
 def test_probes_sample_initial_strided_and_final_states(solver, tmp_path):
     config = surge_config(solver, tmp_path)
     result = run_simulation(config, write_files=False)[solver]
