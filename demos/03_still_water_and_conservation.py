@@ -12,21 +12,11 @@ at roundoff, far under the first-order scale printed first.
 
 import numpy as np
 
-from pipewave import FrictionParams, LinearAltitude, Mesh, State
+from pipewave import FrictionParams, LinearAltitude, Mesh, Periodic, State, Wall
 from pipewave.kinetic import cfl_timestep, step
 
 g = 9.81
 frictionless = FrictionParams.disabled()
-
-
-def wall(state):
-    return ((float(state.area[0]), -float(state.discharge[0])),
-            (float(state.area[-1]), -float(state.discharge[-1])))
-
-
-def periodic(state):
-    return ((float(state.area[-1]), float(state.discharge[-1])),
-            (float(state.area[0]), float(state.discharge[0])))
 
 
 # --- sloped still water ----------------------------------------------------
@@ -40,7 +30,7 @@ print(f"per-cell imbalance scale g dz/c^2 = {eps:.2e}")
 print(f"{'step':>6} {'max|Q|/(A c)':>14} {'max rel dA':>12}")
 for k in range(1, 501):
     dt = cfl_timestep(state, c, mesh, 0.8)
-    state = step(state, mesh, c, g, dt, frictionless, wall)
+    state = step(state, mesh, c, g, dt, frictionless, Wall(), Wall())
     if k in (1, 10, 100, 500):
         q_res = np.max(np.abs(state.discharge)) / (np.max(area0) * c)
         a_res = np.max(np.abs(state.area - area0) / area0)
@@ -57,7 +47,7 @@ mass0 = np.sum(mesh.widths * state.area)
 mom0 = np.sum(mesh.widths * state.discharge)
 for _ in range(2000):
     dt = cfl_timestep(state, c, mesh, 0.9)
-    state = step(state, mesh, c, g, dt, frictionless, periodic)
+    state = step(state, mesh, c, g, dt, frictionless, Periodic(), Periodic())
 mass = np.sum(mesh.widths * state.area)
 mom = np.sum(mesh.widths * state.discharge)
 print("periodic flat pipe after 2000 steps:")

@@ -18,6 +18,6 @@ from .kinetic import cfl_timestep, run, step
 from .moc import MocState, moc_run, moc_step
 from .runner import compare_runs, run_simulation
 from .scenarios import (Periodic, PrescribedDischarge, ReservoirHead, Scenario,
-                        ValveClosure, Wall, ghost_states, steady_state_init)
+                        ValveClosure, Wall, steady_state_init)
 
 __version__ = "0.1.0"

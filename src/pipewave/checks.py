@@ -11,14 +11,13 @@ blocks through ``kinetic._advance``, the update inside ``kinetic.step``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import kinetic
 from .config import RunConfig
 from .core import FrictionParams, Mesh, State, rest_factors
-from .scenarios import Periodic, Scenario, Wall, ghost_states
+from .scenarios import Periodic, Scenario, Wall
 
 _DISABLED_FRICTION = FrictionParams.disabled()
 _BLOCK_CASES = 256          # positivity cases drawn and stepped together
@@ -91,11 +90,10 @@ def check_conservation(c, g, cells=64, steps=500, seed=2):
     mom0 = float(np.sum(mesh.widths * state.discharge))
     mom_scale = max(abs(mom0), mass0 * c)
     drift = 0.0
-    boundary = partial(ghost_states, mesh=mesh, upstream=Periodic(),
-                       downstream=Periodic(), c=c, g=g)
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.9)
-        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, boundary)
+        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION,
+                             Periodic(), Periodic())
         mass = float(np.sum(mesh.widths * state.area))
         mom = float(np.sum(mesh.widths * state.discharge))
         drift = max(drift, abs(mass - mass0) / mass0, abs(mom - mom0) / mom_scale)
@@ -111,11 +109,9 @@ def check_still_water(scenario: Scenario, cells=100, steps=200):
     z = mesh.z_cells
     area0 = geom.section * np.exp(-g * (z - z[0]) / (c * c))
     state = State(area=area0, discharge=np.zeros(cells))
-    boundary = partial(ghost_states, mesh=mesh, upstream=Wall(), downstream=Wall(),
-                       c=c, g=g)
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.8)
-        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, boundary)
+        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, Wall(), Wall())
 
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * c))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))

@@ -87,6 +87,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import scenarios
 from .core import (FrictionParams, Mesh, PipeGeometry, SolverError, State,
                    friction_coefficient)
 
@@ -220,16 +221,7 @@ def cfl_timestep(state: State, c, mesh: Mesh, cfl_coefficient):
     """dt = cfl * min(h) / max(|u| + c sqrt(3))."""
     if not 0.0 < cfl_coefficient <= 1.0:
         raise ValueError(f"cfl coefficient must lie in (0, 1], got {cfl_coefficient}")
-    if mesh.n == 0:
-        raise ValueError("empty mesh")
     return cfl_coefficient * mesh.min_width / (state.max_abs_velocity + c * SQRT3)
-
-
-def _check_ghost(side, area, discharge):
-    """The cell rule of ``_admissible``: 0 < A < inf and Q/A finite."""
-    if not (0.0 < area < math.inf and math.isfinite(float(discharge) / float(area))):
-        raise SolverError(f"boundary produced an invalid {side} ghost cell: "
-                          f"A={area!r}, Q={discharge!r}")
 
 
 def _admissible(area, discharge):
@@ -262,18 +254,19 @@ def _advance(ext, shrink, ratio, c, g):
 
 
 def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
-         boundary, geometry: PipeGeometry | None = None) -> State:
+         upstream, downstream, geometry: PipeGeometry | None = None) -> State:
     """One explicit update of every cell.
 
-    ``boundary`` maps the current state to the pair of ghost cells
-    ((A, Q) left, (A, Q) right); ghosts sit at the same bottom elevation as
-    their adjacent interior cell so the boundary interfaces carry no
-    topography jump.  ``_advance`` updates the ghost-extended 1-d block,
-    reconstructing both sides of every interface at the higher bottom (see
-    the module docstring), so the flux kernel sees no jump anywhere.  A new
-    cell outside ``_admissible`` raises ``SolverError`` naming it.  The
-    discharge is relaxed semi-implicitly, Q <- Q / (1 + dt g K |u|), when
-    friction is enabled (this needs ``geometry`` for the hydraulic radius).
+    ``scenarios.ghost_states`` forms and checks the ghost cells of the
+    ``upstream`` and ``downstream`` boundary laws; ghosts sit at the same
+    bottom elevation as their adjacent interior cell so the boundary
+    interfaces carry no topography jump.  ``_advance`` updates the
+    ghost-extended 1-d block, reconstructing both sides of every interface
+    at the higher bottom (see the module docstring), so the flux kernel sees
+    no jump anywhere.  A new cell outside ``_admissible`` raises
+    ``SolverError`` naming it.  The discharge is relaxed semi-implicitly,
+    Q <- Q / (1 + dt g K |u|), when friction is enabled; ``geometry`` gives
+    it the hydraulic radius and a reservoir end its ghost.
     Without friction the new state carries max |Q/A|, formed as its
     admissibility is tested, as its CFL speed.
     """
@@ -285,16 +278,11 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
             f"dt={dt:g} violates the CFL condition: dt*max(|u|+c*sqrt(3))="
             f"{dt * speed:g} > min width {mesh.min_width:g}")
 
-    (a_gl, q_gl), (a_gr, q_gr) = boundary(state)
-    _check_ghost("left", a_gl, q_gl)
-    _check_ghost("right", a_gr, q_gr)
-
-    n = state.area.size
-    ext = np.empty((2, n + 2))                 # (A, Q) with one ghost on each end
-    ext[:, 0] = a_gl, q_gl
+    ext = np.empty((2, state.area.size + 2))   # (A, Q) with one ghost on each end
+    ext[:, 0], ext[:, -1] = scenarios.ghost_states(state, mesh, upstream, downstream,
+                                                   c, g, geometry)
     ext[0, 1:-1] = state.area
     ext[1, 1:-1] = state.discharge
-    ext[:, -1] = a_gr, q_gr
     a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.widths, c, g)
 
     # with 0 < A < inf a finite max |Q/A| shows every cell admissible;
@@ -319,7 +307,7 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
 
 
 def run(initial: State, mesh: Mesh, cfl, constants, friction: FrictionParams,
-        boundary, t_end, observer=None,
+        upstream, downstream, t_end, observer=None,
         geometry: PipeGeometry | None = None) -> State:
     """March ``initial`` to the finite t_end with adaptive steps at CFL
     coefficient ``cfl`` in (0, 1], clamping the last step so the final time
@@ -345,7 +333,7 @@ def run(initial: State, mesh: Mesh, cfl, constants, friction: FrictionParams,
             dt = t_end - state.time
         try:
             state = step(state, mesh, constants.c, constants.g, dt, friction,
-                         boundary, geometry)
+                         upstream, downstream, geometry)
         except SolverError as exc:
             raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
         if clamped:

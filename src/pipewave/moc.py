@@ -217,7 +217,8 @@ def initial_moc_state(scenario: Scenario, node_count=None):
 
 def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) -> MocState:
     """March the scenario from ``initial`` (default: ``initial_moc_state``;
-    its nodes span the pipe, its time is at most t_end) to the last full step
+    its nodes span the pipe, its wave speed is the scenario's and its time is
+    at most t_end) to the last full step
     at or before t_end, calling ``observer(state)`` after every step; returns
     the final state.  A ``SolverError`` names the step (from 1) and its start time."""
     # a Scenario has periodic ends in pairs or not at all
@@ -232,6 +233,9 @@ def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) 
     if not math.isclose(span, length, rel_tol=1e-9):
         raise ValueError(f"the initial state's {state.n} nodes span {span} m, "
                          f"not the {length} m pipe")
+    if state.wave_speed != scenario.constants.c:
+        raise ValueError(f"the initial state's wave speed {state.wave_speed} m/s is not "
+                         f"the scenario's {scenario.constants.c} m/s")
     # unit Courant number: cannot clamp dt, so stop at the last full step
     steps, t_stop, dt = 0, scenario.t_end * (1.0 + 1e-12), state.dt
     args = (scenario.constants.g, scenario.geometry.section, scenario.friction,

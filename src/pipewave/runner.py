@@ -18,11 +18,10 @@ import numpy as np
 
 from . import kinetic, moc
 from .compare import ComparisonReport, ProbeSeries, compare_series
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .core import area_from_piezometric_head, piezometric_head
 from .output import PROBE_HEADER, SNAPSHOT_HEADER, CsvWriter, frame_rows
-from .scenarios import (PrescribedDischarge, Scenario, ValveClosure, ghost_states,
-                        steady_state_init)
+from .scenarios import PrescribedDischarge, Scenario, ValveClosure, steady_state_init
 
 
 @dataclass
@@ -101,11 +100,8 @@ def _kinetic(config: RunConfig):
     scenario = config.scenario
     mesh = scenario.mesh()
     state = steady_state_init(scenario, mesh)
-    boundary = partial(ghost_states, mesh=mesh, upstream=scenario.upstream,
-                       downstream=scenario.downstream, c=scenario.constants.c,
-                       g=scenario.constants.g, geometry=scenario.geometry)
-    march = partial(kinetic.run, state, mesh, config.cfl,
-                    scenario.constants, scenario.friction, boundary,
+    march = partial(kinetic.run, state, mesh, config.cfl, scenario.constants,
+                    scenario.friction, scenario.upstream, scenario.downstream,
                     scenario.t_end, geometry=scenario.geometry)
     return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.widths,
                    level=lambda s: s.area, area=lambda area, z: area,
@@ -213,7 +209,13 @@ def closure_end_time(scenario: Scenario):
 
 
 def compare_runs(config: RunConfig, write_files=True):
-    """Run both solvers and compare them probe by probe."""
+    """Run both solvers and compare them probe by probe.  A run too short for
+    one MOC step raises ``ConfigError`` before either solver marches."""
+    scenario = config.scenario
+    moc_dt = scenario.geometry.length / scenario.mesh_cells / scenario.constants.c
+    if moc_dt > scenario.t_end * (1.0 + 1e-12):       # moc_run's last-full-step rule
+        raise ConfigError(f"run.t_end_s = {scenario.t_end:g} s is shorter than one MOC "
+                          f"step dx/a = {moc_dt:.6g} s at run.cells = {scenario.mesh_cells}")
     config = replace(config, solver="both")
     results = run_simulation(config, write_files=write_files)
     t_close = closure_end_time(config.scenario)

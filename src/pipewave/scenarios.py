@@ -228,6 +228,12 @@ def ghost_states(state: State, mesh: Mesh, upstream: BoundaryCondition,
                  geometry: PipeGeometry | None = None):
     """Ghost (A, Q) pairs for both ends at ``state.time``; each law's
     ``ghost`` takes the state, its end's interior cell index, that cell's
-    bottom elevation, c, g and the geometry (a reservoir needs it)."""
-    return (upstream.ghost(state, 0, float(mesh.z_cells[0]), c, g, geometry),
-            downstream.ghost(state, -1, float(mesh.z_cells[-1]), c, g, geometry))
+    bottom elevation, c, g and the geometry (a reservoir needs it).  A ghost
+    with A outside (0, inf) or Q/A not finite raises ``SolverError``."""
+    ghosts = (upstream.ghost(state, 0, float(mesh.z_cells[0]), c, g, geometry),
+              downstream.ghost(state, -1, float(mesh.z_cells[-1]), c, g, geometry))
+    for side, (area, discharge) in zip(("left", "right"), ghosts):
+        if not (0.0 < area < math.inf and math.isfinite(float(discharge) / float(area))):
+            raise SolverError(f"boundary produced an invalid {side} ghost cell: "
+                              f"A={area!r}, Q={discharge!r}")
+    return ghosts

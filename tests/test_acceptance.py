@@ -10,7 +10,6 @@ profile only to first order in g*dz_cell/c^2, and the residuals saturate near
 """
 
 import hashlib
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,7 @@ from pipewave.kinetic import SQRT3, cfl_timestep, step
 from pipewave.kinetic import _interface_flux_arrays
 from pipewave.runner import compare_runs
 from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
-                                Scenario, ValveClosure, Wall, ghost_states,
-                                steady_state_init)
+                                Scenario, ValveClosure, Wall, steady_state_init)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FRICTIONLESS = FrictionParams.disabled()
@@ -41,12 +39,6 @@ LENGTH = 2000.0
 def report(number, name, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {number} ({name}): {detail}")
     return ok
-
-
-def both_ends(bc, mesh, c):
-    """Ghost-state callable with ``bc`` (``Wall()`` or ``Periodic()``) at
-    both ends, from ``scenarios.ghost_states``."""
-    return partial(ghost_states, mesh=mesh, upstream=bc, downstream=bc, c=c, g=G)
 
 
 def validation_scenario(cells, t_end, stride=1):
@@ -81,7 +73,7 @@ def smooth_periodic_march(steps):
     for _ in range(steps):
         dt = cfl_timestep(state, c, mesh, 0.9)
         state = step(state, mesh, c, G, dt, FRICTIONLESS,
-                     both_ends(Periodic(), mesh, c))
+                     Periodic(), Periodic())
         yield state, mesh, c
 
 
@@ -105,7 +97,7 @@ def test_criterion_2_well_balanced_still_water():
     state = State(area=area0, discharge=np.zeros(cells))
     for _ in range(1000):
         dt = cfl_timestep(state, C4, mesh, 0.8)
-        state = step(state, mesh, C4, G, dt, FRICTIONLESS, both_ends(Wall(), mesh, C4))
+        state = step(state, mesh, C4, G, dt, FRICTIONLESS, Wall(), Wall())
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * C4))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))
     ok = q_resid <= 1e-10 and a_resid <= 1e-12
@@ -133,7 +125,7 @@ def test_criterion_3_positivity():
         dt = cfl_timestep(state, C4, mesh, 1.0)
         try:
             new = step(state, mesh, C4, G, dt, FRICTIONLESS,
-                       both_ends(Wall(), mesh, C4))
+                       Wall(), Wall())
             if np.any(new.area <= 0):
                 failures += 1
         except Exception:

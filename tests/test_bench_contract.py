@@ -5,7 +5,6 @@ arguments, so a rename fails here instead of in a benchmark run."""
 import importlib.util
 import inspect
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -104,7 +103,9 @@ def _surge(pw, cells, t_end):
 def test_marches_step_through_the_module_attributes(loaded, monkeypatch):
     """The worker counts steps and node or cell updates from the calls to
     ``moc.moc_step`` and ``kinetic.step`` it wraps; a march that bypassed
-    them would report no steps counted, a failed operation."""
+    them would report no steps counted, a failed operation.  Its traced
+    ``scenarios.ghost_states`` is replaced in every module holding that
+    function, and the kinetic march calls it once per step."""
     _, pw, _ = loaded
     scenario = _surge(pw, cells=40, t_end=0.8)
     moc_calls = _counting(monkeypatch, pw.moc, "moc_step")
@@ -114,14 +115,23 @@ def test_marches_step_through_the_module_attributes(loaded, monkeypatch):
     assert moc_calls == [41] * 17
 
     mesh = scenario.mesh()
-    boundary = partial(pw.scenarios.ghost_states, mesh=mesh,
-                       upstream=scenario.upstream, downstream=scenario.downstream,
-                       c=scenario.constants.c, g=scenario.constants.g,
-                       geometry=scenario.geometry)
+    ghost_calls, ghost_states = [], pw.scenarios.ghost_states
+
+    def counted_ghosts(*args, **kwargs):
+        ghost_calls.append(args[0].time)
+        return ghost_states(*args, **kwargs)
+
+    for module in vars(pw).values():
+        for key, value in list(vars(module).items()):
+            if value is ghost_states:
+                monkeypatch.setattr(module, key, counted_ghosts)
     kinetic_calls = _counting(monkeypatch, pw.kinetic, "step")
     kinetic_states = []
     pw.kinetic.run(pw.scenarios.steady_state_init(scenario, mesh), mesh, 0.8,
-                   scenario.constants, scenario.friction, boundary, scenario.t_end,
-                   observer=kinetic_states.append)
+                   scenario.constants, scenario.friction, scenario.upstream,
+                   scenario.downstream, scenario.t_end, observer=kinetic_states.append,
+                   geometry=scenario.geometry)
     assert len(kinetic_states) > 20
     assert kinetic_calls == [40] * len(kinetic_states)
+    # one call per step, on the state the step starts from
+    assert ghost_calls == [0.0] + [s.time for s in kinetic_states[:-1]]

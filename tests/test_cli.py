@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipewave import runner, scenarios
+from pipewave import scenarios
 from pipewave.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -132,10 +132,12 @@ class TestExitCodes:
         # overflows mid-run, and the message names the step, time and cell
         law = scenarios.PrescribedDischarge(law=lambda t: 1e160 if t > 0.5 else 10.0)
 
-        def diverging(state, mesh, upstream, downstream, c, g, geometry=None):
-            return scenarios.ghost_states(state, mesh, upstream, law, c, g, geometry)
+        ghost_states = scenarios.ghost_states
 
-        monkeypatch.setattr(runner, "ghost_states", diverging)
+        def diverging(state, mesh, upstream, downstream, c, g, geometry=None):
+            return ghost_states(state, mesh, upstream, law, c, g, geometry)
+
+        monkeypatch.setattr(scenarios, "ghost_states", diverging)
         cfg = write_config(tmp_path, run__cells="4")
         with np.errstate(all="ignore"):
             code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
@@ -183,6 +185,20 @@ class TestCompareCommand:
         assert (out / "moc_probe_00.csv").exists()
         printed = capsys.readouterr().out
         assert "first_peak_kinetic_m" in printed
+
+    def test_run_shorter_than_one_moc_step_is_exit_2(self, tmp_path, capsys):
+        # 3 cells: the MOC step dx/a = 0.61 s outlasts the 0.5 s run, which
+        # would leave the MOC series at t = 0 alone; nothing is marched
+        cfg = write_config(tmp_path, run__t_end_s="0.5", run__cells="3")
+        out = tmp_path / "out"
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "run.t_end_s" in err and "run.cells" in err, err
+        assert not out.exists()
+        # one MOC step is enough
+        cfg = write_config(tmp_path, run__t_end_s="0.62", run__cells="3",
+                           output__stride="1")
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
 
 
 class TestCheckCommand:

@@ -1,8 +1,8 @@
 import math
 import re
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,13 +25,7 @@ def flat_altitude(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def both_ends(bc, mesh, c, g):
-    """Ghost-state callable with ``bc`` (``Wall()`` or ``Periodic()``) at
-    both ends, as the check suites build it."""
-    return partial(ghost_states, mesh=mesh, upstream=bc, downstream=bc, c=c, g=g)
-
-
-def reference_step(state, mesh, c, g, dt, friction, boundary, geometry=None):
+def reference_step(state, mesh, c, g, dt, friction, upstream, downstream, geometry=None):
     """One step written plainly: the CFL speed of ``state`` recomputed from
     its arrays, admissibility decided by a full mask (0 < A < inf and Q/A
     finite, so a finite Q whose Q/A overflows is rejected), and a new state
@@ -44,9 +38,8 @@ def reference_step(state, mesh, c, g, dt, friction, boundary, geometry=None):
         raise SolverError(
             f"dt={dt:g} violates the CFL condition: dt*max(|u|+c*sqrt(3))="
             f"{dt * speed:g} > min width {mesh.min_width:g}")
-    (a_gl, q_gl), (a_gr, q_gr) = boundary(state)
-    kinetic._check_ghost("left", a_gl, q_gl)
-    kinetic._check_ghost("right", a_gr, q_gr)
+    (a_gl, q_gl), (a_gr, q_gr) = ghost_states(state, mesh, upstream, downstream, c, g,
+                                              geometry)
 
     a, q = state.area, state.discharge
     a_ext = np.concatenate([[a_gl], a, [a_gr]])
@@ -122,7 +115,7 @@ class TestStep:
         state = State(area=np.full(16, 2.0), discharge=np.full(16, 3.0))
         c, g = 10.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
-        new = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Periodic(), mesh, c, g))
+        new = step(state, mesh, c, g, dt, FRICTIONLESS, Periodic(), Periodic())
         assert new.area == pytest.approx(state.area, rel=1e-12)
         assert new.discharge == pytest.approx(state.discharge, rel=1e-12)
 
@@ -133,7 +126,7 @@ class TestStep:
         dt_max = mesh.min_width / (c * SQRT3)
         with pytest.raises(SolverError):
             step(state, mesh, c, 9.81, 1.5 * dt_max, FRICTIONLESS,
-                 both_ends(Periodic(), mesh, c, 9.81))
+                 Periodic(), Periodic())
 
     def test_matches_quadrature_driven_update(self):
         rng = np.random.default_rng(31)
@@ -148,7 +141,7 @@ class TestStep:
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 0.9)
             new = step(state, mesh, c, g, dt, FRICTIONLESS,
-                       both_ends(Periodic(), mesh, c, g))
+                       Periodic(), Periodic())
 
             # independent update: the hydrostatic reconstruction at
             # z* = max(z_L, z_R), written out per interface, then the flux of
@@ -189,7 +182,7 @@ class TestStep:
                         z_cells=z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 1.0)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
+            new = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
             assert np.all(new.area > 0)
 
     def test_conservation_periodic(self):
@@ -204,7 +197,7 @@ class TestStep:
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
             state = step(state, mesh, c, g, dt, FRICTIONLESS,
-                         both_ends(Periodic(), mesh, c, g))
+                         Periodic(), Periodic())
         assert np.sum(mesh.widths * state.area) == pytest.approx(mass0, rel=1e-12)
         assert np.sum(mesh.widths * state.discharge) == pytest.approx(
             mom0, abs=1e-12 * mass0 * c)
@@ -221,11 +214,11 @@ class TestStep:
         state = State(area=area, discharge=q)
         dt = cfl_timestep(state, c, mesh, 0.9)
 
-        stepped = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
+        stepped = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
         mirrored_first = State(area=area[::-1], discharge=-q[::-1])
         mesh_m = Mesh(centers=mesh.centers, widths=mesh.widths, z_cells=z[::-1])
         stepped_mirrored = step(mirrored_first, mesh_m, c, g, dt, FRICTIONLESS,
-                                both_ends(Wall(), mesh_m, c, g))
+                                Wall(), Wall())
         assert stepped_mirrored.area == pytest.approx(stepped.area[::-1], rel=1e-12)
         assert stepped_mirrored.discharge == pytest.approx(
             -stepped.discharge[::-1], rel=1e-12, abs=1e-13 * np.max(area) * c)
@@ -239,9 +232,9 @@ class TestStep:
         c, g = 50.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
         friction = FrictionParams(enabled=True, strickler=30.0)
-        periodic = both_ends(Periodic(), mesh, c, g)
-        with_friction = step(state, mesh, c, g, dt, friction, periodic, geometry=geom)
-        without = step(state, mesh, c, g, dt, FRICTIONLESS, periodic)
+        ends = Periodic(), Periodic()
+        with_friction = step(state, mesh, c, g, dt, friction, *ends, geometry=geom)
+        without = step(state, mesh, c, g, dt, FRICTIONLESS, *ends)
         assert np.all(with_friction.discharge < without.discharge)
         assert np.all(with_friction.discharge > 0)
         assert with_friction.area == pytest.approx(without.area, rel=1e-15)
@@ -258,14 +251,13 @@ class TestStep:
         mesh = Mesh.uniform(10.0, 4, flat_altitude)
         state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
 
-        def boundary(s):
-            valid = (2.0, 0.0)
-            return (ghost, valid) if side == "left" else (valid, ghost)
-
+        bad = SimpleNamespace(ghost=lambda *args: ghost)
+        valid = SimpleNamespace(ghost=lambda *args: (2.0, 0.0))
+        ends = (bad, valid) if side == "left" else (valid, bad)
         dt = cfl_timestep(state, 10.0, mesh, 0.8)
         with pytest.raises(SolverError,
                            match=f"{side} ghost cell: A={ghost[0]!r}, Q={ghost[1]!r}"):
-            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, boundary)
+            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, *ends)
 
     def test_prescribed_discharge_read_at_state_time(self):
         # ghost_states takes the time from the state it is handed
@@ -277,10 +269,8 @@ class TestStep:
             times.append(t)
             return 0.0
 
-        boundary = partial(ghost_states, mesh=mesh, upstream=Wall(),
-                           downstream=PrescribedDischarge(law=law), c=10.0, g=9.81)
         step(state, mesh, 10.0, 9.81, cfl_timestep(state, 10.0, mesh, 0.8),
-             FRICTIONLESS, boundary)
+             FRICTIONLESS, Wall(), PrescribedDischarge(law=law))
         assert times == [3.25]
 
     def test_non_finite_update_rejected(self):
@@ -294,7 +284,7 @@ class TestStep:
         with np.errstate(all="ignore"), pytest.raises(
                 SolverError, match=rf"cell 0 .* at t={dt!r}: A=nan, Q=nan"):
             step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS,
-                 both_ends(Wall(), mesh, 10.0, 9.81))
+                 Wall(), Wall())
 
     def test_friction_requires_geometry(self):
         mesh = Mesh.uniform(10.0, 4, flat_altitude)
@@ -302,7 +292,7 @@ class TestStep:
         friction = FrictionParams(enabled=True, strickler=30.0)
         with pytest.raises(ValueError):
             step(state, mesh, 10.0, 9.81, 1e-3, friction,
-                 both_ends(Periodic(), mesh, 10.0, 9.81))
+                 Periodic(), Periodic())
 
 
 ENDS = {"wall": Wall(), "periodic": Periodic()}
@@ -363,7 +353,7 @@ class TestLeanStep:
                         z_cells=np.cumsum(rng.uniform(-0.5, 0.5, n)))
             area = rng.uniform(0.5, 5.0, n)
             state = State(area=area, discharge=area * rng.uniform(-c, c, n))
-            boundary = both_ends(ENDS[ends], mesh, c, g)
+            law = ENDS[ends]
             lean, ref = state, state
             for k in range(4):                     # each marches its own output
                 dt = 2.0 ** math.floor(math.log2(cfl_timestep(ref, c, mesh, 0.9)))
@@ -372,7 +362,7 @@ class TestLeanStep:
                     monkeypatch.setattr(kinetic, "_interface_flux_arrays", breaking_kernel(
                         kind, cell, float(ref.area[cell]), dt))
                 with np.errstate(over="ignore"):
-                    args = (mesh, c, g, dt, friction, boundary, self.geometry)
+                    args = (mesh, c, g, dt, friction, law, law, self.geometry)
                     lean = outcome(step, lean, *args)
                     ref = outcome(reference_step, ref, *args)
                     monkeypatch.undo()
@@ -407,7 +397,7 @@ class TestStillWaterBalance:
         area0 = state.area.copy()
         for _ in range(100):
             dt = cfl_timestep(state, c, mesh, 0.8)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
+            state = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
         eps = g * float(np.max(np.abs(np.diff(mesh.z_cells)))) / (c * c)
         assert np.max(np.abs(state.discharge)) / (np.max(area0) * c) <= eps
         assert np.max(np.abs(state.area - area0) / area0) <= eps
@@ -419,7 +409,7 @@ class TestStillWaterBalance:
         for cells in (50, 100, 200):
             mesh, state, c, g = still_water_setup(cells=cells)
             dt = cfl_timestep(state, c, mesh, 0.8)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS, both_ends(Wall(), mesh, c, g))
+            new = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
             a_max = np.max(state.area)
             assert np.max(np.abs(new.area - state.area)) <= 1e-13 * a_max
             assert np.max(np.abs(new.discharge)) <= 1e-13 * a_max * c
@@ -439,7 +429,7 @@ class TestEntropyDiagnostic:
         for _ in range(500):
             dt = cfl_timestep(state, c, mesh, 0.9)
             state = step(state, mesh, c, g, dt, FRICTIONLESS,
-                         both_ends(Periodic(), mesh, c, g))
+                         Periodic(), Periodic())
             new_total = float(np.sum(mesh.widths * entropy_cell(
                 state.area, state.discharge, 0.0, c, g)))
             if new_total > total + 1e-8 * abs(total):
@@ -456,7 +446,7 @@ class TestRun:
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         out = run(state, mesh, 0.8, self._constants(10.0),
-                  FRICTIONLESS, both_ends(Periodic(), mesh, 10.0, 9.81), t_end=2.0)
+                  FRICTIONLESS, Periodic(), Periodic(), t_end=2.0)
         assert out is state
 
     def test_rejects_cfl_out_of_range(self):
@@ -466,14 +456,14 @@ class TestRun:
         for cfl in (0.0, 1.5):
             with pytest.raises(ValueError, match="cfl"):
                 run(state, mesh, cfl, self._constants(10.0), FRICTIONLESS,
-                    both_ends(Periodic(), mesh, 10.0, 9.81), t_end=2.0)
+                    Periodic(), Periodic(), t_end=2.0)
 
     def test_rejects_past_t_end(self):
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         with pytest.raises(ValueError):
             run(state, mesh, 0.8, self._constants(10.0),
-                FRICTIONLESS, both_ends(Periodic(), mesh, 10.0, 9.81), t_end=1.0)
+                FRICTIONLESS, Periodic(), Periodic(), t_end=1.0)
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf])
     def test_rejects_non_finite_t_end(self, t_end):
@@ -489,7 +479,7 @@ class TestRun:
 
         with pytest.raises(ValueError, match="t_end must be finite"):
             run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
-                both_ends(Periodic(), mesh, 10.0, 9.81), t_end=t_end, observer=observer)
+                Periodic(), Periodic(), t_end=t_end, observer=observer)
         assert times == []
 
     def test_speed_overflow_names_step_and_cell(self, monkeypatch):
@@ -514,7 +504,7 @@ class TestRun:
                 SolverError, match=r"^step 4 from t=.*: cell 2 left the admissible "
                                    r"states at t=.*: A=5e-324, Q=1e\+303$"):
             run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
-                both_ends(Wall(), mesh, 10.0, 9.81), t_end=1.0)
+                Wall(), Wall(), t_end=1.0)
         assert len(calls) == 4
 
     def test_lands_exactly_on_t_end(self):
@@ -522,7 +512,7 @@ class TestRun:
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         t_end = 0.0137
         out = run(state, mesh, 0.73, self._constants(25.0),
-                  FRICTIONLESS, both_ends(Periodic(), mesh, 25.0, 9.81), t_end=t_end)
+                  FRICTIONLESS, Periodic(), Periodic(), t_end=t_end)
         assert out.time == t_end
 
     def test_uniform_flow_preserved(self):
@@ -531,7 +521,7 @@ class TestRun:
         c = 10.0
         steps = []
         out = run(state, mesh, 1.0, self._constants(c),
-                  FRICTIONLESS, both_ends(Periodic(), mesh, c, 9.81),
+                  FRICTIONLESS, Periodic(), Periodic(),
                   t_end=100 * mesh.min_width / (0.5 + c * SQRT3),
                   observer=lambda s: steps.append(s.time))
         assert len(steps) >= 100
@@ -546,7 +536,7 @@ class TestRun:
         with pytest.raises(SolverError,
                            match=r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
             run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
-                both_ends(Periodic(), mesh, 10.0, 9.81), t_end=1e15 + 1.0)
+                Periodic(), Periodic(), t_end=1e15 + 1.0)
 
     def test_diverging_run_names_step_time_and_cell(self):
         # the downstream discharge jumps to 1e160 at t = 0.3: the flux at the
@@ -555,13 +545,10 @@ class TestRun:
         state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
         valve = PrescribedDischarge(law=lambda t: 1e160 if t >= 0.3 else 0.0)
 
-        def boundary(s):
-            return ghost_states(s, mesh, Wall(), valve, 10.0, 9.81)
-
         times = []
         with np.errstate(all="ignore"), pytest.raises(SolverError) as failure:
             run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
-                boundary, t_end=1.0, observer=lambda s: times.append(s.time))
+                Wall(), valve, t_end=1.0, observer=lambda s: times.append(s.time))
         assert len(times) >= 2
         assert re.match(rf"step {len(times) + 1} from t={times[-1]!r}: cell 3 left "
                         r"the admissible states at t=\S+: A=nan, Q=nan$",
@@ -572,7 +559,7 @@ class TestRun:
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         times = []
         run(state, mesh, 0.8, self._constants(40.0), FRICTIONLESS,
-            both_ends(Periodic(), mesh, 40.0, 9.81), t_end=0.05,
+            Periodic(), Periodic(), t_end=0.05,
             observer=lambda s: times.append(s.time))
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert times[-1] == 0.05

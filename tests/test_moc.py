@@ -603,6 +603,17 @@ class TestMocRun:
         with pytest.raises(ValueError, match=r"5 nodes span 400\.0 m, not the 2000\.0 m pipe"):
             moc_run(scenario, initial=short)
 
+    def test_rejects_an_initial_wave_speed_other_than_the_scenarios(self):
+        # moc_step takes B and dt from the state, so a foreign wave speed
+        # would march another pipe on the scenario's grid
+        scenario = section4_scenario(cells=20, t_end=1.0)
+        grid = initial_moc_state(scenario)
+        slow = MocState(head=grid.head, discharge=grid.discharge, wave_speed=500.0,
+                        node_spacing=grid.node_spacing)
+        with pytest.raises(ValueError, match=r"wave speed 500\.0 m/s is not the "
+                                             r"scenario's 1086\.6 m/s"):
+            moc_run(scenario, initial=slow)
+
     def test_rejects_periodic_boundaries(self):
         scenario = section4_scenario(t_end=1.0)
         from pipewave.scenarios import Periodic

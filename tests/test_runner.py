@@ -18,7 +18,7 @@ from pipewave.moc import initial_moc_state, moc_step
 from pipewave.output import SNAPSHOT_HEADER, CsvWriter, frame_rows, write_rows_csv
 from pipewave.runner import run_simulation
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
-                                ValveClosure, ghost_states, steady_state_init)
+                                ValveClosure, steady_state_init)
 
 STRIDE = 20
 
@@ -55,11 +55,9 @@ def direct_march(solver, scenario):
                  for s in states]
     else:
         mesh = scenario.mesh()
-        boundary = partial(ghost_states, mesh=mesh, upstream=scenario.upstream,
-                           downstream=scenario.downstream, c=c, g=g, geometry=geom)
         run(steady_state_init(scenario, mesh), mesh, 0.8, scenario.constants,
-            scenario.friction, boundary, scenario.t_end, observer=states.append,
-            geometry=geom)
+            scenario.friction, scenario.upstream, scenario.downstream, scenario.t_end,
+            observer=states.append, geometry=geom)
         areas = [s.area for s in states]
     return states, areas
 

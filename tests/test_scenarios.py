@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -13,13 +11,6 @@ from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
                                 steady_state_init)
 
 FRICTIONLESS = FrictionParams.disabled()
-
-
-def scenario_ghosts(scenario, mesh):
-    """Ghost-state callable for the scenario's ends, as the runner builds it."""
-    return partial(ghost_states, mesh=mesh, upstream=scenario.upstream,
-                   downstream=scenario.downstream, c=scenario.constants.c,
-                   g=scenario.constants.g, geometry=scenario.geometry)
 
 
 def section4_scenario(cells=100, t_end=10.0, c=1086.6, angle_deg=-5.0, q0=10.0):
@@ -246,10 +237,10 @@ class TestSteadyRunProperties:
         area = scenario.geometry.section * np.exp(
             -g * (mesh.z_cells - mesh.z_cells[0]) / (c * c))
         state = State(area=area, discharge=np.zeros(mesh.n))
-        provider = scenario_ghosts(scenario, mesh)
         for _ in range(100):
             dt = cfl_timestep(state, c, mesh, 0.8)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, provider)
+            state = step(state, mesh, c, g, dt, FRICTIONLESS, scenario.upstream,
+                         scenario.downstream, scenario.geometry)
         assert np.max(np.abs(state.discharge)) <= 1e-5 * np.max(area) * c
 
     def test_flowing_state_drift_is_bounded(self):
@@ -260,9 +251,8 @@ class TestSteadyRunProperties:
                                "downstream": PrescribedDischarge(law=lambda t: 10.0)})
         mesh = scenario.mesh()
         state = steady_state_init(scenario, mesh)
-        provider = scenario_ghosts(scenario, mesh)
-        out = run(state, mesh, 0.8, scenario.constants,
-                  FRICTIONLESS, provider, t_end=1.0, geometry=scenario.geometry)
+        out = run(state, mesh, 0.8, scenario.constants, FRICTIONLESS, scenario.upstream,
+                  scenario.downstream, t_end=1.0, geometry=scenario.geometry)
         assert np.max(np.abs(out.discharge - 10.0)) / 10.0 <= 0.01
 
     def test_wall_boundaries_conserve_mass(self):
@@ -274,9 +264,9 @@ class TestSteadyRunProperties:
         rng = np.random.default_rng(4)
         area = 2.0 + 0.1 * rng.random(mesh.n)
         state = State(area=area, discharge=np.zeros(mesh.n))
-        provider = scenario_ghosts(scenario, mesh)
         mass0 = np.sum(mesh.widths * state.area)
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, provider)
+            state = step(state, mesh, c, g, dt, FRICTIONLESS, scenario.upstream,
+                         scenario.downstream, scenario.geometry)
         assert np.sum(mesh.widths * state.area) == pytest.approx(mass0, rel=1e-12)
