@@ -18,11 +18,12 @@ c = sound_speed(beta, rho0)
 print(f"rigid-pipe sound speed         c = {c:9.2f} m/s")
 
 # a concrete pipe of 2 m^2 circular section slows the wave considerably
+wall_thickness = 0.2    # m
+young_modulus = 23e9    # Pa
 geometry = PipeGeometry.circular(
-    length=2000.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+    length=2000.0, section=2.0,
     altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
-a = effective_wave_speed(c, geometry.diameter, geometry.wall_thickness,
-                         geometry.young_modulus, beta)
+a = effective_wave_speed(c, geometry.diameter, wall_thickness, young_modulus, beta)
 print(f"elastic (concrete) wave speed  a = {a:9.2f} m/s")
 print(f"water-hammer period for L = 2000 m: 4L/a = {4 * 2000.0 / a:.3f} s")
 print(f"Joukowsky head rise for du = 5 m/s: a du/g = {a * 5.0 / 9.81:.1f} m")

@@ -16,7 +16,7 @@ from pipewave import FrictionParams, LinearAltitude, Mesh, Periodic, State, Wall
 from pipewave.kinetic import cfl_timestep, step
 
 g = 9.81
-frictionless = FrictionParams.disabled()
+frictionless = FrictionParams()
 
 
 # --- sloped still water ----------------------------------------------------
@@ -43,13 +43,13 @@ x = mesh.centers / 100.0
 c = 25.0
 area = 2.0 + 0.3 * np.sin(2 * np.pi * x)
 state = State(area=area, discharge=area * (0.05 * c * np.sin(4 * np.pi * x)))
-mass0 = np.sum(mesh.widths * state.area)
-mom0 = np.sum(mesh.widths * state.discharge)
+mass0 = np.sum(mesh.width * state.area)
+mom0 = np.sum(mesh.width * state.discharge)
 for _ in range(2000):
     dt = cfl_timestep(state, c, mesh, 0.9)
     state = step(state, mesh, c, g, dt, frictionless, Periodic(), Periodic())
-mass = np.sum(mesh.widths * state.area)
-mom = np.sum(mesh.widths * state.discharge)
+mass = np.sum(mesh.width * state.area)
+mom = np.sum(mesh.width * state.discharge)
 print("periodic flat pipe after 2000 steps:")
 print(f"  mass drift     {abs(mass - mass0) / mass0:.2e} (relative)")
 print(f"  momentum drift {abs(mom - mom0) / (mass0 * c):.2e} (relative to mass*c)")

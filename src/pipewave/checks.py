@@ -19,7 +19,7 @@ from .config import RunConfig
 from .core import FrictionParams, Mesh, State, rest_factors
 from .scenarios import Periodic, Scenario, Wall
 
-_DISABLED_FRICTION = FrictionParams.disabled()
+_NO_FRICTION = FrictionParams()
 _BLOCK_CASES = 256          # positivity cases drawn and stepped together
 
 
@@ -71,7 +71,7 @@ def check_positivity(c, g, cases=2000, seed=1):
         ext[:, :, 1:-1] = area, discharge
         ext[:, :, 0] = area[:, 0], -discharge[:, 0]     # wall ghosts (A_in, -Q_in)
         ext[:, :, -1] = area[:, -1], -discharge[:, -1]
-        # cfl_timestep's cfl * min(h) / (max |u| + c sqrt(3)), cfl = min(h) = 1
+        # cfl_timestep's cfl * h / (max |u| + c sqrt(3)), cfl = h = 1
         dt = 1.0 / (np.abs(discharge / area).max(axis=1) + s)
         a_new, q_new = kinetic._advance(ext, rest_factors(z, c, g), dt[:, None], c, g)
         failures += m - int(np.count_nonzero(kinetic._admissible(a_new, q_new).all(axis=1)))
@@ -86,16 +86,15 @@ def check_conservation(c, g, cells=64, steps=500, seed=2):
     area = 2.0 + 0.3 * np.sin(2 * np.pi * x) + 0.1 * rng.standard_normal()
     u = 0.05 * c * np.sin(4 * np.pi * x)
     state = State(area=area, discharge=area * u)
-    mass0 = float(np.sum(mesh.widths * state.area))
-    mom0 = float(np.sum(mesh.widths * state.discharge))
+    mass0 = float(np.sum(mesh.width * state.area))
+    mom0 = float(np.sum(mesh.width * state.discharge))
     mom_scale = max(abs(mom0), mass0 * c)
     drift = 0.0
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.9)
-        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION,
-                             Periodic(), Periodic())
-        mass = float(np.sum(mesh.widths * state.area))
-        mom = float(np.sum(mesh.widths * state.discharge))
+        state = kinetic.step(state, mesh, c, g, dt, _NO_FRICTION, Periodic(), Periodic())
+        mass = float(np.sum(mesh.width * state.area))
+        mom = float(np.sum(mesh.width * state.discharge))
         drift = max(drift, abs(mass - mass0) / mass0, abs(mom - mom0) / mom_scale)
     return CheckResult("periodic mass/momentum conservation", drift, 1e-12)
 
@@ -111,7 +110,7 @@ def check_still_water(scenario: Scenario, cells=100, steps=200):
     state = State(area=area0, discharge=np.zeros(cells))
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.8)
-        state = kinetic.step(state, mesh, c, g, dt, _DISABLED_FRICTION, Wall(), Wall())
+        state = kinetic.step(state, mesh, c, g, dt, _NO_FRICTION, Wall(), Wall())
 
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * c))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))

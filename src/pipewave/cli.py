@@ -40,11 +40,12 @@ def _build_parser():
                             ("check", "run the invariant suites")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="path to a key=value configuration file")
-        cmd.add_argument("--cells", type=int, default=None,
-                         help="override the cell count")
-        cmd.add_argument("--cfl", type=float, default=None,
-                         help="override the CFL coefficient")
-        cmd.add_argument("--out", default=None, help="override the output directory")
+        if name != "check":         # the suites set their own meshes and CFL
+            cmd.add_argument("--cells", type=int, default=None,
+                             help="override the cell count")
+            cmd.add_argument("--cfl", type=float, default=None,
+                             help="override the CFL coefficient")
+            cmd.add_argument("--out", default=None, help="override the output directory")
     return parser
 
 
@@ -53,15 +54,14 @@ def _load(args) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"configuration file not found: {path}")
     config = load_config(path)
+    if args.command == "check":
+        return config
     scenario = config.scenario
     if args.cells is not None:
         scenario = replace(scenario, mesh_cells=args.cells)
-    overrides = {"scenario": scenario}
-    if args.cfl is not None:
-        overrides["cfl"] = args.cfl
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    return replace(config, **overrides)
+    return replace(config, scenario=scenario,
+                   cfl=config.cfl if args.cfl is None else args.cfl,
+                   output_dir=config.output_dir if args.out is None else args.out)
 
 
 def _cmd_run(config: RunConfig):

@@ -38,7 +38,7 @@ class ProbeSeries:
 class ComparisonReport:
     probe_x: float
     linf_head_error: float
-    l2_head_error: float
+    l2_head_error: float | None        # None: fewer than two common samples
     linf_discharge_error: float
     kinetic_period: float | None
     moc_period: float | None
@@ -121,15 +121,16 @@ def compare_series(kinetic: ProbeSeries, moc: ProbeSeries,
     ``closure_time`` marks the end of the valve maneuver: the period is read
     off the clean oscillation after it, while the surge extremum is searched
     from the start of the record (the peak may occur during the maneuver).
+    The time-averaged L2 error needs a window of at least two samples.
     """
     t, (head_a, q_a), (head_b, q_b) = _resample_to_coarser(kinetic, moc)
     dh = head_a - head_b
     dq = q_a - q_b
-    duration = t[-1] - t[0]
+    l2 = None if t.size < 2 else float(np.sqrt(np.trapezoid(dh * dh, t) / (t[-1] - t[0])))
     return ComparisonReport(
         probe_x=kinetic.x,
         linf_head_error=float(np.max(np.abs(dh))),
-        l2_head_error=float(np.sqrt(np.trapezoid(dh * dh, t) / duration)),
+        l2_head_error=l2,
         linf_discharge_error=float(np.max(np.abs(dq))),
         kinetic_period=detect_period(kinetic.t, kinetic.head, closure_time),
         moc_period=detect_period(moc.t, moc.head, closure_time),

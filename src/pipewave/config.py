@@ -137,16 +137,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _build(v) -> RunConfig:
-    def positive(key):
-        if v[key] is not None and v[key] <= 0:
-            raise ConfigError(f"key {key}: must be positive, got {v[key]}")
-
     for key in ("pipe.length_m", "pipe.section_m2", "pipe.wall_thickness_m",
                 "pipe.young_modulus_pa", "fluid.gravity_m_s2",
                 "fluid.compressibility_per_pa", "fluid.density_kg_m3",
                 "fluid.wave_speed_m_s", "boundary.closure_duration_s",
                 "run.cells"):
-        positive(key)
+        if v[key] is not None and v[key] <= 0:
+            raise ConfigError(f"key {key}: must be positive, got {v[key]}")
     if v["run.t_end_s"] < 0:
         raise ConfigError(f"key run.t_end_s: must be non-negative, got {v['run.t_end_s']}")
     if v["friction.enabled"] and v["friction.strickler"] <= 0:
@@ -155,19 +152,15 @@ def _build(v) -> RunConfig:
     altitude = LinearAltitude(upstream_z=v["pipe.upstream_altitude_m"],
                               angle_deg=v["pipe.slope_deg"])
     try:
-        geometry = PipeGeometry.circular(
-            length=v["pipe.length_m"], section=v["pipe.section_m2"],
-            wall_thickness=v["pipe.wall_thickness_m"],
-            young_modulus=v["pipe.young_modulus_pa"], altitude=altitude)
+        geometry = PipeGeometry.circular(length=v["pipe.length_m"],
+                                         section=v["pipe.section_m2"], altitude=altitude)
         c = v["fluid.wave_speed_m_s"]
         if c is None:
-            c = effective_wave_speed(
-                sound_speed(v["fluid.compressibility_per_pa"], v["fluid.density_kg_m3"]),
-                geometry.diameter, geometry.wall_thickness, geometry.young_modulus,
-                v["fluid.compressibility_per_pa"])
-        constants = PhysicalConstants(g=v["fluid.gravity_m_s2"],
-                                      beta=v["fluid.compressibility_per_pa"],
-                                      rho0=v["fluid.density_kg_m3"], c=c)
+            beta = v["fluid.compressibility_per_pa"]
+            c = effective_wave_speed(sound_speed(beta, v["fluid.density_kg_m3"]),
+                                     geometry.diameter, v["pipe.wall_thickness_m"],
+                                     v["pipe.young_modulus_pa"], beta)
+        constants = PhysicalConstants(c=c, g=v["fluid.gravity_m_s2"])
         friction = FrictionParams(enabled=v["friction.enabled"],
                                   strickler=v["friction.strickler"])
         closure = ValveClosure(q0=v["flow.initial_discharge_m3s"],

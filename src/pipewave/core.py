@@ -56,22 +56,14 @@ def effective_wave_speed(c, diameter, wall_thickness, young_modulus, beta):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Gravity, compressibility, reference density and the model sound speed.
+    """The model wave speed c (m/s; the elastic pipe's, see
+    ``effective_wave_speed``) and gravity g."""
 
-    ``c`` defaults to the rigid-pipe value 1/sqrt(beta*rho0); pass it
-    explicitly (typically the elastic wave speed) to override.
-    """
-
+    c: float
     g: float = 9.81
-    beta: float = 5.0e-10
-    rho0: float = 1000.0
-    c: float | None = None
 
     def __post_init__(self):
-        _require_positive(g=self.g, beta=self.beta, rho0=self.rho0)
-        if self.c is None:
-            object.__setattr__(self, "c", sound_speed(self.beta, self.rho0))
-        _require_positive(c=self.c)
+        _require_positive(c=self.c, g=self.g)
 
 
 @dataclass(frozen=True)
@@ -88,33 +80,27 @@ class LinearAltitude:
 
 @dataclass(frozen=True)
 class PipeGeometry:
-    """Uniform pipe: section, wetted perimeter, diameter, wall data and the
-    bottom elevation profile."""
+    """Uniform pipe: section, wetted perimeter, diameter and the bottom
+    elevation profile."""
 
     length: float
     section: float
     perimeter: float
     diameter: float
-    wall_thickness: float
-    young_modulus: float
     altitude: object
 
     def __post_init__(self):
         _require_positive(length=self.length, section=self.section,
-                          perimeter=self.perimeter, diameter=self.diameter,
-                          wall_thickness=self.wall_thickness,
-                          young_modulus=self.young_modulus)
+                          perimeter=self.perimeter, diameter=self.diameter)
 
     @classmethod
-    def circular(cls, length, section, wall_thickness, young_modulus, altitude):
+    def circular(cls, length, section, altitude):
         """Circular section of given area: diameter = 2*sqrt(S/pi),
         perimeter = pi*diameter."""
         _require_positive(section=section)
         diameter = 2.0 * math.sqrt(section / math.pi)
         return cls(length=length, section=section,
-                   perimeter=math.pi * diameter, diameter=diameter,
-                   wall_thickness=wall_thickness, young_modulus=young_modulus,
-                   altitude=altitude)
+                   perimeter=math.pi * diameter, diameter=diameter, altitude=altitude)
 
 
 @dataclass(frozen=True)
@@ -127,10 +113,6 @@ class FrictionParams:
     def __post_init__(self):
         if self.enabled:
             _require_positive(strickler=self.strickler)
-
-    @classmethod
-    def disabled(cls):
-        return cls(enabled=False)
 
 
 # ---------------------------------------------------------------------------
@@ -157,37 +139,26 @@ def rest_factors(z, c, g):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Cell centers, widths and the piecewise-constant bottom z_cells[i] =
-    Z(centers[i])."""
+    """n equal cells of ``width`` on [0, length], their read-only ``centers``
+    and the piecewise-constant bottom z_cells[i] = Z(centers[i])."""
 
-    centers: np.ndarray
-    widths: np.ndarray
+    length: float
     z_cells: np.ndarray
 
     def __post_init__(self):
-        centers = _readonly(self.centers)
-        widths = _readonly(self.widths)
         z_cells = _readonly(self.z_cells)
-        if centers.ndim != 1 or centers.shape != widths.shape or centers.shape != z_cells.shape:
-            raise ValueError("mesh arrays must be 1-d and of equal length")
-        if centers.size == 0:
-            raise ValueError("mesh must contain at least one cell")
-        if not (widths > 0).all():
-            raise ValueError("cell widths must be positive")
-        if not (np.diff(centers) > 0).all():
-            raise ValueError("cell centers must be strictly increasing")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "widths", widths)
+        if z_cells.ndim != 1 or z_cells.size == 0:
+            raise ValueError("mesh bottoms must be a non-empty 1-d array")
+        _require_positive(length=self.length)
+        width = self.length / z_cells.size
         object.__setattr__(self, "z_cells", z_cells)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "centers", _readonly((np.arange(z_cells.size) + 0.5) * width))
         object.__setattr__(self, "_rest_factors", {})
 
     @property
     def n(self):
-        return self.centers.size
-
-    @cached_property
-    def min_width(self):
-        return float(self.widths.min())
+        return self.z_cells.size
 
     def rest_factors(self, c, g):
         """Read-only ``rest_factors(z_cells, c, g)``, computed once per (c, g)."""
@@ -203,11 +174,7 @@ class Mesh:
         """n equal cells on [0, length] with bottom sampled at cell centers."""
         if n < 1:
             raise ValueError("need at least one cell")
-        _require_positive(length=length)
-        h = length / n
-        centers = (np.arange(n) + 0.5) * h
-        return cls(centers=centers, widths=np.full(n, h),
-                   z_cells=np.asarray(altitude(centers), dtype=float))
+        return cls(length, altitude((np.arange(n) + 0.5) * (length / n)))
 
 
 @dataclass(frozen=True)
@@ -297,17 +264,15 @@ def entropy_cell(area, discharge, z, c, g):
 
 
 def friction_slope(velocity, geometry: PipeGeometry, friction: FrictionParams):
-    """Manning-Strickler slope S_f = K u|u|, K = 1/(K_s^2 R_h^(4/3)) with the
-    hydraulic radius R_h = S/P_m; zero when friction is disabled."""
+    """Manning-Strickler slope S_f = K u|u|, K = ``friction_coefficient``;
+    zero when friction is disabled."""
     velocity = np.asarray(velocity, dtype=float)
-    if not friction.enabled:
-        return np.zeros_like(velocity) if velocity.ndim else 0.0
-    k = friction_coefficient(geometry, friction)
-    return k * velocity * np.abs(velocity)
+    return friction_coefficient(geometry, friction) * velocity * np.abs(velocity)
 
 
 def friction_coefficient(geometry: PipeGeometry, friction: FrictionParams):
-    """K = 1/(K_s^2 R_h^(4/3)) from the Strickler law."""
+    """K = 1/(K_s^2 R_h^(4/3)) from the Strickler law, with the hydraulic
+    radius R_h = S/P_m; 0 when friction is disabled."""
     if not friction.enabled:
         return 0.0
     rh = geometry.section / geometry.perimeter

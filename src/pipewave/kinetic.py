@@ -67,14 +67,14 @@ against quadrature and demo 02.
 
 The macroscopic update is the first-order explicit scheme
 
-    U_i' = U_i - dt/h_i * (F-_{i+1/2} - F+_{i-1/2})
+    U_i' = U_i - dt/h * (F-_{i+1/2} - F+_{i-1/2})
 
-stable and positivity-preserving under the CFL condition
-dt * max(|u| + c sqrt(3)) <= min h.  ``_advance`` runs the reconstruction,
-the kernel, the add-back and this update on a ghost-extended block of any
-leading shape, cells on the last axis: ``step`` on one 1-d block,
-``checks.check_positivity`` on blocks of cases.  Friction, when enabled, is
-applied to the discharge after the hyperbolic update through a
+with h the cell width, stable and positivity-preserving under the CFL
+condition dt * max(|u| + c sqrt(3)) <= h.  ``_advance`` runs the
+reconstruction, the kernel, the add-back and this update on a ghost-extended
+block of any leading shape, cells on the last axis: ``step`` on one 1-d
+block, ``checks.check_positivity`` on blocks of cases.  Friction, when
+enabled, is applied to the discharge after the hyperbolic update through a
 semi-implicit relaxation.
 Without friction ``step`` hands its new state's max |u|, formed as it tests
 admissibility, to the state, and the next ``cfl_timestep`` reads it there.
@@ -218,10 +218,10 @@ def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
 
 
 def cfl_timestep(state: State, c, mesh: Mesh, cfl_coefficient):
-    """dt = cfl * min(h) / max(|u| + c sqrt(3))."""
+    """dt = cfl * h / max(|u| + c sqrt(3))."""
     if not 0.0 < cfl_coefficient <= 1.0:
         raise ValueError(f"cfl coefficient must lie in (0, 1], got {cfl_coefficient}")
-    return cfl_coefficient * mesh.min_width / (state.max_abs_velocity + c * SQRT3)
+    return cfl_coefficient * mesh.width / (state.max_abs_velocity + c * SQRT3)
 
 
 def _admissible(area, discharge):
@@ -273,17 +273,17 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     if dt <= 0:
         raise ValueError("dt must be positive")
     speed = state.max_abs_velocity + c * SQRT3
-    if dt * speed > mesh.min_width * _CFL_SLACK:
+    if dt * speed > mesh.width * _CFL_SLACK:
         raise SolverError(
             f"dt={dt:g} violates the CFL condition: dt*max(|u|+c*sqrt(3))="
-            f"{dt * speed:g} > min width {mesh.min_width:g}")
+            f"{dt * speed:g} > cell width {mesh.width:g}")
 
     ext = np.empty((2, state.area.size + 2))   # (A, Q) with one ghost on each end
     ext[:, 0], ext[:, -1] = scenarios.ghost_states(state, mesh, upstream, downstream,
                                                    c, g, geometry)
     ext[0, 1:-1] = state.area
     ext[1, 1:-1] = state.discharge
-    a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.widths, c, g)
+    a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.width, c, g)
 
     # with 0 < A < inf a finite max |Q/A| shows every cell admissible;
     # otherwise some cell is not, and the mask names the first

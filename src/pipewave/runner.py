@@ -19,7 +19,7 @@ import numpy as np
 from . import kinetic, moc
 from .compare import ComparisonReport, ProbeSeries, compare_series
 from .config import ConfigError, RunConfig
-from .core import area_from_piezometric_head, piezometric_head
+from .core import SolverError, area_from_piezometric_head, piezometric_head
 from .output import PROBE_HEADER, SNAPSHOT_HEADER, CsvWriter, frame_rows
 from .scenarios import PrescribedDischarge, Scenario, ValveClosure, steady_state_init
 
@@ -43,13 +43,15 @@ class SolverOutput:
 class _Solver:
     """One solver as the recorder reads it.  ``level(state)`` is the marched
     variable that fixes the wetted area at each point (A itself, or the MOC
-    piezometric head; increasing in A) and ``area(level, z)`` converts it."""
+    piezometric head; increasing in A), ``area(level, z)`` converts it and
+    ``floor`` is the level of zero area."""
 
     x: np.ndarray                # sample points
     z: np.ndarray                # bottom elevations at x
-    weights: np.ndarray          # mass quadrature weights
+    weights: object              # mass quadrature weights (a scalar or per point)
     level: Callable
     area: Callable
+    floor: object                # zero-area level (a scalar or per point)
     initial: object
     march: Callable              # march(observer=...) -> final state
     snapshot_stride: int         # 0: the initial and final states only
@@ -60,7 +62,9 @@ class _Recorder:
     ``output_stride``-th step and the final state; the elementwise bounds of
     the level variable over every step; and ``write_snapshot(step, state)``
     called as each snapshot is taken (the initial state, every
-    ``snapshot_stride``-th step and the final state)."""
+    ``snapshot_stride``-th step and the final state).  The bounds are
+    checked at each sample: a level that is not finite or at or below the
+    zero-area line raises ``SolverError``."""
 
     def __init__(self, solver: _Solver, probe_x, output_stride, write_snapshot):
         self.solver, self.probe_x, self.output_stride = solver, probe_x, output_stride
@@ -83,13 +87,27 @@ class _Recorder:
         np.minimum(self.low, level, out=self.low)
         np.maximum(self.high, level, out=self.high)
         if self.steps % self.output_stride == 0:
+            self._check(state.time)
             self._sample(state)
         stride = self.solver.snapshot_stride
         if stride and self.steps % stride == 0:
             self.write_snapshot(self.steps, state)
             self.last_snapshot = self.steps
 
+    def _check(self, time):
+        ok = (self.low > self.solver.floor) & (self.high < np.inf)    # NaN fails both
+        if not ok.all():
+            i = int(np.argmin(ok))
+            lag = (self.steps - 1) % self.output_stride   # steps since the last check
+            raise SolverError(
+                f"step {self.steps} at t={time!r}: node {i} ranged over [{self.low[i]!r}, "
+                f"{self.high[i]!r}], not finite or down to its zero-area level "
+                f"{np.broadcast_to(self.solver.floor, ok.shape)[i]!r}" + (
+                    f" (checked every {self.output_stride} steps: the first bad step "
+                    f"may be up to {lag} steps earlier)" if lag else ""))
+
     def finish(self, final):
+        self._check(final.time)
         if self.steps % self.output_stride:
             self._sample(final)
         if self.last_snapshot != self.steps:
@@ -103,8 +121,8 @@ def _kinetic(config: RunConfig):
     march = partial(kinetic.run, state, mesh, config.cfl, scenario.constants,
                     scenario.friction, scenario.upstream, scenario.downstream,
                     scenario.t_end, geometry=scenario.geometry)
-    return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.widths,
-                   level=lambda s: s.area, area=lambda area, z: area,
+    return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.width,
+                   level=lambda s: s.area, area=lambda area, z: area, floor=0.0,
                    initial=state, march=march, snapshot_stride=config.snapshot_stride)
 
 
@@ -114,13 +132,14 @@ def _moc(config: RunConfig):
     c, g = scenario.constants.c, scenario.constants.g
     initial = moc.initial_moc_state(scenario)
     x = np.linspace(0.0, geom.length, initial.n)
+    z = np.asarray(geom.altitude(x), dtype=float)
     weights = np.full(initial.n, x[1] - x[0])        # trapezoid rule
     weights[[0, -1]] *= 0.5
 
     def area(head, z):
         return area_from_piezometric_head(head, geom.section, z, geom.diameter, c, g)
-    return _Solver(x=x, z=np.asarray(geom.altitude(x), dtype=float), weights=weights,
-                   level=lambda s: s.head, area=area, initial=initial,
+    return _Solver(x=x, z=z, weights=weights, level=lambda s: s.head, area=area,
+                   floor=z + geom.diameter - c * c / g, initial=initial,
                    march=partial(moc.moc_run, scenario, initial=initial),
                    snapshot_stride=0)
 
@@ -219,11 +238,8 @@ def compare_runs(config: RunConfig, write_files=True):
     config = replace(config, solver="both")
     results = run_simulation(config, write_files=write_files)
     t_close = closure_end_time(config.scenario)
-    reports = []
-    for kin_series, moc_series in zip(results["kinetic"].probes,
-                                      results["moc"].probes):
-        reports.append(compare_series(kin_series, moc_series, closure_time=t_close))
-    return results, reports
+    return results, [compare_series(kin, moc_series, closure_time=t_close) for kin, moc_series
+                     in zip(results["kinetic"].probes, results["moc"].probes)]
 
 
 def format_report(report: ComparisonReport):

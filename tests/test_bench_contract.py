@@ -89,11 +89,11 @@ def _counting(monkeypatch, owner, attr):
 def _surge(pw, cells, t_end):
     core, scenarios = pw.core, pw.scenarios
     geometry = core.PipeGeometry.circular(
-        length=2000.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+        length=2000.0, section=2.0,
         altitude=core.LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return scenarios.Scenario(
         geometry=geometry, constants=core.PhysicalConstants(c=1086.6),
-        friction=core.FrictionParams.disabled(), mesh_cells=cells,
+        friction=core.FrictionParams(), mesh_cells=cells,
         upstream=scenarios.ReservoirHead(total_head=300.0),
         downstream=scenarios.PrescribedDischarge(
             law=scenarios.ValveClosure(q0=10.0, t_close=0.5)),

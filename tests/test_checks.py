@@ -56,13 +56,13 @@ def test_positivity_cases_are_the_per_case_draws(seed, cases, monkeypatch):
             blocks, per_case_draws(seed, cases)):
         assert ext[0, 1:-1].tobytes() == area.tobytes()
         assert ext[1, 1:-1].tobytes() == discharge.tobytes()
-        mesh = Mesh(centers=np.arange(4.0), widths=np.ones(4), z_cells=z)
+        mesh = Mesh(4.0, z)
         state = State(area=area, discharge=discharge)
         ghosts = ghost_states(state, mesh, Wall(), Wall(), C, G)
         assert ext[:, [0, -1]].tobytes() == np.array(ghosts).T.tobytes()
         assert shrink.tobytes() == mesh.rest_factors(C, G).tobytes()
         dt = kinetic.cfl_timestep(state, C, mesh, 1.0)
-        assert ratio.tobytes() == (dt / mesh.widths[:1]).tobytes()
+        assert ratio.tobytes() == np.float64(dt / mesh.width).tobytes()
 
 
 @pytest.mark.parametrize("c", [10.0, 300.0, C])
@@ -80,11 +80,11 @@ def test_positivity_blocks_match_per_case_step(c, monkeypatch):
     assert len(outputs) == cases
     for (a_block, q_block), (area, discharge, z) in zip(
             outputs, per_case_draws(5, cases, c)):
-        mesh = Mesh(centers=np.arange(4.0), widths=np.ones(4), z_cells=z)
+        mesh = Mesh(4.0, z)
         state = State(area=area, discharge=discharge)
         dt = kinetic.cfl_timestep(state, c, mesh, 1.0)
         try:
-            new = kinetic.step(state, mesh, c, G, dt, FrictionParams.disabled(),
+            new = kinetic.step(state, mesh, c, G, dt, FrictionParams(),
                                Wall(), Wall())
         except SolverError:
             failures += 1

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,25 @@ class TestExitCodes:
         assert len((tmp_path / "out" / "kinetic_snap_00000000.csv").read_text()
                    .splitlines()) == 1 + 4      # complete: header and 4 cells
 
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_diverging_moc_is_exit_3(self, tmp_path, capsys, stride):
+        # explicit MOC friction at dx = 667 m drives the heads to -2.7e7 m
+        # within 4 steps, far below the zero-area line; with stride 10 the
+        # march ends before the first sampled check, so the final one fires
+        cfg = write_config(tmp_path, run__cells="3", run__solver="moc",
+                           friction__enabled="true", friction__strickler="1",
+                           boundary__upstream_head_m="100000",
+                           flow__initial_discharge_m3s="0", run__t_end_s="3",
+                           run__cfl="0.1", output__stride=str(stride))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^solver error: step \d+ at t=\S+: node \d+ ranged over ", err), err
+        assert ("checked every 10 steps" in err) == (stride == 10), err
+        # the initial snapshot was taken before the march and is complete
+        assert sorted(p.name for p in out.iterdir()) == ["moc_snap_00000000.csv"]
+        assert len((out / "moc_snap_00000000.csv").read_text().splitlines()) == 1 + 4
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_output_below_a_file_is_exit_5(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
@@ -200,6 +220,29 @@ class TestCompareCommand:
                            output__stride="1")
         assert main(["compare", str(cfg), "--out", str(out)]) == 0
 
+    def test_one_sample_window_reports_l2_as_na(self, tmp_path, capsys):
+        # at stride 10 the kinetic series holds only t = 0 inside the one MOC
+        # step [0, dx/a]: no L2 error over a window of one sample
+        cfg = write_config(tmp_path, run__t_end_s="0.62", run__cells="3",
+                           output__stride="10", output__probes_m="1000, 2000")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("l2_head_error_m: n/a") == 2, printed
+        assert "nan" not in printed
+
+    def test_overrides_apply(self, tmp_path):
+        overridden, configured = tmp_path / "a", tmp_path / "b"
+        cfg = write_config(tmp_path, run__t_end_s="2", output__stride="2")
+        assert main(["compare", str(cfg), "--out", str(overridden), "--cells", "24",
+                     "--cfl", "0.5"]) == 0
+        cfg = write_config(tmp_path, run__t_end_s="2", output__stride="2",
+                           run__cells="24", run__cfl="0.5", output__dir=str(configured))
+        assert main(["compare", str(cfg)]) == 0
+        assert "cells: 24\n" in (overridden / "kinetic_summary.txt").read_text()
+        assert sha_of_csvs(overridden) == sha_of_csvs(configured)
+
 
 class TestCheckCommand:
     def test_check_passes_on_shipped_config(self, tmp_path, capsys):
@@ -216,6 +259,14 @@ class TestCheckCommand:
         assert main(["check", str(REPO_ROOT / "waterhammer.cfg")]) == 0
         residuals = re.findall(r"residual=(\S+)", capsys.readouterr().out)
         assert residuals == ["3.287e-16", "0.000e+00", "2.816e-16", "4.219e-15"]
+
+    @pytest.mark.parametrize("flag", [["--cells", "5"], ["--cfl", "0.5"], ["--out", "x"]])
+    def test_run_flags_rejected(self, tmp_path, capsys, flag):
+        # the suites set their own meshes and CFL and write no file
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", str(write_config(tmp_path))] + flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_failing_suite_gives_exit_4(self, tmp_path, capsys, monkeypatch):
         from pipewave import cli

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,18 @@ class TestCompareSeries:
                         discharge=np.zeros(100))
         with pytest.raises(ValueError):
             compare_series(a, b)
+
+    def test_one_sample_window_has_no_l2_error(self):
+        # the coarse series has one sample inside the fine one's window
+        coarse = ProbeSeries(x=1000.0, t=np.array([0.0, 1.0]), head=np.array([3.0, 4.0]),
+                             discharge=np.zeros(2))
+        fine = ProbeSeries(x=1000.0, t=np.linspace(0.0, 0.6, 7), head=np.full(7, 2.0),
+                           discharge=np.zeros(7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_series(coarse, fine)
+        assert report.l2_head_error is None
+        assert report.linf_head_error == 1.0
 
     def test_probe_series_requires_ordered_times(self):
         with pytest.raises(ValueError):

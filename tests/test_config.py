@@ -4,6 +4,7 @@ import pytest
 
 from pipewave.config import (_SCHEMA, ConfigError, _parse_float, _parse_floats,
                              load_config, parse_config)
+from pipewave.core import effective_wave_speed, sound_speed
 from pipewave.scenarios import PrescribedDischarge, ReservoirHead
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,8 +33,6 @@ class TestParse:
         geom = scenario.geometry
         assert geom.length == 2000.0
         assert geom.section == 2.0
-        assert geom.wall_thickness == 0.2
-        assert geom.young_modulus == 23e9
         assert geom.altitude.upstream_z == 250.0
         assert abs(geom.altitude.angle_deg) == 5.0
         assert isinstance(scenario.upstream, ReservoirHead)
@@ -44,6 +43,8 @@ class TestParse:
         assert scenario.mesh_cells == 1000
         # wave speed derived from the elastic pipe parameters
         assert scenario.constants.c == pytest.approx(1086.6, abs=0.1)
+        assert scenario.constants.c == effective_wave_speed(
+            sound_speed(5e-10, 1000.0), geom.diameter, 0.2, 23e9, 5e-10)
         assert config.cfl == 0.8
         assert config.solver == "both"
 

@@ -11,7 +11,7 @@ from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
 
 def section4_geometry():
     return PipeGeometry.circular(
-        length=2000.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+        length=2000.0, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
 
 
@@ -44,8 +44,7 @@ class TestEffectiveWaveSpeed:
     def test_concrete_penstock(self):
         geom = section4_geometry()
         c = sound_speed(5.0e-10, 1000.0)
-        a = effective_wave_speed(c, geom.diameter, geom.wall_thickness,
-                                 geom.young_modulus, 5.0e-10)
+        a = effective_wave_speed(c, geom.diameter, 0.2, 23e9, 5.0e-10)
         assert a == pytest.approx(1086.6, abs=0.1)
         assert a == pytest.approx(1086.6315496544702, rel=1e-12)
 
@@ -166,7 +165,7 @@ class TestFrictionSlope:
 
     def test_disabled(self):
         geom = section4_geometry()
-        assert friction_slope(5.0, geom, FrictionParams.disabled()) == 0.0
+        assert friction_slope(5.0, geom, FrictionParams()) == 0.0
 
     def test_reference_value(self):
         geom = section4_geometry()
@@ -190,17 +189,17 @@ class TestGeometryAndConstants:
         assert geom.section == pytest.approx(math.pi * geom.diameter ** 2 / 4, rel=1e-14)
         assert geom.perimeter == pytest.approx(math.pi * geom.diameter, rel=1e-14)
 
-    def test_constants_default_sound_speed(self):
-        constants = PhysicalConstants(beta=5e-10, rho0=1000.0)
-        assert constants.c == pytest.approx(sound_speed(5e-10, 1000.0), rel=1e-15)
-
     def test_constants_override(self):
         constants = PhysicalConstants(c=1086.6)
         assert constants.c == 1086.6
 
     def test_constants_validation(self):
+        with pytest.raises(TypeError):
+            PhysicalConstants()            # no default wave speed
         with pytest.raises(ValueError):
-            PhysicalConstants(g=-1.0)
+            PhysicalConstants(c=1086.6, g=-1.0)
+        with pytest.raises(ValueError):
+            PhysicalConstants(c=0.0)
 
 
 class TestMeshAndState:
@@ -208,15 +207,20 @@ class TestMeshAndState:
         alt = LinearAltitude(upstream_z=250.0, angle_deg=-5.0)
         mesh = Mesh.uniform(2000.0, 100, alt)
         assert mesh.n == 100
-        assert mesh.widths == pytest.approx(np.full(100, 20.0))
+        assert mesh.width == 20.0
+        assert mesh.centers.tobytes() == ((np.arange(100) + 0.5) * 20.0).tobytes()
         assert mesh.z_cells == pytest.approx(alt(mesh.centers))
 
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
-            Mesh(centers=np.array([0.0, 1.0]), widths=np.array([1.0, -1.0]),
-                 z_cells=np.zeros(2))
+            Mesh(-1.0, np.zeros(2))
         with pytest.raises(ValueError):
-            Mesh(centers=np.array([1.0, 0.0]), widths=np.ones(2), z_cells=np.zeros(2))
+            Mesh(1.0, np.zeros(0))
+        with pytest.raises(ValueError):
+            Mesh(1.0, np.zeros((2, 2)))
+        mesh = Mesh(3.0, np.zeros(2))
+        with pytest.raises(ValueError):
+            mesh.centers[0] = 0.0
 
     def test_state_requires_positive_area(self):
         with pytest.raises(ValueError):
@@ -256,7 +260,7 @@ class TestMeshAndState:
         block = rest_factors(z, c, g)
         assert block.shape == (2, 6, 6)
         for k in range(6):
-            mesh = Mesh(centers=np.arange(5.0), widths=np.ones(5), z_cells=z[k])
+            mesh = Mesh(5.0, z[k])
             factors = mesh.rest_factors(c, g)
             assert block[:, k].tobytes() == factors.tobytes()
             assert not factors.flags.writeable

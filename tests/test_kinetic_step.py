@@ -17,7 +17,7 @@ from pipewave.kinetic import SQRT3, cfl_timestep, run, step
 from pipewave.runner import compare_runs
 from pipewave.scenarios import PrescribedDischarge, Periodic, Wall, ghost_states
 
-FRICTIONLESS = FrictionParams.disabled()
+FRICTIONLESS = FrictionParams()
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -34,10 +34,10 @@ def reference_step(state, mesh, c, g, dt, friction, upstream, downstream, geomet
     if dt <= 0:
         raise ValueError("dt must be positive")
     speed = float(np.max(np.abs(state.discharge / state.area))) + c * SQRT3
-    if dt * speed > mesh.min_width * kinetic._CFL_SLACK:
+    if dt * speed > mesh.width * kinetic._CFL_SLACK:
         raise SolverError(
             f"dt={dt:g} violates the CFL condition: dt*max(|u|+c*sqrt(3))="
-            f"{dt * speed:g} > min width {mesh.min_width:g}")
+            f"{dt * speed:g} > cell width {mesh.width:g}")
     (a_gl, q_gl), (a_gr, q_gr) = ghost_states(state, mesh, upstream, downstream, c, g,
                                               geometry)
 
@@ -51,7 +51,7 @@ def reference_step(state, mesh, c, g, dt, friction, upstream, downstream, geomet
                                                             None, c, g)
     fm_q = fm_q + (a_ext[:-1] - a_l) * (c * c)
     fp_q = fp_q + (a_ext[1:] - a_r) * (c * c)
-    ratio = dt / mesh.widths
+    ratio = dt / mesh.width
     a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
     q_new = q - ratio * (fm_q[1:] - fp_q[:-1])
 
@@ -123,7 +123,7 @@ class TestStep:
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8))
         c = 10.0
-        dt_max = mesh.min_width / (c * SQRT3)
+        dt_max = mesh.width / (c * SQRT3)
         with pytest.raises(SolverError):
             step(state, mesh, c, 9.81, 1.5 * dt_max, FRICTIONLESS,
                  Periodic(), Periodic())
@@ -136,8 +136,7 @@ class TestStep:
             area = rng.uniform(0.5, 4.0, n)
             u = rng.uniform(-0.5 * c, 0.5 * c, n)
             z = np.cumsum(rng.uniform(-0.4, 0.4, n))
-            mesh = Mesh(centers=np.arange(n, dtype=float), widths=np.ones(n),
-                        z_cells=z)
+            mesh = Mesh(float(n), z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 0.9)
             new = step(state, mesh, c, g, dt, FRICTIONLESS,
@@ -178,8 +177,7 @@ class TestStep:
             area = rng.uniform(1e-6, 10.0, n)
             u = rng.uniform(-2 * s, 2 * s, n)
             z = np.cumsum(rng.uniform(-5.0, 5.0, n))
-            mesh = Mesh(centers=np.arange(n, dtype=float), widths=np.ones(n),
-                        z_cells=z)
+            mesh = Mesh(float(n), z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 1.0)
             new = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
@@ -192,23 +190,22 @@ class TestStep:
         area = 2.0 + 0.4 * np.sin(2 * np.pi * mesh.centers / 50.0)
         u = 0.1 * c * np.cos(2 * np.pi * mesh.centers / 50.0) + 0.05 * c * rng.random(40)
         state = State(area=area, discharge=area * u)
-        mass0 = np.sum(mesh.widths * state.area)
-        mom0 = np.sum(mesh.widths * state.discharge)
+        mass0 = np.sum(mesh.width * state.area)
+        mom0 = np.sum(mesh.width * state.discharge)
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
             state = step(state, mesh, c, g, dt, FRICTIONLESS,
                          Periodic(), Periodic())
-        assert np.sum(mesh.widths * state.area) == pytest.approx(mass0, rel=1e-12)
-        assert np.sum(mesh.widths * state.discharge) == pytest.approx(
+        assert np.sum(mesh.width * state.area) == pytest.approx(mass0, rel=1e-12)
+        assert np.sum(mesh.width * state.discharge) == pytest.approx(
             mom0, abs=1e-12 * mass0 * c)
 
     def test_mirror_symmetry_commutes(self):
         rng = np.random.default_rng(8)
         n = 24
         c, g = 15.0, 9.81
-        mesh = Mesh.uniform(12.0, n, flat_altitude)
         z = np.cumsum(rng.uniform(-0.3, 0.3, n))
-        mesh = Mesh(centers=mesh.centers, widths=mesh.widths, z_cells=z)
+        mesh = Mesh(12.0, z)
         area = rng.uniform(1.0, 3.0, n)
         q = rng.uniform(-1.0, 1.0, n) * area * c * 0.3
         state = State(area=area, discharge=q)
@@ -216,7 +213,7 @@ class TestStep:
 
         stepped = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
         mirrored_first = State(area=area[::-1], discharge=-q[::-1])
-        mesh_m = Mesh(centers=mesh.centers, widths=mesh.widths, z_cells=z[::-1])
+        mesh_m = Mesh(12.0, z[::-1])
         stepped_mirrored = step(mirrored_first, mesh_m, c, g, dt, FRICTIONLESS,
                                 Wall(), Wall())
         assert stepped_mirrored.area == pytest.approx(stepped.area[::-1], rel=1e-12)
@@ -224,8 +221,7 @@ class TestStep:
             -stepped.discharge[::-1], rel=1e-12, abs=1e-13 * np.max(area) * c)
 
     def test_friction_relaxes_discharge(self):
-        geom = PipeGeometry.circular(length=10.0, section=2.0, wall_thickness=0.2,
-                                     young_modulus=23e9,
+        geom = PipeGeometry.circular(length=10.0, section=2.0,
                                      altitude=LinearAltitude(0.0, 0.0))
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.full(8, 6.0))
@@ -333,8 +329,7 @@ class TestLeanStep:
     """``step`` tests admissibility with min/max reductions and hands the new
     state's max |u| forward; it must match ``reference_step`` bit for bit."""
 
-    geometry = PipeGeometry.circular(length=10.0, section=2.0, wall_thickness=0.2,
-                                     young_modulus=23e9,
+    geometry = PipeGeometry.circular(length=10.0, section=2.0,
                                      altitude=LinearAltitude(0.0, 0.0))
 
     @pytest.mark.parametrize("kind", ["none", "nan-discharge", "zero-area",
@@ -349,8 +344,7 @@ class TestLeanStep:
         for _ in range(8):
             n = int(rng.integers(3, 9))
             c = float(rng.uniform(2.0, 20.0))
-            mesh = Mesh(centers=np.arange(n, dtype=float), widths=np.ones(n),
-                        z_cells=np.cumsum(rng.uniform(-0.5, 0.5, n)))
+            mesh = Mesh(float(n), np.cumsum(rng.uniform(-0.5, 0.5, n)))
             area = rng.uniform(0.5, 5.0, n)
             state = State(area=area, discharge=area * rng.uniform(-c, c, n))
             law = ENDS[ends]
@@ -423,14 +417,14 @@ class TestEntropyDiagnostic:
         area = 2.0 + 0.2 * np.sin(2 * np.pi * x)
         u = 0.05 * c * np.sin(4 * np.pi * x)
         state = State(area=area, discharge=area * u)
-        total = float(np.sum(mesh.widths * entropy_cell(
+        total = float(np.sum(mesh.width * entropy_cell(
             state.area, state.discharge, 0.0, c, g)))
         violations = 0
         for _ in range(500):
             dt = cfl_timestep(state, c, mesh, 0.9)
             state = step(state, mesh, c, g, dt, FRICTIONLESS,
                          Periodic(), Periodic())
-            new_total = float(np.sum(mesh.widths * entropy_cell(
+            new_total = float(np.sum(mesh.width * entropy_cell(
                 state.area, state.discharge, 0.0, c, g)))
             if new_total > total + 1e-8 * abs(total):
                 violations += 1
@@ -522,7 +516,7 @@ class TestRun:
         steps = []
         out = run(state, mesh, 1.0, self._constants(c),
                   FRICTIONLESS, Periodic(), Periodic(),
-                  t_end=100 * mesh.min_width / (0.5 + c * SQRT3),
+                  t_end=100 * mesh.width / (0.5 + c * SQRT3),
                   observer=lambda s: steps.append(s.time))
         assert len(steps) >= 100
         assert out.area == pytest.approx(state.area, rel=1e-10)

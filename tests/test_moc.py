@@ -13,13 +13,13 @@ from pipewave.moc import MocState, _Track, initial_moc_state, moc_run, moc_step
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
                                 ValveClosure, Wall)
 
-FRICTIONLESS = FrictionParams.disabled()
+FRICTIONLESS = FrictionParams()
 G = 9.81
 
 
 def section4_scenario(cells=200, t_end=20.0):
     geometry = PipeGeometry.circular(
-        length=2000.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+        length=2000.0, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return Scenario(
         geometry=geometry, constants=PhysicalConstants(c=1086.6),
@@ -262,7 +262,7 @@ class TestMocStep:
 
     def test_friction_damps_energy(self):
         geometry = PipeGeometry.circular(
-            length=100.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+            length=100.0, section=2.0,
             altitude=LinearAltitude(0.0, 0.0))
         nodes, a, dx = 21, 500.0, 5.0
         rng = np.random.default_rng(6)
@@ -291,7 +291,7 @@ ENDS = {
 
 class TestLeanStep:
     geometry = PipeGeometry.circular(
-        length=300.0, section=1.5, wall_thickness=0.2, young_modulus=23e9,
+        length=300.0, section=1.5,
         altitude=LinearAltitude(0.0, 0.0))
 
     @pytest.mark.parametrize("friction", [FRICTIONLESS,

@@ -25,11 +25,11 @@ STRIDE = 20
 
 def surge_config(solver, tmp_path, snapshot_stride=0):
     geometry = PipeGeometry.circular(
-        length=2000.0, section=2.0, wall_thickness=0.2, young_modulus=23e9,
+        length=2000.0, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     scenario = Scenario(
         geometry=geometry, constants=PhysicalConstants(c=1086.6),
-        friction=FrictionParams.disabled(), mesh_cells=50,
+        friction=FrictionParams(), mesh_cells=50,
         upstream=ReservoirHead(total_head=300.0),
         downstream=PrescribedDischarge(law=ValveClosure(q0=10.0, t_close=5.0)),
         initial_discharge=10.0, t_end=10.0, output_stride=STRIDE,
