@@ -17,12 +17,14 @@ rho0 = 1000.0           # kg/m^3
 c = sound_speed(beta, rho0)
 print(f"rigid-pipe sound speed         c = {c:9.2f} m/s")
 
-# a concrete pipe of 2 m^2 circular section slows the wave considerably
+# a concrete pipe of 2 m^2 circular section slows the wave considerably;
+# the section fixes the diameter
 wall_thickness = 0.2    # m
 young_modulus = 23e9    # Pa
-geometry = PipeGeometry.circular(
+geometry = PipeGeometry(
     length=2000.0, section=2.0,
     altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
+print(f"circular section S = 2 m^2:      D = {geometry.diameter:9.4f} m")
 a = effective_wave_speed(c, geometry.diameter, wall_thickness, young_modulus, beta)
 print(f"elastic (concrete) wave speed  a = {a:9.2f} m/s")
 print(f"water-hammer period for L = 2000 m: 4L/a = {4 * 2000.0 / a:.3f} s")

@@ -42,16 +42,22 @@ def write_csv(path, header, columns, data):
             fh.write((line * (len(part) // columns)) % tuple(part))
 
 
+def _truncated():
+    sys.stderr.write("truncated frame on the CSV writer's input\n")
+    return 1
+
+
 def main(stream):
     """Write the file of every frame read from ``stream``; returns the exit
     status."""
     while head := stream.read(FRAME.size):
+        if len(head) != FRAME.size:
+            return _truncated()
         path_len, header_len, columns, data_len = FRAME.unpack(head)
         size = path_len + header_len + data_len
         body = memoryview(stream.read(size))
         if len(body) != size:
-            sys.stderr.write("truncated frame on the CSV writer's input\n")
-            return 1
+            return _truncated()
         path = os.fsdecode(bytes(body[:path_len]))
         header = str(body[path_len:path_len + header_len], "utf-8")
         try:

@@ -58,6 +58,8 @@ def _load(args) -> RunConfig:
         return config
     scenario = config.scenario
     if args.cells is not None:
+        if args.cells < 2:
+            raise ConfigError(f"--cells must be >= 2, got {args.cells}")
         scenario = replace(scenario, mesh_cells=args.cells)
     return replace(config, scenario=scenario,
                    cfl=config.cfl if args.cfl is None else args.cfl,

@@ -140,20 +140,32 @@ def _build(v) -> RunConfig:
     for key in ("pipe.length_m", "pipe.section_m2", "pipe.wall_thickness_m",
                 "pipe.young_modulus_pa", "fluid.gravity_m_s2",
                 "fluid.compressibility_per_pa", "fluid.density_kg_m3",
-                "fluid.wave_speed_m_s", "boundary.closure_duration_s",
-                "run.cells"):
+                "fluid.wave_speed_m_s", "boundary.closure_duration_s"):
         if v[key] is not None and v[key] <= 0:
             raise ConfigError(f"key {key}: must be positive, got {v[key]}")
+    for key, least in (("run.cells", 2), ("output.stride", 1)):
+        if v[key] < least:
+            raise ConfigError(f"key {key}: must be >= {least}, got {v[key]}")
     if v["run.t_end_s"] < 0:
         raise ConfigError(f"key run.t_end_s: must be non-negative, got {v['run.t_end_s']}")
     if v["friction.enabled"] and v["friction.strickler"] <= 0:
         raise ConfigError("key friction.strickler: must be positive when friction is enabled")
 
+    length = v["pipe.length_m"]
+    probes = v["output.probes_m"] or (length / 2.0,)
+    for x in probes:
+        if not 0.0 <= x <= length:
+            raise ConfigError(f"key output.probes_m: probe at x={x} outside the pipe "
+                              f"[0, {length}]")
     altitude = LinearAltitude(upstream_z=v["pipe.upstream_altitude_m"],
                               angle_deg=v["pipe.slope_deg"])
     try:
-        geometry = PipeGeometry.circular(length=v["pipe.length_m"],
-                                         section=v["pipe.section_m2"], altitude=altitude)
+        geometry = PipeGeometry(length=length, section=v["pipe.section_m2"],
+                                altitude=altitude)
+        crown = float(altitude(0.0)) + geometry.diameter
+        if v["boundary.upstream_head_m"] <= crown:
+            raise ConfigError(f"key boundary.upstream_head_m: {v['boundary.upstream_head_m']} m "
+                              f"does not cover the pipe crown {crown:.6g} m at x=0")
         c = v["fluid.wave_speed_m_s"]
         if c is None:
             beta = v["fluid.compressibility_per_pa"]
@@ -163,12 +175,12 @@ def _build(v) -> RunConfig:
         constants = PhysicalConstants(c=c, g=v["fluid.gravity_m_s2"])
         friction = FrictionParams(enabled=v["friction.enabled"],
                                   strickler=v["friction.strickler"])
-        closure = ValveClosure(q0=v["flow.initial_discharge_m3s"],
-                               t_close=v["boundary.closure_duration_s"],
-                               kind=v["boundary.closure_law"])
-        probes = v["output.probes_m"]
-        if probes is None:
-            probes = (v["pipe.length_m"] / 2.0,)
+        try:
+            closure = ValveClosure(q0=v["flow.initial_discharge_m3s"],
+                                   t_close=v["boundary.closure_duration_s"],
+                                   kind=v["boundary.closure_law"])
+        except ValueError as exc:
+            raise ConfigError(f"key boundary.closure_law: {exc}") from exc
         scenario = Scenario(
             geometry=geometry, constants=constants, friction=friction,
             mesh_cells=v["run.cells"],

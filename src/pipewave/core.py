@@ -56,14 +56,16 @@ def effective_wave_speed(c, diameter, wall_thickness, young_modulus, beta):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """The model wave speed c (m/s; the elastic pipe's, see
-    ``effective_wave_speed``) and gravity g."""
+    """The model wave speed c (m/s; see ``effective_wave_speed``) and gravity
+    g, both positive and finite: a MOC step dx/c = 0 would never advance."""
 
     c: float
     g: float = 9.81
 
     def __post_init__(self):
-        _require_positive(c=self.c, g=self.g)
+        if not (0 < self.c < math.inf and 0 < self.g < math.inf):
+            raise ValueError(f"c and g must be positive and finite, got c={self.c!r}, "
+                             f"g={self.g!r}")
 
 
 @dataclass(frozen=True)
@@ -80,27 +82,19 @@ class LinearAltitude:
 
 @dataclass(frozen=True)
 class PipeGeometry:
-    """Uniform pipe: section, wetted perimeter, diameter and the bottom
-    elevation profile."""
+    """Uniform circular pipe: length, section S and the bottom elevation
+    profile.  The section fixes the read-only ``diameter`` 2*sqrt(S/pi) and
+    wetted ``perimeter`` pi*diameter."""
 
     length: float
     section: float
-    perimeter: float
-    diameter: float
     altitude: object
 
     def __post_init__(self):
-        _require_positive(length=self.length, section=self.section,
-                          perimeter=self.perimeter, diameter=self.diameter)
-
-    @classmethod
-    def circular(cls, length, section, altitude):
-        """Circular section of given area: diameter = 2*sqrt(S/pi),
-        perimeter = pi*diameter."""
-        _require_positive(section=section)
-        diameter = 2.0 * math.sqrt(section / math.pi)
-        return cls(length=length, section=section,
-                   perimeter=math.pi * diameter, diameter=diameter, altitude=altitude)
+        _require_positive(length=self.length, section=self.section)
+        diameter = 2.0 * math.sqrt(self.section / math.pi)
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "perimeter", math.pi * diameter)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,9 @@ class _Track:
 
 @dataclass(frozen=True)
 class MocState:
-    """Piezometric heads and discharges at the grid nodes.
+    """Piezometric heads and discharges at the grid nodes at ``time``; the
+    grid and wave speed are the stepper's arguments, as a kinetic state's
+    mesh is.
 
     A state made by ``moc_step`` also carries its place on a track (see the
     module docstring), the B its half-invariants were formed with and its
@@ -70,8 +72,6 @@ class MocState:
 
     head: np.ndarray
     discharge: np.ndarray
-    wave_speed: float
-    node_spacing: float
     time: float = 0.0
     _b = None        # B of the carried rows; None when no track is carried
 
@@ -80,10 +80,8 @@ class MocState:
         discharge = np.array(self.discharge, dtype=float)
         if head.ndim != 1 or head.shape != discharge.shape or head.size < 2:
             raise ValueError("head and discharge must be 1-d arrays with >= 2 nodes")
-        if not (0 < self.wave_speed < math.inf and 0 < self.node_spacing < math.inf
-                and math.isfinite(self.time)):
-            raise ValueError("wave speed and node spacing must be positive and finite, "
-                             "and the time finite")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time!r}")
         for name, values in (("head", head), ("discharge", discharge)):
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
@@ -95,14 +93,13 @@ class MocState:
         object.__setattr__(self, "discharge", discharge)
 
     @classmethod
-    def _checked(cls, head, track, k, b, ends, wave_speed, node_spacing, time):
+    def _checked(cls, head, track, k, b, ends, time):
         """State ``k`` of ``track`` from its fresh heads, the B its rows were
-        formed with, its end discharges and a valid grid; the heads are made
-        read-only in place, without the copy and checks of ``__init__``."""
+        formed with and its end discharges; the heads are made read-only in
+        place, without the copy and checks of ``__init__``."""
         head.setflags(write=False)
         state = object.__new__(cls)
-        state.__dict__.update(head=head, wave_speed=wave_speed, node_spacing=node_spacing,
-                              time=time, _track=track, _k=k, _b=b, _ends=ends)
+        state.__dict__.update(head=head, time=time, _track=track, _k=k, _b=b, _ends=ends)
         return state
 
     @property
@@ -123,11 +120,6 @@ class MocState:
         return discharge
 
     @property
-    def dt(self):
-        """Unit-Courant time step dx/a, fixed by construction."""
-        return self.node_spacing / self.wave_speed
-
-    @property
     def n(self):
         return self.head.size
 
@@ -142,17 +134,16 @@ def _boundary_node(bc, invariant, sign, b, alpha, t, end):
     return q, invariant + sign * b * q
 
 
-def moc_step(state: MocState, g, section, friction: FrictionParams,
+def moc_step(state: MocState, dx, c, g, section, friction: FrictionParams,
              upstream, downstream, geometry: PipeGeometry | None = None) -> MocState:
-    """Advance one unit-Courant step.
+    """Advance one unit-Courant step dx/c on nodes ``dx`` apart.
 
     The half-invariants move one node along their characteristics and the
     interior heads are their sum; each end solves its boundary law against
     the one invariant reaching it.
     """
-    b = state.wave_speed / (g * section)
-    dx = state.node_spacing
-    t_new = state.time + state.dt
+    b = c / (g * section)
+    t_new = state.time + dx / c
     n = state.n
 
     if state._b == b:
@@ -192,15 +183,14 @@ def moc_step(state: MocState, g, section, friction: FrictionParams,
     track.tip = k
     head = np.add(up, down)
     head[0], head[-1] = h0, hn
-    return MocState._checked(head, track, k, b, (q0, qn), state.wave_speed, dx, t_new)
+    return MocState._checked(head, track, k, b, (q0, qn), t_new)
 
 
-def initial_moc_state(scenario: Scenario, node_count=None):
-    """Steady state on the node grid: the same constant-total-head profile as
-    the finite-volume initializer, expressed as a piezometric line.  The
-    default grid has one node per cell interface of the scenario's mesh."""
-    if node_count is None:
-        node_count = scenario.mesh_cells + 1
+def initial_moc_state(scenario: Scenario):
+    """Steady state with one node per cell interface of the scenario's mesh:
+    the same constant-total-head profile as the finite-volume initializer,
+    expressed as a piezometric line."""
+    node_count = scenario.mesh_cells + 1
     geom = scenario.geometry
     c = scenario.constants.c
     g = scenario.constants.g
@@ -211,16 +201,15 @@ def initial_moc_state(scenario: Scenario, node_count=None):
     head_const = steady_head_constant(scenario)
     area = solve_area_profile(z, q0, head_const, c, g, start=geom.section)
     head = piezometric_head(area, geom.section, z, geom.diameter, c, g)
-    return MocState(head=head, discharge=np.full(node_count, float(q0)),
-                    wave_speed=c, node_spacing=float(x[1] - x[0]), time=0.0)
+    return MocState(head=head, discharge=np.full(node_count, float(q0)))
 
 
 def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) -> MocState:
     """March the scenario from ``initial`` (default: ``initial_moc_state``;
-    its nodes span the pipe, its wave speed is the scenario's and its time is
-    at most t_end) to the last full step
-    at or before t_end, calling ``observer(state)`` after every step; returns
-    the final state.  A ``SolverError`` names the step (from 1) and its start time."""
+    its time at most t_end) on its n nodes spanning the pipe, dx = L/(n - 1),
+    at the scenario's wave speed, to the last full step at or before t_end,
+    calling ``observer(state)`` after every step; returns the final state.
+    A ``SolverError`` names the step (from 1) and its start time."""
     # a Scenario has periodic ends in pairs or not at all
     if isinstance(scenario.upstream, Periodic):
         raise ValueError("the characteristics solver needs reservoir, "
@@ -229,16 +218,11 @@ def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) 
     state = initial_moc_state(scenario) if initial is None else initial
     if scenario.t_end < state.time:
         raise ValueError(f"t_end={scenario.t_end} precedes the initial time {state.time}")
-    span, length = (state.n - 1) * state.node_spacing, scenario.geometry.length
-    if not math.isclose(span, length, rel_tol=1e-9):
-        raise ValueError(f"the initial state's {state.n} nodes span {span} m, "
-                         f"not the {length} m pipe")
-    if state.wave_speed != scenario.constants.c:
-        raise ValueError(f"the initial state's wave speed {state.wave_speed} m/s is not "
-                         f"the scenario's {scenario.constants.c} m/s")
+    # bit for bit the spacing of np.linspace(0, L, n), where the runner samples
+    dx, c = scenario.geometry.length / (state.n - 1), scenario.constants.c
     # unit Courant number: cannot clamp dt, so stop at the last full step
-    steps, t_stop, dt = 0, scenario.t_end * (1.0 + 1e-12), state.dt
-    args = (scenario.constants.g, scenario.geometry.section, scenario.friction,
+    steps, t_stop, dt = 0, scenario.t_end * (1.0 + 1e-12), dx / c
+    args = (dx, c, scenario.constants.g, scenario.geometry.section, scenario.friction,
             scenario.upstream, scenario.downstream, scenario.geometry)
     while state.time + dt <= t_stop:
         steps += 1

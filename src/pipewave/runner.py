@@ -208,16 +208,30 @@ def _write_summary(out_dir: Path, result: SolverOutput):
     (out_dir / f"{result.label}_summary.txt").write_text("\n".join(lines) + "\n")
 
 
+def _prepare(build, config: RunConfig):
+    """``build(config)``; a steady state that cannot be built raises ``ConfigError``."""
+    try:
+        return build(config)
+    except SolverError as exc:
+        scenario = config.scenario
+        raise ConfigError(
+            f"key flow.initial_discharge_m3s: no steady state carries "
+            f"{scenario.initial_discharge!r} m^3/s from the reservoir at "
+            f"boundary.upstream_head_m = {scenario.upstream.total_head!r} m ({exc})") from exc
+
+
 def run_simulation(config: RunConfig, write_files=True):
-    """Run the configured solver(s); returns {label: SolverOutput}.  With
-    ``write_files`` it returns once every CSV is on disk, and raises
-    ``OSError`` when one could not be written."""
+    """Run the configured solver(s); returns {label: SolverOutput}.  Every
+    initial state is built before anything is written.  With ``write_files``
+    it returns once every CSV is on disk, and raises ``OSError`` when one
+    could not be written."""
+    solvers = [(label, _prepare(build, config))
+               for label, build in (("kinetic", _kinetic), ("moc", _moc))
+               if config.solver in (label, "both")]
     if write_files:
         Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     with CsvWriter() if write_files else nullcontext() as writer:
-        return {label: _record(config, writer, label, solver(config))
-                for label, solver in (("kinetic", _kinetic), ("moc", _moc))
-                if config.solver in (label, "both")}
+        return {label: _record(config, writer, label, solver) for label, solver in solvers}
 
 
 def closure_end_time(scenario: Scenario):

@@ -42,7 +42,7 @@ def report(number, name, ok, detail):
 
 
 def validation_scenario(cells, t_end, stride=1):
-    geometry = PipeGeometry.circular(
+    geometry = PipeGeometry(
         length=LENGTH, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return Scenario(
@@ -78,7 +78,7 @@ def smooth_periodic_march(steps):
 
 
 def test_criterion_1_wave_speed():
-    geometry = PipeGeometry.circular(
+    geometry = PipeGeometry(
         length=LENGTH, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     c = sound_speed(5.0e-10, 1000.0)

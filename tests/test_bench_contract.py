@@ -88,7 +88,7 @@ def _counting(monkeypatch, owner, attr):
 
 def _surge(pw, cells, t_end):
     core, scenarios = pw.core, pw.scenarios
-    geometry = core.PipeGeometry.circular(
+    geometry = core.PipeGeometry(
         length=2000.0, section=2.0,
         altitude=core.LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return scenarios.Scenario(

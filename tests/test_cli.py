@@ -117,16 +117,23 @@ class TestExitCodes:
         assert f"key {key}: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_solver_failure_is_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("overrides", [
         # tiny wave speed: the velocity head swamps the reservoir head and
         # the steady-state inversion leaves the positive-area domain
-        cfg = write_config(tmp_path, fluid__wave_speed_m_s="5",
-                           pipe__upstream_altitude_m="0", pipe__slope_deg="0",
-                           boundary__upstream_head_m="2",
-                           flow__initial_discharge_m3s="30")
-        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert "solver error" in capsys.readouterr().err
+        {"fluid__wave_speed_m_s": "5", "pipe__upstream_altitude_m": "0",
+         "pipe__slope_deg": "0", "boundary__upstream_head_m": "2",
+         "flow__initial_discharge_m3s": "30"},
+        {"flow__initial_discharge_m3s": "1e6", "run__solver": "kinetic"},
+        {"flow__initial_discharge_m3s": "1e6", "run__solver": "moc"},
+    ], ids=["slow-wave", "discharge-kinetic", "discharge-moc"])
+    def test_unreachable_steady_state_is_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: key flow.initial_discharge_m3s: "
+                              "no steady state carries "), err
+        assert "from the reservoir at boundary.upstream_head_m = " in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_run_is_exit_3(self, tmp_path, capsys, monkeypatch):
         # the valve discharge jumps to 1e160 after 0.5 s: the 4-cell march
@@ -190,6 +197,7 @@ class TestExitCodes:
     def test_bad_override_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg), "--cells", "1"]) == 2
+        assert "--cells must be >= 2, got 1" in capsys.readouterr().err
 
 
 class TestCompareCommand:

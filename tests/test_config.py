@@ -121,6 +121,23 @@ class TestParse:
             parse_config(MINIMAL + "\noutput.probes_m = ,\n")
         assert "output.probes_m" in str(err.value)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("output.stride", "0", "must be >= 1, got 0"),
+        ("output.probes_m", "3000", "probe at x=3000.0 outside the pipe [0, 2000.0]"),
+        ("boundary.upstream_head_m", "200", "200.0 m does not cover the pipe crown "
+                                            "251.596 m at x=0"),
+        ("boundary.closure_law", "foo", "unknown closure law 'foo'"),
+        ("run.cells", "1", "must be >= 2, got 1"),
+    ])
+    def test_scenario_validation_names_key(self, key, value, message):
+        text = "\n".join(line for line in MINIMAL.splitlines()
+                         if not line.startswith(key + " "))
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("run.cells = 1000", "run.cells = 10")
+                         .replace("run.t_end_s = 40", "run.t_end_s = 1")
+                         + f"\n{key} = {value}\n")
+        assert str(err.value) == f"key {key}: {message}"
+
     def test_cfl_above_one_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\nrun.cfl = 1.5\n")

@@ -10,7 +10,7 @@ from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
 
 
 def section4_geometry():
-    return PipeGeometry.circular(
+    return PipeGeometry(
         length=2000.0, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
 
@@ -200,6 +200,8 @@ class TestGeometryAndConstants:
             PhysicalConstants(c=1086.6, g=-1.0)
         with pytest.raises(ValueError):
             PhysicalConstants(c=0.0)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PhysicalConstants(c=math.inf)
 
 
 class TestMeshAndState:

@@ -1,6 +1,8 @@
-"""Smoke test of the narrative scripts in demos/: each runs to completion."""
+"""Smoke test of the narrative scripts in demos/ and of the README's
+``python`` blocks: each runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,16 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (REPO_ROOT / "README.md").read_text(), re.S | re.M)
+
+
+def run_python(args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def test_demos_found():
@@ -17,8 +29,14 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert run_python([str(demo)], tmp_path).stdout.strip()
+
+
+def test_readme_python_blocks_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{k}" for k in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block, tmp_path):
+    run_python(["-c", block], tmp_path)

@@ -221,7 +221,7 @@ class TestStep:
             -stepped.discharge[::-1], rel=1e-12, abs=1e-13 * np.max(area) * c)
 
     def test_friction_relaxes_discharge(self):
-        geom = PipeGeometry.circular(length=10.0, section=2.0,
+        geom = PipeGeometry(length=10.0, section=2.0,
                                      altitude=LinearAltitude(0.0, 0.0))
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.full(8, 6.0))
@@ -329,7 +329,7 @@ class TestLeanStep:
     """``step`` tests admissibility with min/max reductions and hands the new
     state's max |u| forward; it must match ``reference_step`` bit for bit."""
 
-    geometry = PipeGeometry.circular(length=10.0, section=2.0,
+    geometry = PipeGeometry(length=10.0, section=2.0,
                                      altitude=LinearAltitude(0.0, 0.0))
 
     @pytest.mark.parametrize("kind", ["none", "nan-discharge", "zero-area",

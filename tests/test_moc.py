@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ G = 9.81
 
 
 def section4_scenario(cells=200, t_end=20.0):
-    geometry = PipeGeometry.circular(
+    geometry = PipeGeometry(
         length=2000.0, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return Scenario(
@@ -32,7 +33,7 @@ def section4_scenario(cells=200, t_end=20.0):
 def recorded_states(scenario):
     """The states a recorder samples from ``moc_run``: the initial state,
     every ``output_stride``-th step and the final state."""
-    states = [initial_moc_state(scenario, scenario.mesh_cells + 1)]
+    states = [initial_moc_state(scenario)]
     steps = 0
 
     def observer(state):
@@ -47,9 +48,11 @@ def recorded_states(scenario):
     return states
 
 
-def quiescent_state(nodes=21, head=150.0, a=1000.0, dx=10.0):
-    return MocState(head=np.full(nodes, head), discharge=np.zeros(nodes),
-                    wave_speed=a, node_spacing=dx)
+QUIESCENT_GRID = (10.0, 1000.0)     # dx, a of quiescent_state's steps
+
+
+def quiescent_state(nodes=21, head=150.0):
+    return MocState(head=np.full(nodes, head), discharge=np.zeros(nodes))
 
 
 def reference_end(bc, invariant, sign, b, alpha, t):
@@ -64,14 +67,13 @@ def reference_end(bc, invariant, sign, b, alpha, t):
     return q_end, invariant + sign * b * q_end
 
 
-def reference_step(state, g, section, friction, upstream, downstream, geometry):
+def reference_step(state, dx, c, g, section, friction, upstream, downstream, geometry):
     """One step written as whole-array expressions with a zero friction
     array, re-forming the invariants from (H, Q): the formula the first
     ``moc_step`` from a constructed state must reproduce bit for bit."""
     h, q = state.head, state.discharge
-    b = state.wave_speed / (g * section)
-    dx = state.node_spacing
-    t_new = state.time + state.dt
+    b = c / (g * section)
+    t_new = state.time + dx / c
     if friction.enabled:
         sf = friction_slope(q / section, geometry, friction)
     else:
@@ -85,24 +87,23 @@ def reference_step(state, g, section, friction, upstream, downstream, geometry):
     alpha = 1.0 / (2.0 * g * section * section)
     q_new[0], h_new[0] = reference_end(upstream, cm[1], 1.0, b, alpha, t_new)
     q_new[-1], h_new[-1] = reference_end(downstream, cp[-2], -1.0, b, alpha, t_new)
-    return MocState(head=h_new, discharge=q_new, wave_speed=state.wave_speed,
-                    node_spacing=dx, time=t_new)
+    return MocState(head=h_new, discharge=q_new, time=t_new)
 
 
-def carried_reference(state, steps, g, section, friction, upstream, downstream,
+def carried_reference(state, steps, dx, c, g, section, friction, upstream, downstream,
                       geometry):
     """``steps`` steps written plainly with the half-invariants (cp/2, cm/2)
     carried from step to step: each shifted one node with half the friction
     loss, the ends from the laws, the heads and discharges formed from the
     two.  Returns (head, discharge, time) after every step."""
-    b = state.wave_speed / (g * section)
+    b = c / (g * section)
     alpha = 1.0 / (2.0 * g * section * section)
-    dx, t = state.node_spacing, state.time
+    t = state.time
     h, q = state.head, state.discharge
     hp, hm = 0.5 * (h + b * q), 0.5 * (h - b * q)
     marched = []
     for _ in range(steps):
-        t = t + state.dt
+        t = t + dx / c
         half_loss = 0.5 * dx * friction_slope(q / section, geometry, friction)
         hp_new, hm_new = np.empty_like(hp), np.empty_like(hm)
         hp_new[1:] = hp[:-1] - half_loss[:-1]
@@ -122,28 +123,18 @@ def same_bits(x, y):
 
 
 class TestMocState:
-    def test_unit_courant_timestep(self):
-        state = quiescent_state(a=500.0, dx=25.0)
-        assert state.dt == pytest.approx(0.05)
-
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
-            MocState(head=np.array([1.0]), discharge=np.array([0.0]),
-                     wave_speed=100.0, node_spacing=1.0)
-
-    def test_positive_wave_speed(self):
-        with pytest.raises(ValueError):
-            MocState(head=np.zeros(3), discharge=np.zeros(3),
-                     wave_speed=-1.0, node_spacing=1.0)
+            MocState(head=np.array([1.0]), discharge=np.array([0.0]))
 
     def test_checked_arrays_are_read_only(self):
         head = np.full(4, 10.0)
         track = _Track(4, 2)
         track.rows[:] = [[9.0, 6.0, 5.5, 5.0, 4.5, 9.0], [9.0, 4.0, 4.5, 5.0, 5.5, 9.0]]
-        state = MocState._checked(head, track, 1, 2.0, (0.5, -0.25), 100.0, 1.0, 0.5)
+        state = MocState._checked(head, track, 1, 2.0, (0.5, -0.25), 0.5)
         assert state.head is head and state._track is track and state._k == 1
         assert not head.flags.writeable
-        assert (state.wave_speed, state.node_spacing, state.time) == (100.0, 1.0, 0.5)
+        assert state.time == 0.5
         # state 1 of a capacity-2 track reads rows[0, 1:5] and rows[1, 1:5]
         assert same_bits(state._block, [[6.0, 5.5, 5.0, 4.5], [4.0, 4.5, 5.0, 5.5]])
         # interior (row 0 - row 1) / B, ends from the laws
@@ -159,18 +150,17 @@ class TestMocState:
         values[field][2] = bad
         with pytest.raises(ValueError, match=rf"^{field} must be finite: node 2 is "
                                              rf"{re.escape(repr(bad))}$"):
-            MocState(**values, wave_speed=100.0, node_spacing=1.0)
+            MocState(**values)
 
-    @pytest.mark.parametrize("field", ["wave_speed", "node_spacing", "time"])
+    @pytest.mark.parametrize("field", ["time"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_grid_and_time(self, field, bad):
-        # a nan time or spacing would end moc_run after zero steps, silently
-        grid = {"wave_speed": 100.0, "node_spacing": 1.0, "time": 0.0, field: bad}
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            MocState(head=np.zeros(3), discharge=np.zeros(3), **grid)
+        # a nan time would end moc_run after zero steps, silently
+        with pytest.raises(ValueError, match="time must be finite"):
+            MocState(head=np.zeros(3), discharge=np.zeros(3), **{field: bad})
 
     def test_step_result_is_read_only(self):
-        new = moc_step(quiescent_state(), G, 2.0, FRICTIONLESS,
+        new = moc_step(quiescent_state(), *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
                        ReservoirHead(total_head=150.0), Wall())
         assert not new.head.flags.writeable
         assert not new.discharge.flags.writeable
@@ -179,16 +169,16 @@ class TestMocState:
 class TestMocStep:
     def test_quiescent_fixed_point(self):
         state = quiescent_state()
-        new = moc_step(state, G, 2.0, FRICTIONLESS,
+        new = moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
                        ReservoirHead(total_head=150.0), Wall())
         assert new.head == pytest.approx(state.head, abs=1e-12)
         assert new.discharge == pytest.approx(state.discharge, abs=1e-12)
-        assert new.time == pytest.approx(state.dt)
+        assert new.time == pytest.approx(0.01)
 
     def test_quiescent_with_downstream_reservoir(self):
         # exercises the quadratic reservoir law at the downstream node
         state = quiescent_state(head=150.0)
-        new = moc_step(state, G, 2.0, FRICTIONLESS,
+        new = moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
                        ReservoirHead(total_head=150.0),
                        ReservoirHead(total_head=150.0))
         assert new.head == pytest.approx(state.head, abs=1e-12)
@@ -198,10 +188,9 @@ class TestMocStep:
         a, section, u0 = 1086.6, 2.0, 5.0
         nodes = 41
         state = MocState(head=np.full(nodes, 300.0),
-                         discharge=np.full(nodes, section * u0),
-                         wave_speed=a, node_spacing=2000.0 / (nodes - 1))
+                         discharge=np.full(nodes, section * u0))
         closed = PrescribedDischarge(law=lambda t: 0.0)
-        new = moc_step(state, G, section, FRICTIONLESS,
+        new = moc_step(state, 2000.0 / (nodes - 1), a, G, section, FRICTIONLESS,
                        ReservoirHead(total_head=300.0 + u0 * u0 / (2 * G)), closed)
         jump = new.head[-1] - state.head[-1]
         assert jump == pytest.approx(a * u0 / G, abs=0.5)
@@ -213,9 +202,9 @@ class TestMocStep:
         head = 50.0 + 3.0 * rng.standard_normal(nodes)
         q = 0.4 * rng.standard_normal(nodes)
         q[0] = q[-1] = 0.0   # consistent with the walls
-        state = MocState(head=head, discharge=q, wave_speed=a, node_spacing=dx)
+        state = MocState(head=head, discharge=q)
         # one step lets the boundary conditions take hold exactly
-        state = moc_step(state, G, section, FRICTIONLESS, Wall(), Wall())
+        state = moc_step(state, dx, a, G, section, FRICTIONLESS, Wall(), Wall())
 
         def energy(s):
             return float(np.sum((G * section * s.head ** 2 / (2 * a * a)
@@ -224,7 +213,7 @@ class TestMocStep:
         e0 = energy(state)
         period_steps = 2 * (nodes - 1)   # one full reflection period
         for _ in range(period_steps):
-            state = moc_step(state, G, section, FRICTIONLESS, Wall(), Wall())
+            state = moc_step(state, dx, a, G, section, FRICTIONLESS, Wall(), Wall())
         assert energy(state) == pytest.approx(e0, rel=1e-10)
 
     def test_affine_in_state(self):
@@ -237,8 +226,8 @@ class TestMocStep:
         valve = PrescribedDischarge(law=lambda t: 1.0)
 
         def advance(head, q):
-            s = MocState(head=head, discharge=q, wave_speed=a, node_spacing=dx)
-            out = moc_step(s, G, section, FRICTIONLESS, res, valve)
+            s = MocState(head=head, discharge=q)
+            out = moc_step(s, dx, a, G, section, FRICTIONLESS, res, valve)
             return out.head, out.discharge
 
         h0 = np.full(nodes, 100.0)
@@ -257,18 +246,17 @@ class TestMocStep:
     def test_friction_requires_geometry(self):
         state = quiescent_state()
         with pytest.raises(ValueError):
-            moc_step(state, G, 2.0, FrictionParams(enabled=True, strickler=50.0),
-                     Wall(), Wall())
+            moc_step(state, *QUIESCENT_GRID, G, 2.0,
+                     FrictionParams(enabled=True, strickler=50.0), Wall(), Wall())
 
     def test_friction_damps_energy(self):
-        geometry = PipeGeometry.circular(
+        geometry = PipeGeometry(
             length=100.0, section=2.0,
             altitude=LinearAltitude(0.0, 0.0))
         nodes, a, dx = 21, 500.0, 5.0
         rng = np.random.default_rng(6)
         state = MocState(head=50.0 + rng.standard_normal(nodes),
-                         discharge=0.5 * rng.standard_normal(nodes),
-                         wave_speed=a, node_spacing=dx)
+                         discharge=0.5 * rng.standard_normal(nodes))
         friction = FrictionParams(enabled=True, strickler=20.0)
 
         def energy(s):
@@ -277,11 +265,12 @@ class TestMocStep:
 
         e0 = energy(state)
         for _ in range(80):
-            state = moc_step(state, G, 2.0, friction, Wall(), Wall(),
+            state = moc_step(state, dx, a, G, 2.0, friction, Wall(), Wall(),
                              geometry=geometry)
         assert energy(state) < e0
 
 
+LEAN_GRID = (10.0, 950.0)      # dx, a
 ENDS = {
     "reservoir": ReservoirHead(total_head=120.0),
     "valve": PrescribedDischarge(law=lambda t: 2.0 * math.cos(3.0 * t)),
@@ -290,7 +279,7 @@ ENDS = {
 
 
 class TestLeanStep:
-    geometry = PipeGeometry.circular(
+    geometry = PipeGeometry(
         length=300.0, section=1.5,
         altitude=LinearAltitude(0.0, 0.0))
 
@@ -306,28 +295,27 @@ class TestLeanStep:
         for _ in range(5):
             state = MocState(head=120.0 + 5.0 * rng.standard_normal(nodes),
                              discharge=2.0 * rng.standard_normal(nodes),
-                             wave_speed=a, node_spacing=dx,
                              time=float(rng.uniform(0.0, 3.0)))
             # the first step from a constructed state re-forms the invariants
-            lean = moc_step(state, G, 1.5, friction, *ends, geometry=self.geometry)
-            ref = reference_step(state, G, 1.5, friction, *ends, self.geometry)
+            lean = moc_step(state, dx, a, G, 1.5, friction, *ends, geometry=self.geometry)
+            ref = reference_step(state, dx, a, G, 1.5, friction, *ends, self.geometry)
             assert same_bits(lean.head, ref.head)
             assert same_bits(lean.discharge, ref.discharge)
             assert lean.time == ref.time
             # a chained march carries them
             lean = state
-            for head, discharge, t in carried_reference(state, 6, G, 1.5, friction,
+            for head, discharge, t in carried_reference(state, 6, dx, a, G, 1.5, friction,
                                                         *ends, self.geometry):
-                lean = moc_step(lean, G, 1.5, friction, *ends, geometry=self.geometry)
+                lean = moc_step(lean, dx, a, G, 1.5, friction, *ends, geometry=self.geometry)
                 assert same_bits(lean.head, head)
                 assert same_bits(lean.discharge, discharge)
                 assert lean.time == t
 
     def test_two_node_grid(self):
-        state = MocState(head=np.array([100.0, 101.0]), discharge=np.array([1.0, 0.5]),
-                         wave_speed=900.0, node_spacing=5.0)
-        lean = moc_step(state, G, 2.0, FRICTIONLESS, ENDS["reservoir"], ENDS["valve"])
-        ref = reference_step(state, G, 2.0, FRICTIONLESS, ENDS["reservoir"],
+        state = MocState(head=np.array([100.0, 101.0]), discharge=np.array([1.0, 0.5]))
+        grid = (5.0, 900.0)
+        lean = moc_step(state, *grid, G, 2.0, FRICTIONLESS, ENDS["reservoir"], ENDS["valve"])
+        ref = reference_step(state, *grid, G, 2.0, FRICTIONLESS, ENDS["reservoir"],
                              ENDS["valve"], None)
         assert same_bits(lean.head, ref.head)
         assert same_bits(lean.discharge, ref.discharge)
@@ -339,13 +327,12 @@ class TestCarriedInvariants:
         nodes, a, section, dx = 40, 1000.0, 2.0, 5.0
         valve = PrescribedDischarge(law=lambda t: 1.5 * math.sin(t))
         state = MocState(head=100.0 + 10.0 * rng.standard_normal(nodes),
-                         discharge=3.0 * rng.standard_normal(nodes),
-                         wave_speed=a, node_spacing=dx)
+                         discharge=3.0 * rng.standard_normal(nodes))
         b = a / (G * section)
         hp0 = 0.5 * (state.head + b * state.discharge)
         hm0 = 0.5 * (state.head - b * state.discharge)
         for k in range(1, nodes // 2):
-            state = moc_step(state, G, section, FRICTIONLESS, Wall(), valve)
+            state = moc_step(state, dx, a, G, section, FRICTIONLESS, Wall(), valve)
             # node i sees the right-going half-invariant of node i-k and the
             # left-going one of node i+k, untouched by the k steps between
             assert same_bits(state.head[k:nodes - k],
@@ -355,18 +342,18 @@ class TestCarriedInvariants:
         rng = np.random.default_rng(8)
         ends = (ENDS["reservoir"], ENDS["valve"])
         state = MocState(head=120.0 + rng.standard_normal(31),
-                         discharge=rng.standard_normal(31), wave_speed=950.0,
-                         node_spacing=10.0)
-        state = moc_step(state, G, 1.5, FRICTIONLESS, *ends)
-        lean = moc_step(state, G, 2.0, FRICTIONLESS, *ends)
-        ref = reference_step(state, G, 2.0, FRICTIONLESS, *ends, None)
+                         discharge=rng.standard_normal(31))
+        state = moc_step(state, *LEAN_GRID, G, 1.5, FRICTIONLESS, *ends)
+        lean = moc_step(state, *LEAN_GRID, G, 2.0, FRICTIONLESS, *ends)
+        ref = reference_step(state, *LEAN_GRID, G, 2.0, FRICTIONLESS, *ends, None)
         assert same_bits(lean.head, ref.head)
         assert same_bits(lean.discharge, ref.discharge)
 
     def test_long_march_stays_near_the_re_rounding_chain(self):
         scenario = section4_scenario(cells=50, t_end=1.0)
         lean = ref = initial_moc_state(scenario)
-        args = (G, scenario.geometry.section, FRICTIONLESS, scenario.upstream,
+        args = (scenario.geometry.length / 50, scenario.constants.c, G,
+                scenario.geometry.section, FRICTIONLESS, scenario.upstream,
                 scenario.downstream)
         for _ in range(600):    # 11.0 s: the closure and three reflections
             lean = moc_step(lean, *args)
@@ -384,20 +371,20 @@ class TestCarriedInvariants:
         nodes = 25
         ends = (ENDS["reservoir"], ENDS["valve"])
         state = MocState(head=120.0 + rng.standard_normal(nodes),
-                         discharge=rng.standard_normal(nodes),
-                         wave_speed=950.0, node_spacing=10.0)
-        state = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
+                         discharge=rng.standard_normal(nodes))
+        args = (*LEAN_GRID, G, 1.5, friction, *ends)
+        state = moc_step(state, *args, geometry=TestLeanStep.geometry)
         before = {name: np.array(getattr(state, name))
                   for name in ("head", "discharge", "_block")}
-        first = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
-        second = moc_step(state, G, 1.5, friction, *ends, geometry=TestLeanStep.geometry)
+        first = moc_step(state, *args, geometry=TestLeanStep.geometry)
+        second = moc_step(state, *args, geometry=TestLeanStep.geometry)
         for name, values in before.items():
             assert same_bits(getattr(first, name), getattr(second, name))
             assert same_bits(getattr(state, name), values)
         assert first.time == second.time
 
     def test_discharge_is_formed_once_and_read_only(self):
-        state = moc_step(quiescent_state(), G, 2.0, FRICTIONLESS,
+        state = moc_step(quiescent_state(), *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
                          ReservoirHead(total_head=150.0), Wall())
         assert "discharge" not in vars(state)
         discharge = state.discharge
@@ -415,11 +402,10 @@ class TestTracks:
     def constructed(self, nodes, seed):
         rng = np.random.default_rng(seed)
         return MocState(head=120.0 + rng.standard_normal(nodes),
-                        discharge=rng.standard_normal(nodes), wave_speed=950.0,
-                        node_spacing=10.0, time=0.5)
+                        discharge=rng.standard_normal(nodes), time=0.5)
 
     def step(self, state, friction=FRICTIONLESS):
-        return moc_step(state, G, 1.5, friction, *self.ends,
+        return moc_step(state, *LEAN_GRID, G, 1.5, friction, *self.ends,
                         geometry=TestLeanStep.geometry)
 
     def test_stepping_an_older_state_leaves_every_result_unchanged(self):
@@ -437,8 +423,8 @@ class TestTracks:
         for k, s in zip((1, 2, 1), again):
             assert same_bits(s.head, chain[k + 1].head)
             assert same_bits(s.discharge, chain[k + 1].discharge)
-        marched = carried_reference(chain[0], 5, G, 1.5, FRICTIONLESS, *self.ends,
-                                    TestLeanStep.geometry)
+        marched = carried_reference(chain[0], 5, *LEAN_GRID, G, 1.5, FRICTIONLESS,
+                                    *self.ends, TestLeanStep.geometry)
         for s, (head, discharge, t) in zip(chain[1:] + [tip], marched):
             assert same_bits(s.head, head) and same_bits(s.discharge, discharge)
             assert s.time == t
@@ -449,8 +435,8 @@ class TestTracks:
     def test_march_across_refills_matches_the_carried_reference(self, friction):
         nodes = 7
         state = self.constructed(nodes, seed=5)
-        marched = carried_reference(state, 3 * nodes, G, 1.5, friction, *self.ends,
-                                    TestLeanStep.geometry)
+        marched = carried_reference(state, 3 * nodes, *LEAN_GRID, G, 1.5, friction,
+                                    *self.ends, TestLeanStep.geometry)
         tracks = []
         for head, discharge, t in marched:
             state = self.step(state, friction)
@@ -483,10 +469,10 @@ class TestMocErrors:
         # velocity-head law without a real root
         state = quiescent_state(head=1e6)
         with pytest.raises(SolverError, match="upstream reservoir law unsolvable"):
-            moc_step(state, G, 2.0, FRICTIONLESS, ReservoirHead(total_head=150.0),
-                     Wall())
+            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
+                     ReservoirHead(total_head=150.0), Wall())
         with pytest.raises(SolverError, match="downstream reservoir law unsolvable"):
-            moc_step(state, G, 2.0, FRICTIONLESS, Wall(),
+            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS, Wall(),
                      ReservoirHead(total_head=150.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -495,13 +481,13 @@ class TestMocErrors:
         law = PrescribedDischarge(law=lambda t: bad)
         with pytest.raises(SolverError, match=r"^downstream boundary gave a non-finite "
                                               r"discharge at t=0\.01: Q="):
-            moc_step(state, G, 2.0, FRICTIONLESS, Wall(), law)
+            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS, Wall(), law)
         with pytest.raises(SolverError, match="^upstream boundary gave a non-finite"):
-            moc_step(state, G, 2.0, FRICTIONLESS, law, Wall())
+            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS, law, Wall())
 
     def test_run_names_the_step(self):
         scenario = section4_scenario(cells=50, t_end=1.0)
-        dt = initial_moc_state(scenario).dt
+        dt = scenario.geometry.length / 50 / scenario.constants.c
         late = Scenario(**{**scenario.__dict__, "downstream": PrescribedDischarge(
             law=lambda t: 10.0 if t < 2.5 * dt else math.nan)})
         with pytest.raises(SolverError, match=r"^step 3 from t=0\.07\d*: downstream "
@@ -511,9 +497,7 @@ class TestMocErrors:
     def test_run_names_the_step_of_an_unsolvable_reservoir(self):
         scenario = section4_scenario(cells=50, t_end=1.0)
         initial = initial_moc_state(scenario)
-        high = MocState(head=np.full(initial.n, 1e6), discharge=initial.discharge,
-                        wave_speed=initial.wave_speed,
-                        node_spacing=initial.node_spacing)
+        high = MocState(head=np.full(initial.n, 1e6), discharge=initial.discharge)
         with pytest.raises(SolverError, match=r"^step 1 from t=0\.0: upstream "
                                               r"reservoir law unsolvable"):
             moc_run(scenario, initial=high)
@@ -526,7 +510,7 @@ class TestMocRun:
         final = moc_run(scenario, observer=observed.append)
         assert observed == []
         assert final.time == 0.0
-        initial = initial_moc_state(scenario, 201)
+        initial = initial_moc_state(scenario)
         assert np.array_equal(final.head, initial.head)
 
     def test_node_count_defaults_to_interfaces(self):
@@ -539,13 +523,13 @@ class TestMocRun:
         assert initial.n == 51
         final = moc_run(scenario, initial=initial)
         assert np.array_equal(final.head, moc_run(scenario).head)
-        coarse = moc_run(scenario, initial=initial_moc_state(scenario, 21))
+        coarse = moc_run(scenario, initial=initial_moc_state(replace(scenario, mesh_cells=20)))
         assert coarse.head.size == 21
-        assert coarse.time <= scenario.t_end < coarse.time + coarse.dt
+        assert coarse.time <= scenario.t_end < coarse.time + 100.0 / scenario.constants.c
 
     def test_initial_state_is_converted_steady_profile(self):
         scenario = section4_scenario(t_end=0.0)
-        state = initial_moc_state(scenario, 201)
+        state = initial_moc_state(scenario)
         geom = scenario.geometry
         c, g = scenario.constants.c, scenario.constants.g
         x = np.linspace(0.0, geom.length, 201)
@@ -574,7 +558,7 @@ class TestMocRun:
         mid = np.array([s.head[s.head.size // 2] for s in states])
 
         coarse_nodes = 101   # half resolution
-        init = initial_moc_state(scenario, coarse_nodes)
+        init = initial_moc_state(replace(scenario, mesh_cells=coarse_nodes - 1))
         times, history = coarse_moc_waterhammer(
             2000.0, coarse_nodes, 1086.6, G, 2.0, init.head, 10.0,
             ValveClosure(q0=10.0, t_close=5.0), 12.0, 300.0)
@@ -589,30 +573,9 @@ class TestMocRun:
     def test_rejects_an_initial_time_after_t_end(self):
         scenario = section4_scenario(cells=20, t_end=1.0)
         late = initial_moc_state(scenario)
-        late = MocState(head=late.head, discharge=late.discharge,
-                        wave_speed=late.wave_speed, node_spacing=late.node_spacing,
-                        time=5.0)
+        late = MocState(head=late.head, discharge=late.discharge, time=5.0)
         with pytest.raises(ValueError, match=r"^t_end=1\.0 precedes the initial time 5\.0$"):
             moc_run(scenario, initial=late)
-
-    def test_rejects_an_initial_grid_that_does_not_span_the_pipe(self):
-        scenario = section4_scenario(cells=20, t_end=1.0)
-        grid = initial_moc_state(scenario)
-        short = MocState(head=grid.head[:5], discharge=grid.discharge[:5],
-                         wave_speed=grid.wave_speed, node_spacing=grid.node_spacing)
-        with pytest.raises(ValueError, match=r"5 nodes span 400\.0 m, not the 2000\.0 m pipe"):
-            moc_run(scenario, initial=short)
-
-    def test_rejects_an_initial_wave_speed_other_than_the_scenarios(self):
-        # moc_step takes B and dt from the state, so a foreign wave speed
-        # would march another pipe on the scenario's grid
-        scenario = section4_scenario(cells=20, t_end=1.0)
-        grid = initial_moc_state(scenario)
-        slow = MocState(head=grid.head, discharge=grid.discharge, wave_speed=500.0,
-                        node_spacing=grid.node_spacing)
-        with pytest.raises(ValueError, match=r"wave speed 500\.0 m/s is not the "
-                                             r"scenario's 1086\.6 m/s"):
-            moc_run(scenario, initial=slow)
 
     def test_rejects_periodic_boundaries(self):
         scenario = section4_scenario(t_end=1.0)

@@ -1,8 +1,10 @@
+import io
 import re
 
 import numpy as np
 import pytest
 
+from pipewave import _csvwriter
 from pipewave.output import PROBE_HEADER, SNAPSHOT_HEADER, CsvWriter, write_rows_csv
 
 
@@ -84,3 +86,14 @@ def test_writer_process_failure_names_the_file(tmp_path):
     assert writer.process.wait(timeout=10) != 0
     assert (tmp_path / "kinetic_snap_00000000.csv").exists()
     assert not (tmp_path / "later.csv").exists()
+
+
+@pytest.mark.parametrize("cut", ["header", "body"])
+def test_truncated_frame_is_reported(tmp_path, capsys, cut):
+    path, header = str(tmp_path / "probe.csv").encode(), PROBE_HEADER.encode()
+    data = np.ones((2, 6)).tobytes()
+    frame = _csvwriter.FRAME.pack(len(path), len(header), 6, len(data)) + path + header + data
+    stream = io.BytesIO(frame[:10] if cut == "header" else frame[:-1])
+    assert _csvwriter.main(stream) == 1
+    assert capsys.readouterr().err == "truncated frame on the CSV writer's input\n"
+    assert not (tmp_path / "probe.csv").exists()

@@ -24,7 +24,7 @@ STRIDE = 20
 
 
 def surge_config(solver, tmp_path, snapshot_stride=0):
-    geometry = PipeGeometry.circular(
+    geometry = PipeGeometry(
         length=2000.0, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     scenario = Scenario(
@@ -45,9 +45,10 @@ def direct_march(solver, scenario):
     c, g = scenario.constants.c, scenario.constants.g
     states = []
     if solver == "moc":
-        state = initial_moc_state(scenario, scenario.mesh_cells + 1)
-        while state.time + state.dt <= scenario.t_end * (1.0 + 1e-12):
-            state = moc_step(state, g, geom.section, scenario.friction,
+        state = initial_moc_state(scenario)
+        dx = geom.length / scenario.mesh_cells
+        while state.time + dx / c <= scenario.t_end * (1.0 + 1e-12):
+            state = moc_step(state, dx, c, g, geom.section, scenario.friction,
                              scenario.upstream, scenario.downstream, geom)
             states.append(state)
         z = geom.altitude(np.linspace(0.0, geom.length, scenario.mesh_cells + 1))

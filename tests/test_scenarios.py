@@ -14,7 +14,7 @@ FRICTIONLESS = FrictionParams()
 
 
 def section4_scenario(cells=100, t_end=10.0, c=1086.6, angle_deg=-5.0, q0=10.0):
-    geometry = PipeGeometry.circular(
+    geometry = PipeGeometry(
         length=2000.0, section=2.0,
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=angle_deg))
     return Scenario(
