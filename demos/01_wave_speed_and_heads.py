@@ -7,9 +7,9 @@ through the derived quantities for a 2 m^2 concrete penstock.
 
 import numpy as np
 
-from pipewave import (FrictionParams, LinearAltitude, PipeGeometry,
-                      effective_wave_speed, entropy_cell, friction_slope,
-                      piezometric_head, sound_speed, total_head)
+from pipewave import (LinearAltitude, PipeGeometry, effective_wave_speed,
+                      entropy_cell, friction_slope, piezometric_head, sound_speed,
+                      total_head)
 
 # rigid-pipe sound speed from compressibility and density
 beta = 5.0e-10          # 1/Pa
@@ -45,8 +45,11 @@ print(f"\ntotal head at (A=2.0008, u=5, z=250): "
 print(f"entropy density at the same state:    "
       f"{entropy_cell(2.0008, 2.0008 * u, 250.0, a, g):,.1f}")
 
-# Strickler friction: quadratic in velocity, zero when disabled
-friction = FrictionParams(enabled=True, strickler=80.0)
+# Strickler friction belongs to the pipe wall: a roughness K_s = 80 m^(1/3)/s
+# fixes the coefficient K, and the slope K u|u| is quadratic in velocity
+# (zero on a pipe built without a roughness)
+rough = PipeGeometry(length=2000.0, section=2.0, altitude=geometry.altitude, strickler=80.0)
+print(f"\nStrickler K_s = 80: K = {rough.friction_coefficient:.6f} s^2/m^2")
 for vel in (0.0, 2.0, 5.0):
-    slope = friction_slope(vel, geometry, friction)
+    slope = friction_slope(vel, rough)
     print(f"friction slope at u = {vel:3.1f} m/s: {slope:.5f}")

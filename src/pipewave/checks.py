@@ -16,10 +16,9 @@ import numpy as np
 
 from . import kinetic
 from .config import RunConfig
-from .core import FrictionParams, Mesh, State, rest_factors
+from .core import Mesh, State, rest_factors
 from .scenarios import Periodic, Scenario, Wall
 
-_NO_FRICTION = FrictionParams()
 _BLOCK_CASES = 256          # positivity cases drawn and stepped together
 
 
@@ -92,7 +91,7 @@ def check_conservation(c, g, cells=64, steps=500, seed=2):
     drift = 0.0
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.9)
-        state = kinetic.step(state, mesh, c, g, dt, _NO_FRICTION, Periodic(), Periodic())
+        state = kinetic.step(state, mesh, c, g, dt, Periodic(), Periodic())
         mass = float(np.sum(mesh.width * state.area))
         mom = float(np.sum(mesh.width * state.discharge))
         drift = max(drift, abs(mass - mass0) / mass0, abs(mom - mom0) / mom_scale)
@@ -110,7 +109,7 @@ def check_still_water(scenario: Scenario, cells=100, steps=200):
     state = State(area=area0, discharge=np.zeros(cells))
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.8)
-        state = kinetic.step(state, mesh, c, g, dt, _NO_FRICTION, Wall(), Wall())
+        state = kinetic.step(state, mesh, c, g, dt, Wall(), Wall())
 
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * c))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))

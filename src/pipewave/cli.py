@@ -61,6 +61,8 @@ def _load(args) -> RunConfig:
         if args.cells < 2:
             raise ConfigError(f"--cells must be >= 2, got {args.cells}")
         scenario = replace(scenario, mesh_cells=args.cells)
+    if args.cfl is not None and not 0.0 < args.cfl <= 1.0:     # NaN fails too
+        raise ConfigError(f"--cfl must lie in (0, 1], got {args.cfl}")
     return replace(config, scenario=scenario,
                    cfl=config.cfl if args.cfl is None else args.cfl,
                    output_dir=config.output_dir if args.out is None else args.out)

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import (FrictionParams, LinearAltitude, PhysicalConstants,
-                   PipeGeometry, effective_wave_speed, sound_speed)
+from .core import (LinearAltitude, PhysicalConstants, PipeGeometry,
+                   effective_wave_speed, sound_speed)
 from .scenarios import PrescribedDischarge, ReservoirHead, Scenario, ValveClosure
 
 
@@ -148,8 +148,6 @@ def _build(v) -> RunConfig:
             raise ConfigError(f"key {key}: must be >= {least}, got {v[key]}")
     if v["run.t_end_s"] < 0:
         raise ConfigError(f"key run.t_end_s: must be non-negative, got {v['run.t_end_s']}")
-    if v["friction.enabled"] and v["friction.strickler"] <= 0:
-        raise ConfigError("key friction.strickler: must be positive when friction is enabled")
 
     length = v["pipe.length_m"]
     probes = v["output.probes_m"] or (length / 2.0,)
@@ -160,8 +158,11 @@ def _build(v) -> RunConfig:
     altitude = LinearAltitude(upstream_z=v["pipe.upstream_altitude_m"],
                               angle_deg=v["pipe.slope_deg"])
     try:
-        geometry = PipeGeometry(length=length, section=v["pipe.section_m2"],
-                                altitude=altitude)
+        try:
+            geometry = PipeGeometry(length, v["pipe.section_m2"], altitude,
+                                    v["friction.strickler"] if v["friction.enabled"] else None)
+        except ValueError as exc:       # length and section are checked above
+            raise ConfigError(f"key friction.strickler: {exc}") from exc
         crown = float(altitude(0.0)) + geometry.diameter
         if v["boundary.upstream_head_m"] <= crown:
             raise ConfigError(f"key boundary.upstream_head_m: {v['boundary.upstream_head_m']} m "
@@ -173,8 +174,6 @@ def _build(v) -> RunConfig:
                                      geometry.diameter, v["pipe.wall_thickness_m"],
                                      v["pipe.young_modulus_pa"], beta)
         constants = PhysicalConstants(c=c, g=v["fluid.gravity_m_s2"])
-        friction = FrictionParams(enabled=v["friction.enabled"],
-                                  strickler=v["friction.strickler"])
         try:
             closure = ValveClosure(q0=v["flow.initial_discharge_m3s"],
                                    t_close=v["boundary.closure_duration_s"],
@@ -182,8 +181,7 @@ def _build(v) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"key boundary.closure_law: {exc}") from exc
         scenario = Scenario(
-            geometry=geometry, constants=constants, friction=friction,
-            mesh_cells=v["run.cells"],
+            geometry=geometry, constants=constants, mesh_cells=v["run.cells"],
             upstream=ReservoirHead(total_head=v["boundary.upstream_head_m"]),
             downstream=PrescribedDischarge(law=closure),
             initial_discharge=v["flow.initial_discharge_m3s"],

@@ -4,7 +4,7 @@ The flow model is the conservative pair (A, Q) where A is the pressurized
 ("free-surface equivalent") wetted area rho*S/rho0 and Q = A*u the matching
 discharge.  Everything here is plain data plus closed-form physics: sound and
 elastic wave speeds, piezometric and total head, entropy density and the
-Manning-Strickler friction slope.
+Manning-Strickler friction slope of the pipe's wall roughness.
 """
 
 from __future__ import annotations
@@ -82,31 +82,34 @@ class LinearAltitude:
 
 @dataclass(frozen=True)
 class PipeGeometry:
-    """Uniform circular pipe: length, section S and the bottom elevation
-    profile.  The section fixes the read-only ``diameter`` 2*sqrt(S/pi) and
-    wetted ``perimeter`` pi*diameter."""
+    """Uniform circular pipe: length, section S, the bottom elevation profile
+    and the wall's Strickler roughness K_s (m^(1/3)/s; None: no friction).
+    They fix the read-only ``diameter`` 2*sqrt(S/pi), wetted ``perimeter``
+    pi*diameter and Manning-Strickler ``friction_coefficient``
+    K = 1/(K_s^2 R_h^(4/3)), R_h = S/perimeter: 0.0 without K_s, else it
+    must be positive and finite."""
 
     length: float
     section: float
     altitude: object
+    strickler: float | None = None
 
     def __post_init__(self):
         _require_positive(length=self.length, section=self.section)
         diameter = 2.0 * math.sqrt(self.section / math.pi)
+        perimeter = math.pi * diameter
+        k = 0.0
+        if self.strickler is not None:
+            try:
+                k = 1.0 / (self.strickler ** 2 * (self.section / perimeter) ** (4.0 / 3.0))
+            except (OverflowError, ZeroDivisionError):      # K_s^2 out of range
+                k = math.nan
+            if not (self.strickler > 0 and 0.0 < k < math.inf):
+                raise ValueError(f"strickler must be positive and give a positive, finite "
+                                 f"friction coefficient, got {self.strickler!r}")
         object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "perimeter", math.pi * diameter)
-
-
-@dataclass(frozen=True)
-class FrictionParams:
-    """Manning-Strickler friction switch; ``strickler`` is K_s in m^(1/3)/s."""
-
-    enabled: bool = False
-    strickler: float = 0.0
-
-    def __post_init__(self):
-        if self.enabled:
-            _require_positive(strickler=self.strickler)
+        object.__setattr__(self, "perimeter", perimeter)
+        object.__setattr__(self, "friction_coefficient", k)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +260,8 @@ def entropy_cell(area, discharge, z, c, g):
     return 0.5 * discharge * discharge / area + g * area * z + c * c * area * np.log(area)
 
 
-def friction_slope(velocity, geometry: PipeGeometry, friction: FrictionParams):
-    """Manning-Strickler slope S_f = K u|u|, K = ``friction_coefficient``;
-    zero when friction is disabled."""
+def friction_slope(velocity, geometry: PipeGeometry):
+    """Manning-Strickler slope S_f = K u|u|, K the pipe's
+    ``friction_coefficient``; zero on a pipe without roughness."""
     velocity = np.asarray(velocity, dtype=float)
-    return friction_coefficient(geometry, friction) * velocity * np.abs(velocity)
-
-
-def friction_coefficient(geometry: PipeGeometry, friction: FrictionParams):
-    """K = 1/(K_s^2 R_h^(4/3)) from the Strickler law, with the hydraulic
-    radius R_h = S/P_m; 0 when friction is disabled."""
-    if not friction.enabled:
-        return 0.0
-    rh = geometry.section / geometry.perimeter
-    return 1.0 / (friction.strickler ** 2 * rh ** (4.0 / 3.0))
+    return geometry.friction_coefficient * velocity * np.abs(velocity)

@@ -73,9 +73,9 @@ with h the cell width, stable and positivity-preserving under the CFL
 condition dt * max(|u| + c sqrt(3)) <= h.  ``_advance`` runs the
 reconstruction, the kernel, the add-back and this update on a ghost-extended
 block of any leading shape, cells on the last axis: ``step`` on one 1-d
-block, ``checks.check_positivity`` on blocks of cases.  Friction, when
-enabled, is applied to the discharge after the hyperbolic update through a
-semi-implicit relaxation.
+block, ``checks.check_positivity`` on blocks of cases.  On a pipe with a
+friction coefficient the discharge is relaxed semi-implicitly after the
+hyperbolic update.
 Without friction ``step`` hands its new state's max |u|, formed as it tests
 admissibility, to the state, and the next ``cfl_timestep`` reads it there.
 """
@@ -88,8 +88,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import scenarios
-from .core import (FrictionParams, Mesh, PipeGeometry, SolverError, State,
-                   friction_coefficient)
+from .core import Mesh, PipeGeometry, SolverError, State
 
 SQRT3 = math.sqrt(3.0)
 
@@ -253,8 +252,8 @@ def _advance(ext, shrink, ratio, c, g):
     return a_new, q_new
 
 
-def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
-         upstream, downstream, geometry: PipeGeometry | None = None) -> State:
+def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
+         geometry: PipeGeometry | None = None) -> State:
     """One explicit update of every cell.
 
     ``scenarios.ghost_states`` forms and checks the ghost cells of the
@@ -264,9 +263,9 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
     ghost-extended 1-d block, reconstructing both sides of every interface
     at the higher bottom (see the module docstring), so the flux kernel sees
     no jump anywhere.  A new cell outside ``_admissible`` raises
-    ``SolverError`` naming it.  The discharge is relaxed semi-implicitly,
-    Q <- Q / (1 + dt g K |u|), when friction is enabled; ``geometry`` gives
-    it the hydraulic radius and a reservoir end its ghost.
+    ``SolverError`` naming it.  ``geometry`` (None: a pipe without friction
+    or reservoir ends) gives a reservoir end its ghost, and its friction
+    coefficient K > 0 relaxes Q <- Q / (1 + dt g K |u|) semi-implicitly.
     Without friction the new state carries max |Q/A|, formed as its
     admissibility is tested, as its CFL speed.
     """
@@ -296,19 +295,15 @@ def step(state: State, mesh: Mesh, c, g, dt, friction: FrictionParams,
         raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
                           f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
 
-    if friction.enabled:
-        if geometry is None:
-            raise ValueError("friction needs the pipe geometry for the hydraulic radius")
-        k = friction_coefficient(geometry, friction)
-        q_new = q_new / (1.0 + dt * g * k * abs_u)
+    if geometry is not None and geometry.friction_coefficient:
+        q_new = q_new / (1.0 + dt * g * geometry.friction_coefficient * abs_u)
         speed = None                           # Q changed: computed when asked
 
     return State._checked(a_new, q_new, state.time + dt, speed)
 
 
-def run(initial: State, mesh: Mesh, cfl, constants, friction: FrictionParams,
-        upstream, downstream, t_end, observer=None,
-        geometry: PipeGeometry | None = None) -> State:
+def run(initial: State, mesh: Mesh, cfl, constants, upstream, downstream, t_end,
+        observer=None, geometry: PipeGeometry | None = None) -> State:
     """March ``initial`` to the finite t_end with adaptive steps at CFL
     coefficient ``cfl`` in (0, 1], clamping the last step so the final time
     is exactly t_end; ``observer(state)`` is invoked after every accepted
@@ -332,8 +327,8 @@ def run(initial: State, mesh: Mesh, cfl, constants, friction: FrictionParams,
         if clamped:
             dt = t_end - state.time
         try:
-            state = step(state, mesh, constants.c, constants.g, dt, friction,
-                         upstream, downstream, geometry)
+            state = step(state, mesh, constants.c, constants.g, dt, upstream, downstream,
+                         geometry)
         except SolverError as exc:
             raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
         if clamped:

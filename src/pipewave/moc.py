@@ -23,9 +23,9 @@ j <= k of the track starts its first row at C - j > C - k - 1 and ends its
 second at j + n - 1 < k + n, so no returned state ever changes.  Any other
 step starts a fresh track: one from a state that is not the tip, from a full
 track, or from a state built with the constructor or stepped with another B
-(whose rows are first formed from (H, Q)); and one with friction, which
-rewrites every node (the shift subtracts dx S_f / 2 from the first row and
-adds it to the second) into a track of capacity 0.  The heads are the sum of
+(whose rows are first formed from (H, Q)); and one on a pipe with friction,
+which rewrites every node (the shift subtracts dx S_f / 2 from the first row
+and adds it to the second) into a track of capacity 0.  The heads are the sum of
 the two rows and the discharges their difference divided by B, formed only
 when read.  Halving is exact (above the subnormal range), so these are the
 bits of (cp + cm) / 2 and (cp - cm) / (2 B) for the full invariants cp and cm
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FrictionParams, PipeGeometry, SolverError, friction_slope,
-                   piezometric_head)
+from .core import PipeGeometry, SolverError, friction_slope, piezometric_head
 from .scenarios import (Periodic, Scenario, solve_area_profile,
                         steady_head_constant)
 
@@ -134,14 +133,16 @@ def _boundary_node(bc, invariant, sign, b, alpha, t, end):
     return q, invariant + sign * b * q
 
 
-def moc_step(state: MocState, dx, c, g, section, friction: FrictionParams,
-             upstream, downstream, geometry: PipeGeometry | None = None) -> MocState:
-    """Advance one unit-Courant step dx/c on nodes ``dx`` apart.
+def moc_step(state: MocState, dx, c, g, upstream, downstream,
+             geometry: PipeGeometry) -> MocState:
+    """Advance one unit-Courant step dx/c on nodes ``dx`` apart of the pipe
+    ``geometry``: its section fixes B, its friction coefficient the loss.
 
     The half-invariants move one node along their characteristics and the
     interior heads are their sum; each end solves its boundary law against
     the one invariant reaching it.
     """
+    section = geometry.section
     b = c / (g * section)
     t_new = state.time + dx / c
     n = state.n
@@ -156,10 +157,8 @@ def moc_step(state: MocState, dx, c, g, section, friction: FrictionParams,
         np.multiply(np.subtract(state.head, bq, out=down), 0.5, out=down)
 
     # row 0 (H + B Q)/2 moves one node right, row 1 (H - B Q)/2 one node left
-    if friction.enabled:
-        if geometry is None:
-            raise ValueError("friction needs the pipe geometry for the hydraulic radius")
-        loss = (0.5 * dx) * friction_slope(state.discharge / section, geometry, friction)
+    if geometry.friction_coefficient:
+        loss = (0.5 * dx) * friction_slope(state.discharge / section, geometry)
         up, down = track.window(k, n)
         track, k = _Track(n, 0), 0
         np.subtract(up[:-1], loss[:-1], out=track.rows[0, 1:])
@@ -222,8 +221,8 @@ def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) 
     dx, c = scenario.geometry.length / (state.n - 1), scenario.constants.c
     # unit Courant number: cannot clamp dt, so stop at the last full step
     steps, t_stop, dt = 0, scenario.t_end * (1.0 + 1e-12), dx / c
-    args = (dx, c, scenario.constants.g, scenario.geometry.section, scenario.friction,
-            scenario.upstream, scenario.downstream, scenario.geometry)
+    args = (dx, c, scenario.constants.g, scenario.upstream, scenario.downstream,
+            scenario.geometry)
     while state.time + dt <= t_stop:
         steps += 1
         try:

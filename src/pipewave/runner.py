@@ -119,8 +119,8 @@ def _kinetic(config: RunConfig):
     mesh = scenario.mesh()
     state = steady_state_init(scenario, mesh)
     march = partial(kinetic.run, state, mesh, config.cfl, scenario.constants,
-                    scenario.friction, scenario.upstream, scenario.downstream,
-                    scenario.t_end, geometry=scenario.geometry)
+                    scenario.upstream, scenario.downstream, scenario.t_end,
+                    geometry=scenario.geometry)
     return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.width,
                    level=lambda s: s.area, area=lambda area, z: area, floor=0.0,
                    initial=state, march=march, snapshot_stride=config.snapshot_stride)

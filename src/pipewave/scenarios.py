@@ -28,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (FrictionParams, Mesh, PhysicalConstants, PipeGeometry,
-                   SolverError, State, area_from_piezometric_head)
+from .core import (Mesh, PhysicalConstants, PipeGeometry, SolverError, State,
+                   area_from_piezometric_head)
 
 _MAX_STEADY_ITERS = 100
 
@@ -125,7 +125,6 @@ class Scenario:
 
     geometry: PipeGeometry
     constants: PhysicalConstants
-    friction: FrictionParams
     mesh_cells: int
     upstream: BoundaryCondition
     downstream: BoundaryCondition

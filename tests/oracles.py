@@ -5,7 +5,8 @@ The flux oracle evaluates the upwinded interface distributions literally
 path with the closed-form moments in the package.  The steady-state oracle
 brackets the total-head equation with plain bisection.  The coarse
 characteristics oracle marches the water-hammer equations in Riemann
-invariants rather than compatibility relations.
+invariants rather than compatibility relations.  The Strickler coefficient
+is written out from the roughness and section, not read from the pipe.
 """
 
 import math
@@ -14,6 +15,13 @@ import numpy as np
 from scipy.integrate import quad
 
 SQRT3 = math.sqrt(3.0)
+
+
+def strickler_coefficient(strickler, section):
+    """Manning-Strickler K = 1/(K_s^2 R_h^(4/3)) of a circular section S, with
+    R_h = S/P and the wetted perimeter P = pi 2 sqrt(S/pi)."""
+    perimeter = math.pi * (2.0 * math.sqrt(section / math.pi))
+    return 1.0 / (strickler ** 2 * (section / perimeter) ** (4.0 / 3.0))
 
 
 def rect_maxwellian(area, velocity, c):

@@ -19,9 +19,8 @@ from oracles import quad_interface_fluxes
 from pipewave.cli import main as cli_main
 from pipewave.compare import compare_series
 from pipewave.config import load_config
-from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
-                           PhysicalConstants, PipeGeometry, State,
-                           effective_wave_speed, entropy_cell, sound_speed,
+from pipewave.core import (LinearAltitude, Mesh, PhysicalConstants, PipeGeometry,
+                           State, effective_wave_speed, entropy_cell, sound_speed,
                            total_head)
 from pipewave.kinetic import SQRT3, cfl_timestep, step
 from pipewave.kinetic import _interface_flux_arrays
@@ -30,7 +29,6 @@ from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
                                 Scenario, ValveClosure, Wall, steady_state_init)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-FRICTIONLESS = FrictionParams()
 G = 9.81
 C4 = 1086.6            # wave speed used throughout the validation scenario
 LENGTH = 2000.0
@@ -47,7 +45,7 @@ def validation_scenario(cells, t_end, stride=1):
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return Scenario(
         geometry=geometry, constants=PhysicalConstants(c=C4),
-        friction=FRICTIONLESS, mesh_cells=cells,
+        mesh_cells=cells,
         upstream=ReservoirHead(total_head=300.0),
         downstream=PrescribedDischarge(law=ValveClosure(q0=10.0, t_close=5.0)),
         initial_discharge=10.0, t_end=t_end, output_stride=stride,
@@ -72,8 +70,7 @@ def smooth_periodic_march(steps):
     state = State(area=area, discharge=area * u)
     for _ in range(steps):
         dt = cfl_timestep(state, c, mesh, 0.9)
-        state = step(state, mesh, c, G, dt, FRICTIONLESS,
-                     Periodic(), Periodic())
+        state = step(state, mesh, c, G, dt, Periodic(), Periodic())
         yield state, mesh, c
 
 
@@ -96,7 +93,7 @@ def test_criterion_2_well_balanced_still_water():
     state = State(area=area0, discharge=np.zeros(cells))
     for _ in range(1000):
         dt = cfl_timestep(state, C4, mesh, 0.8)
-        state = step(state, mesh, C4, G, dt, FRICTIONLESS, Wall(), Wall())
+        state = step(state, mesh, C4, G, dt, Wall(), Wall())
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * C4))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))
     ok = q_resid <= 1e-10 and a_resid <= 1e-12
@@ -121,8 +118,7 @@ def test_criterion_3_positivity():
         state = State(area=area, discharge=area * u)
         dt = cfl_timestep(state, C4, mesh, 1.0)
         try:
-            new = step(state, mesh, C4, G, dt, FRICTIONLESS,
-                       Wall(), Wall())
+            new = step(state, mesh, C4, G, dt, Wall(), Wall())
             if np.any(new.area <= 0):
                 failures += 1
         except Exception:

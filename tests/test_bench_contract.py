@@ -93,7 +93,7 @@ def _surge(pw, cells, t_end):
         altitude=core.LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return scenarios.Scenario(
         geometry=geometry, constants=core.PhysicalConstants(c=1086.6),
-        friction=core.FrictionParams(), mesh_cells=cells,
+        mesh_cells=cells,
         upstream=scenarios.ReservoirHead(total_head=300.0),
         downstream=scenarios.PrescribedDischarge(
             law=scenarios.ValveClosure(q0=10.0, t_close=0.5)),
@@ -128,8 +128,8 @@ def test_marches_step_through_the_module_attributes(loaded, monkeypatch):
     kinetic_calls = _counting(monkeypatch, pw.kinetic, "step")
     kinetic_states = []
     pw.kinetic.run(pw.scenarios.steady_state_init(scenario, mesh), mesh, 0.8,
-                   scenario.constants, scenario.friction, scenario.upstream,
-                   scenario.downstream, scenario.t_end, observer=kinetic_states.append,
+                   scenario.constants, scenario.upstream, scenario.downstream,
+                   scenario.t_end, observer=kinetic_states.append,
                    geometry=scenario.geometry)
     assert len(kinetic_states) > 20
     assert kinetic_calls == [40] * len(kinetic_states)

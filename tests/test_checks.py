@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pipewave import checks, kinetic
-from pipewave.core import FrictionParams, Mesh, SolverError, State
+from pipewave.core import Mesh, SolverError, State
 from pipewave.scenarios import Wall, ghost_states
 
 C, G = 1086.6, 9.81
@@ -84,8 +84,7 @@ def test_positivity_blocks_match_per_case_step(c, monkeypatch):
         state = State(area=area, discharge=discharge)
         dt = kinetic.cfl_timestep(state, c, mesh, 1.0)
         try:
-            new = kinetic.step(state, mesh, c, G, dt, FrictionParams(),
-                               Wall(), Wall())
+            new = kinetic.step(state, mesh, c, G, dt, Wall(), Wall())
         except SolverError:
             failures += 1
             assert not kinetic._admissible(a_block, q_block).all()

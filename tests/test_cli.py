@@ -199,6 +199,29 @@ class TestExitCodes:
         assert main(["run", str(cfg), "--cells", "1"]) == 2
         assert "--cells must be >= 2, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfl", ["2", "nan", "0"])
+    def test_bad_cfl_override_names_the_flag(self, tmp_path, capsys, cfl):
+        # the message used to name run.cfl, which the file sets to 0.8
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--cfl", cfl, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --cfl must lie in (0, 1], got "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["kinetic", "moc"])
+    @pytest.mark.parametrize("strickler", ["1e200", "1e-200", "1e-160"])
+    def test_extreme_strickler_is_exit_2(self, tmp_path, capsys, solver, strickler):
+        # K_s^2 overflowed or vanished in the first step (exit 1), or K = inf
+        # stopped every discharge (kinetic exit 0) or the MOC march (exit 3)
+        cfg = write_config(tmp_path, run__cells="20", run__solver=solver,
+                           friction__enabled="true", friction__strickler=strickler)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: key friction.strickler: "), err
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_compare_writes_report(self, tmp_path, capsys):

@@ -54,7 +54,7 @@ class TestParse:
         assert config.cfl == 0.8
         assert config.scenario.output_stride == 20
         assert config.scenario.probes == (1000.0,)   # mid-pipe default
-        assert config.scenario.friction.enabled is False
+        assert config.scenario.geometry.strickler is None
 
     def test_empty_document_lists_required_keys(self):
         with pytest.raises(ConfigError) as err:
@@ -147,6 +147,17 @@ class TestParse:
             parse_config(MINIMAL + "\nfriction.enabled = true\n")
         assert "strickler" in str(err.value)
 
+    @pytest.mark.parametrize("strickler", ["1e-200", "1e-160", "1e200"])
+    def test_strickler_without_finite_coefficient_rejected(self, strickler):
+        # K_s^2 vanishes, is subnormal (K = inf) or overflows
+        with pytest.raises(ConfigError, match=r"^key friction\.strickler: "):
+            parse_config(MINIMAL + f"\nfriction.enabled = true\nfriction.strickler = {strickler}\n")
+
+    def test_strickler_ignored_without_friction(self):
+        config = parse_config(MINIMAL + "\nfriction.strickler = 1e200\n")
+        assert config.scenario.geometry.strickler is None
+        assert config.scenario.geometry.friction_coefficient == 0.0
+
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config(MINIMAL + "\n# comment only\n\nrun.cfl = 0.5 # trailing\n")
         assert config.cfl == 0.5
@@ -160,8 +171,7 @@ class TestParse:
         assert config.solver == "moc"
         assert config.scenario.probes == (3.5, 1207.0)
         assert config.scenario.downstream.law.kind == "cosine"
-        assert config.scenario.friction.enabled is True
-        assert config.scenario.friction.strickler == 75.0
+        assert config.scenario.geometry.strickler == 75.0
 
     def test_explicit_wave_speed_overrides_elastic(self):
         config = parse_config(MINIMAL + "\nfluid.wave_speed_m_s = 1086.6\n")

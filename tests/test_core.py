@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
-                           PhysicalConstants, PipeGeometry, State,
+from oracles import strickler_coefficient
+from pipewave.core import (LinearAltitude, Mesh, PhysicalConstants, PipeGeometry, State,
                            effective_wave_speed, entropy_cell, friction_slope,
                            piezometric_head, rest_factors, sound_speed, total_head)
 
 
-def section4_geometry():
+def section4_geometry(strickler=None):
     return PipeGeometry(
         length=2000.0, section=2.0,
-        altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
+        altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0), strickler=strickler)
 
 
 class TestSoundSpeed:
@@ -159,28 +159,19 @@ class TestEntropy:
 
 class TestFrictionSlope:
     def test_zero_velocity(self):
-        geom = section4_geometry()
-        fr = FrictionParams(enabled=True, strickler=80.0)
-        assert friction_slope(0.0, geom, fr) == 0.0
+        assert friction_slope(0.0, section4_geometry(strickler=80.0)) == 0.0
 
     def test_disabled(self):
-        geom = section4_geometry()
-        assert friction_slope(5.0, geom, FrictionParams()) == 0.0
+        assert friction_slope(5.0, section4_geometry()) == 0.0
 
     def test_reference_value(self):
-        geom = section4_geometry()
-        fr = FrictionParams(enabled=True, strickler=80.0)
-        assert friction_slope(5.0, geom, fr) == pytest.approx(1.3300867e-2, abs=1e-5)
+        geom = section4_geometry(strickler=80.0)
+        assert friction_slope(5.0, geom) == pytest.approx(1.3300867e-2, abs=1e-5)
 
     def test_odd_function(self):
-        geom = section4_geometry()
-        fr = FrictionParams(enabled=True, strickler=60.0)
+        geom = section4_geometry(strickler=60.0)
         u = np.linspace(-8, 8, 33)
-        assert friction_slope(u, geom, fr) == pytest.approx(-friction_slope(-u, geom, fr))
-
-    def test_strickler_validation(self):
-        with pytest.raises(ValueError):
-            FrictionParams(enabled=True, strickler=0.0)
+        assert friction_slope(u, geom) == pytest.approx(-friction_slope(-u, geom))
 
 
 class TestGeometryAndConstants:
@@ -188,6 +179,22 @@ class TestGeometryAndConstants:
         geom = section4_geometry()
         assert geom.section == pytest.approx(math.pi * geom.diameter ** 2 / 4, rel=1e-14)
         assert geom.perimeter == pytest.approx(math.pi * geom.diameter, rel=1e-14)
+
+    @pytest.mark.parametrize("section", [2.0, 0.3])
+    @pytest.mark.parametrize("strickler", [30.0, 80.0, 117.5])
+    def test_friction_coefficient_is_the_strickler_law(self, section, strickler):
+        geom = PipeGeometry(length=10.0, section=section, altitude=LinearAltitude(0.0, 0.0),
+                            strickler=strickler)
+        assert geom.friction_coefficient.hex() == strickler_coefficient(strickler, section).hex()
+        smooth = PipeGeometry(length=10.0, section=section, altitude=LinearAltitude(0.0, 0.0))
+        assert smooth.friction_coefficient == 0.0 and smooth.strickler is None
+
+    def test_strickler_validation(self):
+        # K_s^2 overflows at 1e200 and vanishes at 1e-200; at 1e-160 it is
+        # subnormal and K overflows to inf; K_s = inf gives K = 0
+        for strickler in (0.0, -80.0, math.nan, math.inf, 1e200, 1e-200, 1e-160):
+            with pytest.raises(ValueError, match="strickler must be positive"):
+                section4_geometry(strickler=strickler)
 
     def test_constants_override(self):
         constants = PhysicalConstants(c=1086.6)

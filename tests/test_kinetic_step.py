@@ -7,17 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import quad_interface_fluxes
+from oracles import quad_interface_fluxes, strickler_coefficient
 from pipewave import kinetic
 from pipewave.config import load_config
-from pipewave.core import (FrictionParams, LinearAltitude, Mesh,
-                           PhysicalConstants, PipeGeometry, SolverError, State,
-                           entropy_cell, friction_coefficient)
+from pipewave.core import (LinearAltitude, Mesh, PhysicalConstants, PipeGeometry,
+                           SolverError, State, entropy_cell)
 from pipewave.kinetic import SQRT3, cfl_timestep, run, step
 from pipewave.runner import compare_runs
 from pipewave.scenarios import PrescribedDischarge, Periodic, Wall, ghost_states
 
-FRICTIONLESS = FrictionParams()
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,7 +23,7 @@ def flat_altitude(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def reference_step(state, mesh, c, g, dt, friction, upstream, downstream, geometry=None):
+def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry=None):
     """One step written plainly: the CFL speed of ``state`` recomputed from
     its arrays, admissibility decided by a full mask (0 < A < inf and Q/A
     finite, so a finite Q whose Q/A overflows is rejected), and a new state
@@ -61,10 +59,8 @@ def reference_step(state, mesh, c, g, dt, friction, upstream, downstream, geomet
         i = int(np.argmin(admissible))
         raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
                           f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
-    if friction.enabled:
-        if geometry is None:
-            raise ValueError("friction needs the pipe geometry for the hydraulic radius")
-        k = friction_coefficient(geometry, friction)
+    if geometry is not None and geometry.strickler is not None:
+        k = strickler_coefficient(geometry.strickler, geometry.section)
         q_new = q_new / (1.0 + dt * g * k * np.abs(q_new / a_new))
     return State._checked(a_new, q_new, state.time + dt)
 
@@ -115,7 +111,7 @@ class TestStep:
         state = State(area=np.full(16, 2.0), discharge=np.full(16, 3.0))
         c, g = 10.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
-        new = step(state, mesh, c, g, dt, FRICTIONLESS, Periodic(), Periodic())
+        new = step(state, mesh, c, g, dt, Periodic(), Periodic())
         assert new.area == pytest.approx(state.area, rel=1e-12)
         assert new.discharge == pytest.approx(state.discharge, rel=1e-12)
 
@@ -125,8 +121,7 @@ class TestStep:
         c = 10.0
         dt_max = mesh.width / (c * SQRT3)
         with pytest.raises(SolverError):
-            step(state, mesh, c, 9.81, 1.5 * dt_max, FRICTIONLESS,
-                 Periodic(), Periodic())
+            step(state, mesh, c, 9.81, 1.5 * dt_max, Periodic(), Periodic())
 
     def test_matches_quadrature_driven_update(self):
         rng = np.random.default_rng(31)
@@ -139,8 +134,7 @@ class TestStep:
             mesh = Mesh(float(n), z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 0.9)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS,
-                       Periodic(), Periodic())
+            new = step(state, mesh, c, g, dt, Periodic(), Periodic())
 
             # independent update: the hydrostatic reconstruction at
             # z* = max(z_L, z_R), written out per interface, then the flux of
@@ -180,7 +174,7 @@ class TestStep:
             mesh = Mesh(float(n), z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 1.0)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
+            new = step(state, mesh, c, g, dt, Wall(), Wall())
             assert np.all(new.area > 0)
 
     def test_conservation_periodic(self):
@@ -194,8 +188,7 @@ class TestStep:
         mom0 = np.sum(mesh.width * state.discharge)
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS,
-                         Periodic(), Periodic())
+            state = step(state, mesh, c, g, dt, Periodic(), Periodic())
         assert np.sum(mesh.width * state.area) == pytest.approx(mass0, rel=1e-12)
         assert np.sum(mesh.width * state.discharge) == pytest.approx(
             mom0, abs=1e-12 * mass0 * c)
@@ -211,26 +204,24 @@ class TestStep:
         state = State(area=area, discharge=q)
         dt = cfl_timestep(state, c, mesh, 0.9)
 
-        stepped = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
+        stepped = step(state, mesh, c, g, dt, Wall(), Wall())
         mirrored_first = State(area=area[::-1], discharge=-q[::-1])
         mesh_m = Mesh(12.0, z[::-1])
-        stepped_mirrored = step(mirrored_first, mesh_m, c, g, dt, FRICTIONLESS,
-                                Wall(), Wall())
+        stepped_mirrored = step(mirrored_first, mesh_m, c, g, dt, Wall(), Wall())
         assert stepped_mirrored.area == pytest.approx(stepped.area[::-1], rel=1e-12)
         assert stepped_mirrored.discharge == pytest.approx(
             -stepped.discharge[::-1], rel=1e-12, abs=1e-13 * np.max(area) * c)
 
     def test_friction_relaxes_discharge(self):
-        geom = PipeGeometry(length=10.0, section=2.0,
-                                     altitude=LinearAltitude(0.0, 0.0))
+        geom = PipeGeometry(length=10.0, section=2.0, altitude=LinearAltitude(0.0, 0.0),
+                            strickler=30.0)
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.full(8, 6.0))
         c, g = 50.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
-        friction = FrictionParams(enabled=True, strickler=30.0)
         ends = Periodic(), Periodic()
-        with_friction = step(state, mesh, c, g, dt, friction, *ends, geometry=geom)
-        without = step(state, mesh, c, g, dt, FRICTIONLESS, *ends)
+        with_friction = step(state, mesh, c, g, dt, *ends, geometry=geom)
+        without = step(state, mesh, c, g, dt, *ends)
         assert np.all(with_friction.discharge < without.discharge)
         assert np.all(with_friction.discharge > 0)
         assert with_friction.area == pytest.approx(without.area, rel=1e-15)
@@ -253,7 +244,7 @@ class TestStep:
         dt = cfl_timestep(state, 10.0, mesh, 0.8)
         with pytest.raises(SolverError,
                            match=f"{side} ghost cell: A={ghost[0]!r}, Q={ghost[1]!r}"):
-            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS, *ends)
+            step(state, mesh, 10.0, 9.81, dt, *ends)
 
     def test_prescribed_discharge_read_at_state_time(self):
         # ghost_states takes the time from the state it is handed
@@ -266,7 +257,7 @@ class TestStep:
             return 0.0
 
         step(state, mesh, 10.0, 9.81, cfl_timestep(state, 10.0, mesh, 0.8),
-             FRICTIONLESS, Wall(), PrescribedDischarge(law=law))
+             Wall(), PrescribedDischarge(law=law))
         assert times == [3.25]
 
     def test_non_finite_update_rejected(self):
@@ -279,16 +270,7 @@ class TestStep:
         dt = cfl_timestep(state, 10.0, mesh, 0.8)
         with np.errstate(all="ignore"), pytest.raises(
                 SolverError, match=rf"cell 0 .* at t={dt!r}: A=nan, Q=nan"):
-            step(state, mesh, 10.0, 9.81, dt, FRICTIONLESS,
-                 Wall(), Wall())
-
-    def test_friction_requires_geometry(self):
-        mesh = Mesh.uniform(10.0, 4, flat_altitude)
-        state = State(area=np.ones(4), discharge=np.ones(4))
-        friction = FrictionParams(enabled=True, strickler=30.0)
-        with pytest.raises(ValueError):
-            step(state, mesh, 10.0, 9.81, 1e-3, friction,
-                 Periodic(), Periodic())
+            step(state, mesh, 10.0, 9.81, dt, Wall(), Wall())
 
 
 ENDS = {"wall": Wall(), "periodic": Periodic()}
@@ -329,16 +311,13 @@ class TestLeanStep:
     """``step`` tests admissibility with min/max reductions and hands the new
     state's max |u| forward; it must match ``reference_step`` bit for bit."""
 
-    geometry = PipeGeometry(length=10.0, section=2.0,
-                                     altitude=LinearAltitude(0.0, 0.0))
-
     @pytest.mark.parametrize("kind", ["none", "nan-discharge", "zero-area",
                                       "negative-area", "inf-area", "speed-overflow"])
-    @pytest.mark.parametrize("friction", [FRICTIONLESS,
-                                          FrictionParams(enabled=True, strickler=30.0)],
-                             ids=["frictionless", "friction"])
+    @pytest.mark.parametrize("strickler", [None, 30.0], ids=["frictionless", "friction"])
     @pytest.mark.parametrize("ends", sorted(ENDS))
-    def test_bitwise_equal_to_reference(self, ends, friction, kind, monkeypatch):
+    def test_bitwise_equal_to_reference(self, ends, strickler, kind, monkeypatch):
+        geometry = PipeGeometry(length=10.0, section=2.0, altitude=LinearAltitude(0.0, 0.0),
+                                strickler=strickler)
         rng = np.random.default_rng(23)
         g = 9.81
         for _ in range(8):
@@ -356,7 +335,7 @@ class TestLeanStep:
                     monkeypatch.setattr(kinetic, "_interface_flux_arrays", breaking_kernel(
                         kind, cell, float(ref.area[cell]), dt))
                 with np.errstate(over="ignore"):
-                    args = (mesh, c, g, dt, friction, law, law, self.geometry)
+                    args = (mesh, c, g, dt, law, law, geometry)
                     lean = outcome(step, lean, *args)
                     ref = outcome(reference_step, ref, *args)
                     monkeypatch.undo()
@@ -369,7 +348,7 @@ class TestLeanStep:
                     assert lean.time == ref.time
                     # handed forward only without friction, and always the
                     # value the property computes from the arrays
-                    assert ("max_abs_velocity" in vars(lean)) is not friction.enabled
+                    assert ("max_abs_velocity" in vars(lean)) is (strickler is None)
                     assert lean.max_abs_velocity == ref.max_abs_velocity
                     assert lean.max_abs_velocity == State(
                         area=lean.area, discharge=lean.discharge).max_abs_velocity
@@ -391,7 +370,7 @@ class TestStillWaterBalance:
         area0 = state.area.copy()
         for _ in range(100):
             dt = cfl_timestep(state, c, mesh, 0.8)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
+            state = step(state, mesh, c, g, dt, Wall(), Wall())
         eps = g * float(np.max(np.abs(np.diff(mesh.z_cells)))) / (c * c)
         assert np.max(np.abs(state.discharge)) / (np.max(area0) * c) <= eps
         assert np.max(np.abs(state.area - area0) / area0) <= eps
@@ -403,7 +382,7 @@ class TestStillWaterBalance:
         for cells in (50, 100, 200):
             mesh, state, c, g = still_water_setup(cells=cells)
             dt = cfl_timestep(state, c, mesh, 0.8)
-            new = step(state, mesh, c, g, dt, FRICTIONLESS, Wall(), Wall())
+            new = step(state, mesh, c, g, dt, Wall(), Wall())
             a_max = np.max(state.area)
             assert np.max(np.abs(new.area - state.area)) <= 1e-13 * a_max
             assert np.max(np.abs(new.discharge)) <= 1e-13 * a_max * c
@@ -422,8 +401,7 @@ class TestEntropyDiagnostic:
         violations = 0
         for _ in range(500):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS,
-                         Periodic(), Periodic())
+            state = step(state, mesh, c, g, dt, Periodic(), Periodic())
             new_total = float(np.sum(mesh.width * entropy_cell(
                 state.area, state.discharge, 0.0, c, g)))
             if new_total > total + 1e-8 * abs(total):
@@ -440,7 +418,7 @@ class TestRun:
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         out = run(state, mesh, 0.8, self._constants(10.0),
-                  FRICTIONLESS, Periodic(), Periodic(), t_end=2.0)
+                  Periodic(), Periodic(), t_end=2.0)
         assert out is state
 
     def test_rejects_cfl_out_of_range(self):
@@ -449,7 +427,7 @@ class TestRun:
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         for cfl in (0.0, 1.5):
             with pytest.raises(ValueError, match="cfl"):
-                run(state, mesh, cfl, self._constants(10.0), FRICTIONLESS,
+                run(state, mesh, cfl, self._constants(10.0),
                     Periodic(), Periodic(), t_end=2.0)
 
     def test_rejects_past_t_end(self):
@@ -457,7 +435,7 @@ class TestRun:
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         with pytest.raises(ValueError):
             run(state, mesh, 0.8, self._constants(10.0),
-                FRICTIONLESS, Periodic(), Periodic(), t_end=1.0)
+                Periodic(), Periodic(), t_end=1.0)
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf])
     def test_rejects_non_finite_t_end(self, t_end):
@@ -472,7 +450,7 @@ class TestRun:
             assert len(times) < 10, "marched towards a non-finite t_end"
 
         with pytest.raises(ValueError, match="t_end must be finite"):
-            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
+            run(state, mesh, 0.8, self._constants(10.0),
                 Periodic(), Periodic(), t_end=t_end, observer=observer)
         assert times == []
 
@@ -497,8 +475,7 @@ class TestRun:
         with np.errstate(over="ignore"), pytest.raises(
                 SolverError, match=r"^step 4 from t=.*: cell 2 left the admissible "
                                    r"states at t=.*: A=5e-324, Q=1e\+303$"):
-            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
-                Wall(), Wall(), t_end=1.0)
+            run(state, mesh, 0.8, self._constants(10.0), Wall(), Wall(), t_end=1.0)
         assert len(calls) == 4
 
     def test_lands_exactly_on_t_end(self):
@@ -506,7 +483,7 @@ class TestRun:
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         t_end = 0.0137
         out = run(state, mesh, 0.73, self._constants(25.0),
-                  FRICTIONLESS, Periodic(), Periodic(), t_end=t_end)
+                  Periodic(), Periodic(), t_end=t_end)
         assert out.time == t_end
 
     def test_uniform_flow_preserved(self):
@@ -515,8 +492,7 @@ class TestRun:
         c = 10.0
         steps = []
         out = run(state, mesh, 1.0, self._constants(c),
-                  FRICTIONLESS, Periodic(), Periodic(),
-                  t_end=100 * mesh.width / (0.5 + c * SQRT3),
+                  Periodic(), Periodic(), t_end=100 * mesh.width / (0.5 + c * SQRT3),
                   observer=lambda s: steps.append(s.time))
         assert len(steps) >= 100
         assert out.area == pytest.approx(state.area, rel=1e-10)
@@ -529,7 +505,7 @@ class TestRun:
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8), time=1e15)
         with pytest.raises(SolverError,
                            match=r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
-            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
+            run(state, mesh, 0.8, self._constants(10.0),
                 Periodic(), Periodic(), t_end=1e15 + 1.0)
 
     def test_diverging_run_names_step_time_and_cell(self):
@@ -541,7 +517,7 @@ class TestRun:
 
         times = []
         with np.errstate(all="ignore"), pytest.raises(SolverError) as failure:
-            run(state, mesh, 0.8, self._constants(10.0), FRICTIONLESS,
+            run(state, mesh, 0.8, self._constants(10.0),
                 Wall(), valve, t_end=1.0, observer=lambda s: times.append(s.time))
         assert len(times) >= 2
         assert re.match(rf"step {len(times) + 1} from t={times[-1]!r}: cell 3 left "
@@ -552,8 +528,7 @@ class TestRun:
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         times = []
-        run(state, mesh, 0.8, self._constants(40.0), FRICTIONLESS,
-            Periodic(), Periodic(), t_end=0.05,
+        run(state, mesh, 0.8, self._constants(40.0), Periodic(), Periodic(), t_end=0.05,
             observer=lambda s: times.append(s.time))
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert times[-1] == 0.05

@@ -6,16 +6,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import coarse_moc_waterhammer
+from oracles import coarse_moc_waterhammer, strickler_coefficient
 from pipewave.compare import detect_period
-from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
-                           PipeGeometry, SolverError, friction_slope)
+from pipewave.core import LinearAltitude, PhysicalConstants, PipeGeometry, SolverError
 from pipewave.moc import MocState, _Track, initial_moc_state, moc_run, moc_step
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
                                 ValveClosure, Wall)
 
-FRICTIONLESS = FrictionParams()
 G = 9.81
+
+
+def pipe(section, strickler=None):
+    """A flat pipe of ``section``; ``moc_step`` reads its section and
+    friction coefficient, not its length or bottom."""
+    return PipeGeometry(length=100.0, section=section, altitude=LinearAltitude(0.0, 0.0),
+                        strickler=strickler)
+
+
+PIPE = pipe(2.0)
 
 
 def section4_scenario(cells=200, t_end=20.0):
@@ -24,7 +32,7 @@ def section4_scenario(cells=200, t_end=20.0):
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     return Scenario(
         geometry=geometry, constants=PhysicalConstants(c=1086.6),
-        friction=FRICTIONLESS, mesh_cells=cells,
+        mesh_cells=cells,
         upstream=ReservoirHead(total_head=300.0),
         downstream=PrescribedDischarge(law=ValveClosure(q0=10.0, t_close=5.0)),
         initial_discharge=10.0, t_end=t_end, output_stride=1, probes=(1000.0,))
@@ -67,17 +75,25 @@ def reference_end(bc, invariant, sign, b, alpha, t):
     return q_end, invariant + sign * b * q_end
 
 
-def reference_step(state, dx, c, g, section, friction, upstream, downstream, geometry):
+def strickler_slope(q, geometry):
+    """S_f = K u|u|, u = Q/S, with K written out from the pipe's roughness (0
+    without one)."""
+    u = q / geometry.section
+    k = (0.0 if geometry.strickler is None
+         else strickler_coefficient(geometry.strickler, geometry.section))
+    return k * u * np.abs(u)
+
+
+def reference_step(state, dx, c, g, upstream, downstream, geometry):
     """One step written as whole-array expressions with a zero friction
-    array, re-forming the invariants from (H, Q): the formula the first
-    ``moc_step`` from a constructed state must reproduce bit for bit."""
+    array on a smooth pipe, re-forming the invariants from (H, Q): the
+    formula the first ``moc_step`` from a constructed state must reproduce
+    bit for bit."""
     h, q = state.head, state.discharge
+    section = geometry.section
     b = c / (g * section)
     t_new = state.time + dx / c
-    if friction.enabled:
-        sf = friction_slope(q / section, geometry, friction)
-    else:
-        sf = np.zeros_like(q)
+    sf = np.zeros_like(q) if geometry.strickler is None else strickler_slope(q, geometry)
     cp = h + b * q - dx * sf
     cm = h - b * q + dx * sf
     h_new = np.empty_like(h)
@@ -90,12 +106,12 @@ def reference_step(state, dx, c, g, section, friction, upstream, downstream, geo
     return MocState(head=h_new, discharge=q_new, time=t_new)
 
 
-def carried_reference(state, steps, dx, c, g, section, friction, upstream, downstream,
-                      geometry):
+def carried_reference(state, steps, dx, c, g, upstream, downstream, geometry):
     """``steps`` steps written plainly with the half-invariants (cp/2, cm/2)
     carried from step to step: each shifted one node with half the friction
     loss, the ends from the laws, the heads and discharges formed from the
     two.  Returns (head, discharge, time) after every step."""
+    section = geometry.section
     b = c / (g * section)
     alpha = 1.0 / (2.0 * g * section * section)
     t = state.time
@@ -104,7 +120,7 @@ def carried_reference(state, steps, dx, c, g, section, friction, upstream, downs
     marched = []
     for _ in range(steps):
         t = t + dx / c
-        half_loss = 0.5 * dx * friction_slope(q / section, geometry, friction)
+        half_loss = 0.5 * dx * strickler_slope(q, geometry)
         hp_new, hm_new = np.empty_like(hp), np.empty_like(hm)
         hp_new[1:] = hp[:-1] - half_loss[:-1]
         hm_new[:-1] = hm[1:] + half_loss[1:]
@@ -160,8 +176,8 @@ class TestMocState:
             MocState(head=np.zeros(3), discharge=np.zeros(3), **{field: bad})
 
     def test_step_result_is_read_only(self):
-        new = moc_step(quiescent_state(), *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
-                       ReservoirHead(total_head=150.0), Wall())
+        new = moc_step(quiescent_state(), *QUIESCENT_GRID, G,
+                       ReservoirHead(total_head=150.0), Wall(), PIPE)
         assert not new.head.flags.writeable
         assert not new.discharge.flags.writeable
 
@@ -169,8 +185,8 @@ class TestMocState:
 class TestMocStep:
     def test_quiescent_fixed_point(self):
         state = quiescent_state()
-        new = moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
-                       ReservoirHead(total_head=150.0), Wall())
+        new = moc_step(state, *QUIESCENT_GRID, G, ReservoirHead(total_head=150.0), Wall(),
+                       PIPE)
         assert new.head == pytest.approx(state.head, abs=1e-12)
         assert new.discharge == pytest.approx(state.discharge, abs=1e-12)
         assert new.time == pytest.approx(0.01)
@@ -178,9 +194,8 @@ class TestMocStep:
     def test_quiescent_with_downstream_reservoir(self):
         # exercises the quadratic reservoir law at the downstream node
         state = quiescent_state(head=150.0)
-        new = moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
-                       ReservoirHead(total_head=150.0),
-                       ReservoirHead(total_head=150.0))
+        new = moc_step(state, *QUIESCENT_GRID, G, ReservoirHead(total_head=150.0),
+                       ReservoirHead(total_head=150.0), PIPE)
         assert new.head == pytest.approx(state.head, abs=1e-12)
         assert new.discharge == pytest.approx(state.discharge, abs=1e-12)
 
@@ -190,8 +205,9 @@ class TestMocStep:
         state = MocState(head=np.full(nodes, 300.0),
                          discharge=np.full(nodes, section * u0))
         closed = PrescribedDischarge(law=lambda t: 0.0)
-        new = moc_step(state, 2000.0 / (nodes - 1), a, G, section, FRICTIONLESS,
-                       ReservoirHead(total_head=300.0 + u0 * u0 / (2 * G)), closed)
+        new = moc_step(state, 2000.0 / (nodes - 1), a, G,
+                       ReservoirHead(total_head=300.0 + u0 * u0 / (2 * G)), closed,
+                       pipe(section))
         jump = new.head[-1] - state.head[-1]
         assert jump == pytest.approx(a * u0 / G, abs=0.5)
         assert jump == pytest.approx(553.8226299694190, rel=1e-12)
@@ -204,7 +220,7 @@ class TestMocStep:
         q[0] = q[-1] = 0.0   # consistent with the walls
         state = MocState(head=head, discharge=q)
         # one step lets the boundary conditions take hold exactly
-        state = moc_step(state, dx, a, G, section, FRICTIONLESS, Wall(), Wall())
+        state = moc_step(state, dx, a, G, Wall(), Wall(), pipe(section))
 
         def energy(s):
             return float(np.sum((G * section * s.head ** 2 / (2 * a * a)
@@ -213,7 +229,7 @@ class TestMocStep:
         e0 = energy(state)
         period_steps = 2 * (nodes - 1)   # one full reflection period
         for _ in range(period_steps):
-            state = moc_step(state, dx, a, G, section, FRICTIONLESS, Wall(), Wall())
+            state = moc_step(state, dx, a, G, Wall(), Wall(), pipe(section))
         assert energy(state) == pytest.approx(e0, rel=1e-10)
 
     def test_affine_in_state(self):
@@ -227,7 +243,7 @@ class TestMocStep:
 
         def advance(head, q):
             s = MocState(head=head, discharge=q)
-            out = moc_step(s, dx, a, G, section, FRICTIONLESS, res, valve)
+            out = moc_step(s, dx, a, G, res, valve, pipe(section))
             return out.head, out.discharge
 
         h0 = np.full(nodes, 100.0)
@@ -243,21 +259,12 @@ class TestMocStep:
         assert both[1] == pytest.approx(one[1] + two[1] - base[1], rel=1e-10,
                                         abs=1e-12)
 
-    def test_friction_requires_geometry(self):
-        state = quiescent_state()
-        with pytest.raises(ValueError):
-            moc_step(state, *QUIESCENT_GRID, G, 2.0,
-                     FrictionParams(enabled=True, strickler=50.0), Wall(), Wall())
-
     def test_friction_damps_energy(self):
-        geometry = PipeGeometry(
-            length=100.0, section=2.0,
-            altitude=LinearAltitude(0.0, 0.0))
+        geometry = pipe(2.0, strickler=20.0)
         nodes, a, dx = 21, 500.0, 5.0
         rng = np.random.default_rng(6)
         state = MocState(head=50.0 + rng.standard_normal(nodes),
                          discharge=0.5 * rng.standard_normal(nodes))
-        friction = FrictionParams(enabled=True, strickler=20.0)
 
         def energy(s):
             return float(np.sum(G * 2.0 * s.head ** 2 / (2 * a * a)
@@ -265,8 +272,7 @@ class TestMocStep:
 
         e0 = energy(state)
         for _ in range(80):
-            state = moc_step(state, dx, a, G, 2.0, friction, Wall(), Wall(),
-                             geometry=geometry)
+            state = moc_step(state, dx, a, G, Wall(), Wall(), geometry)
         assert energy(state) < e0
 
 
@@ -278,35 +284,33 @@ ENDS = {
 }
 
 
-class TestLeanStep:
-    geometry = PipeGeometry(
-        length=300.0, section=1.5,
-        altitude=LinearAltitude(0.0, 0.0))
+STRICKLERS = pytest.mark.parametrize("strickler", [None, 40.0],
+                                     ids=["frictionless", "friction"])
+LEAN_PIPE = pipe(1.5)
 
-    @pytest.mark.parametrize("friction", [FRICTIONLESS,
-                                          FrictionParams(enabled=True, strickler=40.0)],
-                             ids=["frictionless", "friction"])
+
+class TestLeanStep:
+    @STRICKLERS
     @pytest.mark.parametrize("up", sorted(ENDS))
     @pytest.mark.parametrize("down", sorted(ENDS))
-    def test_bitwise_equal_to_reference_formula(self, up, down, friction):
+    def test_bitwise_equal_to_reference_formula(self, up, down, strickler):
         rng = np.random.default_rng(7)
         nodes, a, dx = 31, 950.0, 10.0
-        ends = (ENDS[up], ENDS[down])
+        ends = (ENDS[up], ENDS[down], pipe(1.5, strickler))
         for _ in range(5):
             state = MocState(head=120.0 + 5.0 * rng.standard_normal(nodes),
                              discharge=2.0 * rng.standard_normal(nodes),
                              time=float(rng.uniform(0.0, 3.0)))
             # the first step from a constructed state re-forms the invariants
-            lean = moc_step(state, dx, a, G, 1.5, friction, *ends, geometry=self.geometry)
-            ref = reference_step(state, dx, a, G, 1.5, friction, *ends, self.geometry)
+            lean = moc_step(state, dx, a, G, *ends)
+            ref = reference_step(state, dx, a, G, *ends)
             assert same_bits(lean.head, ref.head)
             assert same_bits(lean.discharge, ref.discharge)
             assert lean.time == ref.time
             # a chained march carries them
             lean = state
-            for head, discharge, t in carried_reference(state, 6, dx, a, G, 1.5, friction,
-                                                        *ends, self.geometry):
-                lean = moc_step(lean, dx, a, G, 1.5, friction, *ends, geometry=self.geometry)
+            for head, discharge, t in carried_reference(state, 6, dx, a, G, *ends):
+                lean = moc_step(lean, dx, a, G, *ends)
                 assert same_bits(lean.head, head)
                 assert same_bits(lean.discharge, discharge)
                 assert lean.time == t
@@ -314,9 +318,8 @@ class TestLeanStep:
     def test_two_node_grid(self):
         state = MocState(head=np.array([100.0, 101.0]), discharge=np.array([1.0, 0.5]))
         grid = (5.0, 900.0)
-        lean = moc_step(state, *grid, G, 2.0, FRICTIONLESS, ENDS["reservoir"], ENDS["valve"])
-        ref = reference_step(state, *grid, G, 2.0, FRICTIONLESS, ENDS["reservoir"],
-                             ENDS["valve"], None)
+        lean = moc_step(state, *grid, G, ENDS["reservoir"], ENDS["valve"], PIPE)
+        ref = reference_step(state, *grid, G, ENDS["reservoir"], ENDS["valve"], PIPE)
         assert same_bits(lean.head, ref.head)
         assert same_bits(lean.discharge, ref.discharge)
 
@@ -332,7 +335,7 @@ class TestCarriedInvariants:
         hp0 = 0.5 * (state.head + b * state.discharge)
         hm0 = 0.5 * (state.head - b * state.discharge)
         for k in range(1, nodes // 2):
-            state = moc_step(state, dx, a, G, section, FRICTIONLESS, Wall(), valve)
+            state = moc_step(state, dx, a, G, Wall(), valve, pipe(section))
             # node i sees the right-going half-invariant of node i-k and the
             # left-going one of node i+k, untouched by the k steps between
             assert same_bits(state.head[k:nodes - k],
@@ -343,49 +346,46 @@ class TestCarriedInvariants:
         ends = (ENDS["reservoir"], ENDS["valve"])
         state = MocState(head=120.0 + rng.standard_normal(31),
                          discharge=rng.standard_normal(31))
-        state = moc_step(state, *LEAN_GRID, G, 1.5, FRICTIONLESS, *ends)
-        lean = moc_step(state, *LEAN_GRID, G, 2.0, FRICTIONLESS, *ends)
-        ref = reference_step(state, *LEAN_GRID, G, 2.0, FRICTIONLESS, *ends, None)
+        state = moc_step(state, *LEAN_GRID, G, *ends, LEAN_PIPE)
+        lean = moc_step(state, *LEAN_GRID, G, *ends, PIPE)
+        ref = reference_step(state, *LEAN_GRID, G, *ends, PIPE)
         assert same_bits(lean.head, ref.head)
         assert same_bits(lean.discharge, ref.discharge)
 
     def test_long_march_stays_near_the_re_rounding_chain(self):
         scenario = section4_scenario(cells=50, t_end=1.0)
         lean = ref = initial_moc_state(scenario)
-        args = (scenario.geometry.length / 50, scenario.constants.c, G,
-                scenario.geometry.section, FRICTIONLESS, scenario.upstream,
-                scenario.downstream)
+        args = (scenario.geometry.length / 50, scenario.constants.c, G, scenario.upstream,
+                scenario.downstream, scenario.geometry)
         for _ in range(600):    # 11.0 s: the closure and three reflections
             lean = moc_step(lean, *args)
-            ref = reference_step(ref, *args, None)
+            ref = reference_step(ref, *args)
         assert lean.time == ref.time
         scale_h, scale_q = np.max(np.abs(ref.head)), np.max(np.abs(ref.discharge))
         assert np.max(np.abs(lean.head - ref.head)) <= 1e-12 * scale_h
         assert np.max(np.abs(lean.discharge - ref.discharge)) <= 1e-12 * scale_q
 
-    @pytest.mark.parametrize("friction", [FRICTIONLESS,
-                                          FrictionParams(enabled=True, strickler=40.0)],
-                             ids=["frictionless", "friction"])
-    def test_stepping_leaves_the_state_unchanged(self, friction):
+    @STRICKLERS
+    def test_stepping_leaves_the_state_unchanged(self, strickler):
         rng = np.random.default_rng(4)
         nodes = 25
         ends = (ENDS["reservoir"], ENDS["valve"])
         state = MocState(head=120.0 + rng.standard_normal(nodes),
                          discharge=rng.standard_normal(nodes))
-        args = (*LEAN_GRID, G, 1.5, friction, *ends)
-        state = moc_step(state, *args, geometry=TestLeanStep.geometry)
+        args = (*LEAN_GRID, G, *ends, pipe(1.5, strickler))
+        state = moc_step(state, *args)
         before = {name: np.array(getattr(state, name))
                   for name in ("head", "discharge", "_block")}
-        first = moc_step(state, *args, geometry=TestLeanStep.geometry)
-        second = moc_step(state, *args, geometry=TestLeanStep.geometry)
+        first = moc_step(state, *args)
+        second = moc_step(state, *args)
         for name, values in before.items():
             assert same_bits(getattr(first, name), getattr(second, name))
             assert same_bits(getattr(state, name), values)
         assert first.time == second.time
 
     def test_discharge_is_formed_once_and_read_only(self):
-        state = moc_step(quiescent_state(), *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
-                         ReservoirHead(total_head=150.0), Wall())
+        state = moc_step(quiescent_state(), *QUIESCENT_GRID, G,
+                         ReservoirHead(total_head=150.0), Wall(), PIPE)
         assert "discharge" not in vars(state)
         discharge = state.discharge
         assert state.discharge is discharge and vars(state)["discharge"] is discharge
@@ -404,9 +404,8 @@ class TestTracks:
         return MocState(head=120.0 + rng.standard_normal(nodes),
                         discharge=rng.standard_normal(nodes), time=0.5)
 
-    def step(self, state, friction=FRICTIONLESS):
-        return moc_step(state, *LEAN_GRID, G, 1.5, friction, *self.ends,
-                        geometry=TestLeanStep.geometry)
+    def step(self, state, geometry=LEAN_PIPE):
+        return moc_step(state, *LEAN_GRID, G, *self.ends, geometry)
 
     def test_stepping_an_older_state_leaves_every_result_unchanged(self):
         chain = [self.constructed(9, seed=21)]
@@ -423,29 +422,26 @@ class TestTracks:
         for k, s in zip((1, 2, 1), again):
             assert same_bits(s.head, chain[k + 1].head)
             assert same_bits(s.discharge, chain[k + 1].discharge)
-        marched = carried_reference(chain[0], 5, *LEAN_GRID, G, 1.5, FRICTIONLESS,
-                                    *self.ends, TestLeanStep.geometry)
+        marched = carried_reference(chain[0], 5, *LEAN_GRID, G, *self.ends, LEAN_PIPE)
         for s, (head, discharge, t) in zip(chain[1:] + [tip], marched):
             assert same_bits(s.head, head) and same_bits(s.discharge, discharge)
             assert s.time == t
 
-    @pytest.mark.parametrize("friction", [FRICTIONLESS,
-                                          FrictionParams(enabled=True, strickler=40.0)],
-                             ids=["frictionless", "friction"])
-    def test_march_across_refills_matches_the_carried_reference(self, friction):
+    @STRICKLERS
+    def test_march_across_refills_matches_the_carried_reference(self, strickler):
         nodes = 7
+        geometry = pipe(1.5, strickler)
         state = self.constructed(nodes, seed=5)
-        marched = carried_reference(state, 3 * nodes, *LEAN_GRID, G, 1.5, friction,
-                                    *self.ends, TestLeanStep.geometry)
+        marched = carried_reference(state, 3 * nodes, *LEAN_GRID, G, *self.ends, geometry)
         tracks = []
         for head, discharge, t in marched:
-            state = self.step(state, friction)
+            state = self.step(state, geometry)
             tracks.append(state._track)
             assert same_bits(state.head, head) and same_bits(state.discharge, discharge)
             assert state.time == t
         # a capacity-n track holds n states: three tracks, two refills, when
         # frictionless; a friction step rewrites every node into a new track
-        expected = 3 if friction is FRICTIONLESS else 3 * nodes
+        expected = 3 if strickler is None else 3 * nodes
         assert len({id(track) for track in tracks}) == expected
 
     def test_a_step_from_the_tip_allocates_the_heads_only(self):
@@ -469,11 +465,9 @@ class TestMocErrors:
         # velocity-head law without a real root
         state = quiescent_state(head=1e6)
         with pytest.raises(SolverError, match="upstream reservoir law unsolvable"):
-            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS,
-                     ReservoirHead(total_head=150.0), Wall())
+            moc_step(state, *QUIESCENT_GRID, G, ReservoirHead(total_head=150.0), Wall(), PIPE)
         with pytest.raises(SolverError, match="downstream reservoir law unsolvable"):
-            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS, Wall(),
-                     ReservoirHead(total_head=150.0))
+            moc_step(state, *QUIESCENT_GRID, G, Wall(), ReservoirHead(total_head=150.0), PIPE)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_law(self, bad):
@@ -481,9 +475,9 @@ class TestMocErrors:
         law = PrescribedDischarge(law=lambda t: bad)
         with pytest.raises(SolverError, match=r"^downstream boundary gave a non-finite "
                                               r"discharge at t=0\.01: Q="):
-            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS, Wall(), law)
+            moc_step(state, *QUIESCENT_GRID, G, Wall(), law, PIPE)
         with pytest.raises(SolverError, match="^upstream boundary gave a non-finite"):
-            moc_step(state, *QUIESCENT_GRID, G, 2.0, FRICTIONLESS, law, Wall())
+            moc_step(state, *QUIESCENT_GRID, G, law, Wall(), PIPE)
 
     def test_run_names_the_step(self):
         scenario = section4_scenario(cells=50, t_end=1.0)

@@ -11,8 +11,8 @@ import pytest
 
 from pipewave import kinetic, moc, runner
 from pipewave.config import RunConfig
-from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
-                           PipeGeometry, area_from_piezometric_head)
+from pipewave.core import (LinearAltitude, PhysicalConstants, PipeGeometry,
+                           area_from_piezometric_head)
 from pipewave.kinetic import run
 from pipewave.moc import initial_moc_state, moc_step
 from pipewave.output import SNAPSHOT_HEADER, CsvWriter, frame_rows, write_rows_csv
@@ -29,7 +29,7 @@ def surge_config(solver, tmp_path, snapshot_stride=0):
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
     scenario = Scenario(
         geometry=geometry, constants=PhysicalConstants(c=1086.6),
-        friction=FrictionParams(), mesh_cells=50,
+        mesh_cells=50,
         upstream=ReservoirHead(total_head=300.0),
         downstream=PrescribedDischarge(law=ValveClosure(q0=10.0, t_close=5.0)),
         initial_discharge=10.0, t_end=10.0, output_stride=STRIDE,
@@ -48,8 +48,7 @@ def direct_march(solver, scenario):
         state = initial_moc_state(scenario)
         dx = geom.length / scenario.mesh_cells
         while state.time + dx / c <= scenario.t_end * (1.0 + 1e-12):
-            state = moc_step(state, dx, c, g, geom.section, scenario.friction,
-                             scenario.upstream, scenario.downstream, geom)
+            state = moc_step(state, dx, c, g, scenario.upstream, scenario.downstream, geom)
             states.append(state)
         z = geom.altitude(np.linspace(0.0, geom.length, scenario.mesh_cells + 1))
         areas = [area_from_piezometric_head(s.head, geom.section, z, geom.diameter, c, g)
@@ -57,7 +56,7 @@ def direct_march(solver, scenario):
     else:
         mesh = scenario.mesh()
         run(steady_state_init(scenario, mesh), mesh, 0.8, scenario.constants,
-            scenario.friction, scenario.upstream, scenario.downstream, scenario.t_end,
+            scenario.upstream, scenario.downstream, scenario.t_end,
             observer=states.append, geometry=geom)
         areas = [s.area for s in states]
     return states, areas

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import bisect_total_head_area
-from pipewave.core import (FrictionParams, LinearAltitude, PhysicalConstants,
-                           PipeGeometry, SolverError, State,
-                           area_from_piezometric_head, total_head)
+from pipewave.core import (LinearAltitude, PhysicalConstants, PipeGeometry,
+                           SolverError, State, area_from_piezometric_head,
+                           total_head)
 from pipewave.kinetic import cfl_timestep, run, step
 from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
                                 Scenario, ValveClosure, Wall, ghost_states,
                                 steady_state_init)
 
-FRICTIONLESS = FrictionParams()
 
 
 def section4_scenario(cells=100, t_end=10.0, c=1086.6, angle_deg=-5.0, q0=10.0):
@@ -19,7 +18,7 @@ def section4_scenario(cells=100, t_end=10.0, c=1086.6, angle_deg=-5.0, q0=10.0):
         altitude=LinearAltitude(upstream_z=250.0, angle_deg=angle_deg))
     return Scenario(
         geometry=geometry, constants=PhysicalConstants(c=c),
-        friction=FRICTIONLESS, mesh_cells=cells,
+        mesh_cells=cells,
         upstream=ReservoirHead(total_head=300.0),
         downstream=PrescribedDischarge(law=ValveClosure(q0=q0, t_close=5.0)),
         initial_discharge=q0, t_end=t_end, output_stride=10, probes=(1000.0,))
@@ -239,7 +238,7 @@ class TestSteadyRunProperties:
         state = State(area=area, discharge=np.zeros(mesh.n))
         for _ in range(100):
             dt = cfl_timestep(state, c, mesh, 0.8)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, scenario.upstream,
+            state = step(state, mesh, c, g, dt, scenario.upstream,
                          scenario.downstream, scenario.geometry)
         assert np.max(np.abs(state.discharge)) <= 1e-5 * np.max(area) * c
 
@@ -251,7 +250,7 @@ class TestSteadyRunProperties:
                                "downstream": PrescribedDischarge(law=lambda t: 10.0)})
         mesh = scenario.mesh()
         state = steady_state_init(scenario, mesh)
-        out = run(state, mesh, 0.8, scenario.constants, FRICTIONLESS, scenario.upstream,
+        out = run(state, mesh, 0.8, scenario.constants, scenario.upstream,
                   scenario.downstream, t_end=1.0, geometry=scenario.geometry)
         assert np.max(np.abs(out.discharge - 10.0)) / 10.0 <= 0.01
 
@@ -267,6 +266,6 @@ class TestSteadyRunProperties:
         mass0 = np.sum(mesh.width * state.area)
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, FRICTIONLESS, scenario.upstream,
+            state = step(state, mesh, c, g, dt, scenario.upstream,
                          scenario.downstream, scenario.geometry)
         assert np.sum(mesh.width * state.area) == pytest.approx(mass0, rel=1e-12)
