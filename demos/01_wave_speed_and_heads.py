@@ -7,9 +7,9 @@ through the derived quantities for a 2 m^2 concrete penstock.
 
 import numpy as np
 
-from pipewave import (LinearAltitude, PipeGeometry, effective_wave_speed,
-                      entropy_cell, friction_slope, piezometric_head, sound_speed,
-                      total_head)
+from pipewave import (LinearAltitude, PipeGeometry, entropy_cell, friction_slope,
+                      piezometric_head, total_head)
+from pipewave.core import effective_wave_speed, sound_speed
 
 # rigid-pipe sound speed from compressibility and density
 beta = 5.0e-10          # 1/Pa

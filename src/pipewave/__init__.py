@@ -11,8 +11,8 @@ boundary-condition machinery, and a small CLI.
 from .compare import ComparisonReport, ProbeSeries, compare_series
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .core import (LinearAltitude, Mesh, PhysicalConstants, PipeGeometry,
-                   SolverError, State, effective_wave_speed, entropy_cell,
-                   friction_slope, piezometric_head, sound_speed, total_head)
+                   SolverError, State, entropy_cell, friction_slope, piezometric_head,
+                   total_head)
 from .kinetic import cfl_timestep, run, step
 from .moc import MocState, moc_run, moc_step
 from .runner import compare_runs, run_simulation

@@ -56,16 +56,14 @@ def _load(args) -> RunConfig:
     config = load_config(path)
     if args.command == "check":
         return config
-    scenario = config.scenario
-    if args.cells is not None:
-        if args.cells < 2:
-            raise ConfigError(f"--cells must be >= 2, got {args.cells}")
-        scenario = replace(scenario, mesh_cells=args.cells)
-    if args.cfl is not None and not 0.0 < args.cfl <= 1.0:     # NaN fails too
-        raise ConfigError(f"--cfl must lie in (0, 1], got {args.cfl}")
-    return replace(config, scenario=scenario,
-                   cfl=config.cfl if args.cfl is None else args.cfl,
-                   output_dir=config.output_dir if args.out is None else args.out)
+    try:
+        return replace(config, scenario=config.scenario if args.cells is None else
+                       replace(config.scenario, mesh_cells=args.cells),
+                       cfl=config.cfl if args.cfl is None else args.cfl,
+                       output_dir=config.output_dir if args.out is None else args.out)
+    except ValueError as exc:       # Scenario and RunConfig name the field first
+        field, _, rule = str(exc).partition(": ")
+        raise ConfigError(f"{dict(mesh_cells='--cells', cfl='--cfl')[field]} {rule}") from exc
 
 
 def _cmd_run(config: RunConfig):
@@ -115,7 +113,7 @@ def main(argv=None):
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
-        # invalid values reaching library constructors (e.g. flag overrides)
+        # invalid values reaching library constructors
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -2,7 +2,8 @@
 
 Dotted keys group related settings (``pipe.length_m = 2000``); ``#`` starts a
 comment.  Unknown keys, duplicates and missing required keys are rejected
-with the offending key and line number.
+with the offending key and line number; ``_KEYS`` names the key of each
+field whose rule ``Scenario`` or ``RunConfig`` checks.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ class RunConfig:
     snapshot_stride: int = 0      # 0: initial and final snapshots only
 
     def __post_init__(self):
-        if self.solver not in ("kinetic", "moc", "both"):
-            raise ConfigError(f"run.solver must be kinetic|moc|both, got {self.solver!r}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError(f"run.cfl must lie in (0, 1], got {self.cfl}")
-        if self.snapshot_stride < 0:
-            raise ConfigError("output.snapshot_stride must be >= 0")
+        # as in Scenario, each message starts with the field it rejects
+        for field, ok, rule in (("solver", self.solver in ("kinetic", "moc", "both"),
+                                 "must be kinetic|moc|both"),
+                                ("cfl", 0.0 < self.cfl <= 1.0, "must lie in (0, 1]"),
+                                ("snapshot_stride", self.snapshot_stride >= 0, "must be >= 0")):
+            if not ok:
+                raise ValueError(f"{field}: {rule}, got {getattr(self, field)!r}")
 
 
 def _parse_bool(key, raw):
@@ -136,6 +138,13 @@ def parse_config(text: str) -> RunConfig:
     return _build(values)
 
 
+# the key that sets each field whose rule Scenario, ValveClosure or RunConfig checks
+_KEYS = {"mesh_cells": "run.cells", "t_end": "run.t_end_s", "output_stride": "output.stride",
+         "probes": "output.probes_m", "upstream": "boundary.upstream_head_m",
+         "kind": "boundary.closure_law", "solver": "run.solver", "cfl": "run.cfl",
+         "snapshot_stride": "output.snapshot_stride"}
+
+
 def _build(v) -> RunConfig:
     for key in ("pipe.length_m", "pipe.section_m2", "pipe.wall_thickness_m",
                 "pipe.young_modulus_pa", "fluid.gravity_m_s2",
@@ -143,57 +152,38 @@ def _build(v) -> RunConfig:
                 "fluid.wave_speed_m_s", "boundary.closure_duration_s"):
         if v[key] is not None and v[key] <= 0:
             raise ConfigError(f"key {key}: must be positive, got {v[key]}")
-    for key, least in (("run.cells", 2), ("output.stride", 1)):
-        if v[key] < least:
-            raise ConfigError(f"key {key}: must be >= {least}, got {v[key]}")
-    if v["run.t_end_s"] < 0:
-        raise ConfigError(f"key run.t_end_s: must be non-negative, got {v['run.t_end_s']}")
 
     length = v["pipe.length_m"]
-    probes = v["output.probes_m"] or (length / 2.0,)
-    for x in probes:
-        if not 0.0 <= x <= length:
-            raise ConfigError(f"key output.probes_m: probe at x={x} outside the pipe "
-                              f"[0, {length}]")
     altitude = LinearAltitude(upstream_z=v["pipe.upstream_altitude_m"],
                               angle_deg=v["pipe.slope_deg"])
     try:
-        try:
-            geometry = PipeGeometry(length, v["pipe.section_m2"], altitude,
-                                    v["friction.strickler"] if v["friction.enabled"] else None)
-        except ValueError as exc:       # length and section are checked above
-            raise ConfigError(f"key friction.strickler: {exc}") from exc
-        crown = float(altitude(0.0)) + geometry.diameter
-        if v["boundary.upstream_head_m"] <= crown:
-            raise ConfigError(f"key boundary.upstream_head_m: {v['boundary.upstream_head_m']} m "
-                              f"does not cover the pipe crown {crown:.6g} m at x=0")
+        geometry = PipeGeometry(length, v["pipe.section_m2"], altitude,
+                                v["friction.strickler"] if v["friction.enabled"] else None)
+    except ValueError as exc:       # length and section are checked above
+        raise ConfigError(f"key friction.strickler: {exc}") from exc
+    try:
         c = v["fluid.wave_speed_m_s"]
         if c is None:
             beta = v["fluid.compressibility_per_pa"]
             c = effective_wave_speed(sound_speed(beta, v["fluid.density_kg_m3"]),
                                      geometry.diameter, v["pipe.wall_thickness_m"],
                                      v["pipe.young_modulus_pa"], beta)
-        constants = PhysicalConstants(c=c, g=v["fluid.gravity_m_s2"])
-        try:
-            closure = ValveClosure(q0=v["flow.initial_discharge_m3s"],
-                                   t_close=v["boundary.closure_duration_s"],
-                                   kind=v["boundary.closure_law"])
-        except ValueError as exc:
-            raise ConfigError(f"key boundary.closure_law: {exc}") from exc
         scenario = Scenario(
-            geometry=geometry, constants=constants, mesh_cells=v["run.cells"],
+            geometry=geometry, constants=PhysicalConstants(c=c, g=v["fluid.gravity_m_s2"]),
+            mesh_cells=v["run.cells"],
             upstream=ReservoirHead(total_head=v["boundary.upstream_head_m"]),
-            downstream=PrescribedDischarge(law=closure),
+            downstream=PrescribedDischarge(law=ValveClosure(
+                q0=v["flow.initial_discharge_m3s"], t_close=v["boundary.closure_duration_s"],
+                kind=v["boundary.closure_law"])),
             initial_discharge=v["flow.initial_discharge_m3s"],
             t_end=v["run.t_end_s"], output_stride=v["output.stride"],
-            probes=probes)
+            probes=v["output.probes_m"] or (length / 2.0,))
         return RunConfig(scenario=scenario, solver=v["run.solver"],
                          output_dir=v["output.dir"], cfl=v["run.cfl"],
                          snapshot_stride=v["output.snapshot_stride"])
-    except ConfigError:
-        raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        field, _, rule = str(exc).partition(": ")
+        raise ConfigError(f"key {_KEYS[field]}: {rule}" if field in _KEYS else str(exc)) from exc
 
 
 def load_config(path) -> RunConfig:

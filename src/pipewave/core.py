@@ -1,10 +1,11 @@
-"""Physical constants, pipe geometry, mesh and per-cell diagnostics.
+"""Physical constants, pipe geometry, mesh, state, march and diagnostics.
 
 The flow model is the conservative pair (A, Q) where A is the pressurized
 ("free-surface equivalent") wetted area rho*S/rho0 and Q = A*u the matching
 discharge.  Everything here is plain data plus closed-form physics: sound and
 elastic wave speeds, piezometric and total head, entropy density and the
-Manning-Strickler friction slope of the pipe's wall roughness.
+Manning-Strickler friction slope of the pipe's wall roughness.  Both solvers
+run ``march``, the one loop that numbers steps and calls the observer.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class PipeGeometry:
 
 
 # ---------------------------------------------------------------------------
-# mesh and state
+# mesh, state and march
 # ---------------------------------------------------------------------------
 
 def _readonly(a):
@@ -169,8 +170,6 @@ class Mesh:
     @classmethod
     def uniform(cls, length, n, altitude):
         """n equal cells on [0, length] with bottom sampled at cell centers."""
-        if n < 1:
-            raise ValueError("need at least one cell")
         return cls(length, altitude((np.arange(n) + 0.5) * (length / n)))
 
 
@@ -187,10 +186,14 @@ class State:
         discharge = _readonly(self.discharge)
         if area.shape != discharge.shape or area.ndim != 1:
             raise ValueError("area and discharge must be 1-d arrays of equal length")
-        if not (area > 0).all():
-            raise ValueError("wetted area must stay positive")
-        if not np.isfinite(discharge).all():
-            raise ValueError("discharge must be finite")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time!r}")
+        for rule, values, ok in (("wetted area must lie in (0, inf)", area,
+                                  (area > 0) & (area < math.inf)),
+                                 ("discharge must be finite", discharge, np.isfinite(discharge))):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValueError(f"{rule}: cell {i} is {float(values[i])!r}")
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "discharge", discharge)
 
@@ -220,6 +223,28 @@ class State:
     @property
     def n(self):
         return self.area.size
+
+
+def march(state, t_end, advance, observer=None):
+    """March ``state`` (its time at most t_end) while its time lies before
+    t_end: ``advance(state)`` gives the next state, or None to stop short of
+    t_end, and ``observer(state)`` sees each one.  A ``SolverError`` is raised
+    again naming the step (from 1) and its start time.  Returns the last state."""
+    if t_end < state.time:
+        raise ValueError(f"t_end={t_end} precedes the initial time {state.time}")
+    steps = 0
+    while state.time < t_end:
+        steps += 1
+        try:
+            new = advance(state)
+        except SolverError as exc:
+            raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
+        if new is None:
+            break
+        state = new
+        if observer is not None:
+            observer(state)
+    return state
 
 
 # ---------------------------------------------------------------------------

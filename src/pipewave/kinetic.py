@@ -78,6 +78,8 @@ friction coefficient the discharge is relaxed semi-implicitly after the
 hyperbolic update.
 Without friction ``step`` hands its new state's max |u|, formed as it tests
 admissibility, to the state, and the next ``cfl_timestep`` reads it there.
+``run`` hands ``core.march`` one ``cfl_timestep`` per step, the last one
+clamped to the end time.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import scenarios
-from .core import Mesh, PipeGeometry, SolverError, State
+from .core import Mesh, PipeGeometry, SolverError, State, march
 
 SQRT3 = math.sqrt(3.0)
 
@@ -302,37 +304,25 @@ def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
     return State._checked(a_new, q_new, state.time + dt, speed)
 
 
-def run(initial: State, mesh: Mesh, cfl, constants, upstream, downstream, t_end,
-        observer=None, geometry: PipeGeometry | None = None) -> State:
-    """March ``initial`` to the finite t_end with adaptive steps at CFL
-    coefficient ``cfl`` in (0, 1], clamping the last step so the final time
-    is exactly t_end; ``observer(state)`` is invoked after every accepted
-    step.  A ``SolverError`` names the step number (counted from 1) and the
-    time the step started from."""
+def run(scenario: scenarios.Scenario, cfl, observer=None, initial: State | None = None) -> State:
+    """March the scenario from ``initial`` (default: ``steady_state_init`` on
+    its mesh; its time at most t_end) through ``core.march`` with ``observer``,
+    in steps at CFL coefficient ``cfl`` in (0, 1], the last one clamped so the
+    final time is exactly t_end."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end < initial.time:
-        raise ValueError(f"t_end={t_end} precedes the initial time {initial.time}")
-    state = initial
-    steps = 0
-    while state.time < t_end:
-        steps += 1
-        dt = cfl_timestep(state, constants.c, mesh, cfl)
+    mesh = scenario.mesh()
+    state = scenarios.steady_state_init(scenario, mesh) if initial is None else initial
+    c, g, t_end = scenario.constants.c, scenario.constants.g, scenario.t_end
+    laws = (scenario.upstream, scenario.downstream, scenario.geometry)
+
+    def advance(state):
+        dt = cfl_timestep(state, c, mesh, cfl)
         if state.time + dt == state.time:
-            raise SolverError(f"step {steps}: time step dt={dt:g} makes no progress at "
-                              f"t={state.time!r} (t_end={t_end!r})")
-        clamped = state.time + dt >= t_end
-        if clamped:
-            dt = t_end - state.time
-        try:
-            state = step(state, mesh, constants.c, constants.g, dt, upstream, downstream,
-                         geometry)
-        except SolverError as exc:
-            raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
-        if clamped:
-            state = replace(state, time=float(t_end))
-        if observer is not None:
-            observer(state)
-    return state
+            raise SolverError(f"time step dt={dt:g} makes no progress at t={state.time!r} "
+                              f"(t_end={t_end!r})")
+        if state.time + dt < t_end:
+            return step(state, mesh, c, g, dt, *laws)
+        return replace(step(state, mesh, c, g, t_end - state.time, *laws), time=float(t_end))
+
+    return march(state, t_end, advance, observer)

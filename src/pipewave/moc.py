@@ -30,6 +30,8 @@ the two rows and the discharges their difference divided by B, formed only
 when read.  Halving is exact (above the subnormal range), so these are the
 bits of (cp + cm) / 2 and (cp - cm) / (2 B) for the full invariants cp and cm
 that the rows carry; unlike H and Q, the rows are not rounded again.
+``moc_run`` hands ``core.march`` the fixed step dx/c up to the last full
+step at or before the end time.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PipeGeometry, SolverError, friction_slope, piezometric_head
-from .scenarios import (Periodic, Scenario, solve_area_profile,
-                        steady_head_constant)
+from .core import PipeGeometry, SolverError, friction_slope, march, piezometric_head
+from .scenarios import Periodic, Scenario, steady_areas
 
 
 class _Track:
@@ -187,48 +188,35 @@ def moc_step(state: MocState, dx, c, g, upstream, downstream,
 
 def initial_moc_state(scenario: Scenario):
     """Steady state with one node per cell interface of the scenario's mesh:
-    the same constant-total-head profile as the finite-volume initializer,
-    expressed as a piezometric line."""
-    node_count = scenario.mesh_cells + 1
+    the ``steady_areas`` profile of the finite-volume initializer, expressed
+    as a piezometric line."""
     geom = scenario.geometry
-    c = scenario.constants.c
-    g = scenario.constants.g
-    q0 = scenario.initial_discharge
-
-    x = np.linspace(0.0, geom.length, node_count)
+    x = np.linspace(0.0, geom.length, scenario.mesh_cells + 1)
     z = np.asarray(geom.altitude(x), dtype=float)
-    head_const = steady_head_constant(scenario)
-    area = solve_area_profile(z, q0, head_const, c, g, start=geom.section)
-    head = piezometric_head(area, geom.section, z, geom.diameter, c, g)
-    return MocState(head=head, discharge=np.full(node_count, float(q0)))
+    head = piezometric_head(steady_areas(scenario, z), geom.section, z, geom.diameter,
+                            scenario.constants.c, scenario.constants.g)
+    return MocState(head=head, discharge=np.full(x.size, float(scenario.initial_discharge)))
 
 
 def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) -> MocState:
     """March the scenario from ``initial`` (default: ``initial_moc_state``;
     its time at most t_end) on its n nodes spanning the pipe, dx = L/(n - 1),
     at the scenario's wave speed, to the last full step at or before t_end,
-    calling ``observer(state)`` after every step; returns the final state.
-    A ``SolverError`` names the step (from 1) and its start time."""
+    through ``core.march`` with ``observer``; returns the final state."""
     # a Scenario has periodic ends in pairs or not at all
     if isinstance(scenario.upstream, Periodic):
         raise ValueError("the characteristics solver needs reservoir, "
                          "discharge or wall boundaries")
 
     state = initial_moc_state(scenario) if initial is None else initial
-    if scenario.t_end < state.time:
-        raise ValueError(f"t_end={scenario.t_end} precedes the initial time {state.time}")
     # bit for bit the spacing of np.linspace(0, L, n), where the runner samples
     dx, c = scenario.geometry.length / (state.n - 1), scenario.constants.c
     # unit Courant number: cannot clamp dt, so stop at the last full step
-    steps, t_stop, dt = 0, scenario.t_end * (1.0 + 1e-12), dx / c
+    t_stop, dt = scenario.t_end * (1.0 + 1e-12), dx / c
     args = (dx, c, scenario.constants.g, scenario.upstream, scenario.downstream,
             scenario.geometry)
-    while state.time + dt <= t_stop:
-        steps += 1
-        try:
-            state = moc_step(state, *args)
-        except SolverError as exc:
-            raise SolverError(f"step {steps} from t={state.time!r}: {exc}") from exc
-        if observer is not None:
-            observer(state)
-    return state
+
+    def advance(state):
+        return moc_step(state, *args) if state.time + dt <= t_stop else None
+
+    return march(state, scenario.t_end, advance, observer)

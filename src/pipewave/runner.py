@@ -118,12 +118,10 @@ def _kinetic(config: RunConfig):
     scenario = config.scenario
     mesh = scenario.mesh()
     state = steady_state_init(scenario, mesh)
-    march = partial(kinetic.run, state, mesh, config.cfl, scenario.constants,
-                    scenario.upstream, scenario.downstream, scenario.t_end,
-                    geometry=scenario.geometry)
     return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.width,
                    level=lambda s: s.area, area=lambda area, z: area, floor=0.0,
-                   initial=state, march=march, snapshot_stride=config.snapshot_stride)
+                   initial=state, march=partial(kinetic.run, scenario, config.cfl, initial=state),
+                   snapshot_stride=config.snapshot_stride)
 
 
 def _moc(config: RunConfig):

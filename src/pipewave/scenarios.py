@@ -18,6 +18,8 @@ sees no topography jump and the condition reduces to choosing the ghost
 ``node`` gives the discharge at a method-of-characteristics end node from the
 one invariant reaching it (``moc`` forms the head); a periodic pipe has no
 such node.
+``steady_areas`` is the steady profile both solvers start from.  A
+``Scenario`` error starts with the field, so callers can name what set it.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ class ValveClosure:
 
     def __post_init__(self):
         if self.kind not in ("linear", "cosine", "instant"):
-            raise ValueError(f"unknown closure law {self.kind!r}")
+            raise ValueError(f"kind: unknown closure law {self.kind!r}")
         if self.kind != "instant" and self.t_close <= 0:
-            raise ValueError("closure time must be positive")
+            raise ValueError(f"t_close: must be positive, got {self.t_close}")
 
     def __call__(self, t):
         if self.kind == "instant" or t >= self.t_close:
@@ -134,24 +136,26 @@ class Scenario:
     probes: tuple = ()
 
     def __post_init__(self):
-        if self.mesh_cells < 2:
-            raise ValueError("need at least two cells")
-        if not 0.0 <= self.t_end < math.inf:
-            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
-        if self.output_stride < 1:
-            raise ValueError("output stride must be >= 1")
-        if isinstance(self.upstream, Periodic) != isinstance(self.downstream, Periodic):
-            raise ValueError("periodic boundaries must be used on both sides or neither")
+        # each message starts with the field it rejects, for config and cli to name
+        periodic = isinstance(self.upstream, Periodic) == isinstance(self.downstream, Periodic)
+        for field, ok, rule in (("mesh_cells", self.mesh_cells >= 2, "must be >= 2"),
+                                ("t_end", math.isfinite(self.t_end), "must be finite"),
+                                ("t_end", self.t_end >= 0, "must be non-negative"),
+                                ("output_stride", self.output_stride >= 1, "must be >= 1"),
+                                ("downstream", periodic, "must be periodic iff upstream is")):
+            if not ok:
+                raise ValueError(f"{field}: {rule}, got {getattr(self, field)}")
         for x in self.probes:
             if not 0.0 <= x <= self.geometry.length:
-                raise ValueError(f"probe at x={x} outside the pipe [0, {self.geometry.length}]")
-        for side, x_end in ((self.upstream, 0.0), (self.downstream, self.geometry.length)):
+                raise ValueError(f"probes: probe at x={x} outside the pipe "
+                                 f"[0, {self.geometry.length}]")
+        for field, x_end in (("upstream", 0.0), ("downstream", self.geometry.length)):
+            side = getattr(self, field)
             if isinstance(side, ReservoirHead):
                 crown = float(self.geometry.altitude(x_end)) + self.geometry.diameter
                 if side.total_head <= crown:
-                    raise ValueError(
-                        f"reservoir head {side.total_head} m does not cover the pipe "
-                        f"crown {crown:.6g} m at x={x_end}")
+                    raise ValueError(f"{field}: {side.total_head} m does not cover the pipe "
+                                     f"crown {crown:.6g} m at x={x_end:g}")
 
     def mesh(self):
         return Mesh.uniform(self.geometry.length, self.mesh_cells, self.geometry.altitude)
@@ -174,9 +178,13 @@ def _inlet_area(head, q0, z, geometry, c, g):
     raise SolverError("reservoir head inversion did not converge")
 
 
-def steady_head_constant(scenario: Scenario):
-    """Total-head constant u^2/2 + g z + c^2 ln A (m^2/s^2) of the steady
-    state anchored by the upstream reservoir."""
+def steady_areas(scenario: Scenario, z):
+    """Areas at the bottoms z of the smooth steady state: Q = Q0 and the total
+    head u^2/2 + g z + c^2 ln A fixed by the upstream reservoir at x = 0.
+    Solved per point by the contraction A <- exp((C - g z - (Q0/A)^2/2)/c^2)
+    from the section, which reaches relative 1e-12 in a handful of iterations
+    while Q0/(A c) << 1.  Friction is ignored (a run with friction starts from
+    the frictionless equilibrium)."""
     if not isinstance(scenario.upstream, ReservoirHead):
         raise ValueError("the steady-state initializer needs an upstream reservoir head")
     geom = scenario.geometry
@@ -185,41 +193,24 @@ def steady_head_constant(scenario: Scenario):
     q0 = scenario.initial_discharge
     z_inlet = float(geom.altitude(0.0))
     a_inlet = _inlet_area(scenario.upstream.total_head, q0, z_inlet, geom, c, g)
-    return 0.5 * (q0 / a_inlet) ** 2 + g * z_inlet + c * c * math.log(a_inlet)
-
-
-def steady_state_init(scenario: Scenario, mesh: Mesh) -> State:
-    """Smooth steady state: Q = Q0 everywhere and the total head
-    u^2/2 + g Z + c^2 ln A equal across cells, anchored by the upstream
-    reservoir head.
-
-    Solved per cell by the contraction A <- exp((C2 - g Z - (Q0/A)^2/2)/c^2);
-    at pressurized regimes Q0/(A c) << 1 so a handful of iterations reach
-    relative 1e-12.  The profile ignores friction (a friction-enabled run
-    simply starts from the frictionless equilibrium).
-    """
-    head_const = steady_head_constant(scenario)
-    area = solve_area_profile(mesh.z_cells, scenario.initial_discharge, head_const,
-                              scenario.constants.c, scenario.constants.g,
-                              start=scenario.geometry.section)
-    return State(area=area, discharge=np.full(mesh.n, float(scenario.initial_discharge)),
-                 time=0.0)
-
-
-def solve_area_profile(z_values, q0, head_const, c, g, start):
-    """Per-point A solving u^2/2 + g z + c^2 ln A = head_const at fixed
-    discharge q0, by the fixed-point iteration started from ``start``."""
-    z_values = np.asarray(z_values, dtype=float)
-    area = np.full(z_values.shape, float(start))
+    head_const = 0.5 * (q0 / a_inlet) ** 2 + g * z_inlet + c * c * math.log(a_inlet)
+    z = np.asarray(z, dtype=float)
+    area = np.full(z.shape, float(geom.section))
     for _ in range(_MAX_STEADY_ITERS):
         u = q0 / area
-        new = np.exp((head_const - g * z_values - 0.5 * u * u) / (c * c))
+        new = np.exp((head_const - g * z - 0.5 * u * u) / (c * c))
         if np.any(~np.isfinite(new)) or np.any(new <= 0):
             raise SolverError("steady-state iteration left the positive domain")
         if np.all(np.abs(new - area) <= 1e-12 * area):
             return new
         area = new
     raise SolverError(f"steady state not converged in {_MAX_STEADY_ITERS} iterations")
+
+
+def steady_state_init(scenario: Scenario, mesh: Mesh) -> State:
+    """The ``steady_areas`` state on the cells of ``mesh``, at time 0."""
+    return State(area=steady_areas(scenario, mesh.z_cells),
+                 discharge=np.full(mesh.n, float(scenario.initial_discharge)), time=0.0)
 
 
 def ghost_states(state: State, mesh: Mesh, upstream: BoundaryCondition,

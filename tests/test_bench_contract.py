@@ -127,10 +127,8 @@ def test_marches_step_through_the_module_attributes(loaded, monkeypatch):
                 monkeypatch.setattr(module, key, counted_ghosts)
     kinetic_calls = _counting(monkeypatch, pw.kinetic, "step")
     kinetic_states = []
-    pw.kinetic.run(pw.scenarios.steady_state_init(scenario, mesh), mesh, 0.8,
-                   scenario.constants, scenario.upstream, scenario.downstream,
-                   scenario.t_end, observer=kinetic_states.append,
-                   geometry=scenario.geometry)
+    pw.kinetic.run(scenario, 0.8, observer=kinetic_states.append,
+                   initial=pw.scenarios.steady_state_init(scenario, mesh))
     assert len(kinetic_states) > 20
     assert kinetic_calls == [40] * len(kinetic_states)
     # one call per step, on the state the step starts from

@@ -1,13 +1,20 @@
+import contextlib
 import hashlib
+import io
+import math
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipewave import scenarios
 from pipewave.cli import main
+from pipewave.config import _SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -307,3 +314,69 @@ class TestCheckCommand:
         cfg = write_config(tmp_path)
         assert main(["check", str(cfg)]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+
+# every key the configuration reads, and the flags of run and compare
+_NAMES = re.compile("|".join(re.escape(name) for name in [*_SCHEMA, "--cells", "--cfl"]))
+# a coefficient of 1e-300 is valid but would march for ever: draw the valid
+# ones from [0.05, 1], and one time in ten a value outside (0, 1]
+_CFLS = st.integers(0, 9).flatmap(lambda k: st.sampled_from([0.0, -0.1, 1.2, math.nan])
+                                  if k == 0 else st.floats(0.05, 1.0))
+
+
+@st.composite
+def cli_calls(draw):
+    """(command, configuration overrides of SMALL, flags): valid and invalid
+    values alike, over each key's domain."""
+    overrides = {
+        "run__cells": draw(st.integers(2, 50)),
+        "run__t_end_s": draw(st.integers(0, 50)) / 10.0,
+        "boundary__upstream_head_m": draw(st.floats(240.0, 400.0)),
+        "pipe__slope_deg": draw(st.floats(-10.0, 10.0)),
+        "flow__initial_discharge_m3s": draw(st.floats(-20.0, 60.0)),
+        "boundary__closure_law": draw(st.sampled_from(["linear", "cosine", "instant"])),
+        "boundary__closure_duration_s": draw(st.floats(0.1, 8.0)),
+        "friction__enabled": draw(st.booleans()),
+        "friction__strickler": draw(st.floats(0.05, 200.0)),
+        "run__cfl": draw(_CFLS),
+        "run__solver": draw(st.sampled_from(["kinetic", "moc", "both"])),
+        "output__stride": draw(st.integers(1, 20)),
+        "output__probes_m": ", ".join(map(repr, draw(st.lists(st.floats(-50.0, 2050.0),
+                                                              min_size=1, max_size=2)))),
+    }
+    flags = []      # "--cfl=-0.5": argparse takes a bare "-0.5" for a flag
+    if draw(st.booleans()):
+        flags.append(f"--cells={draw(st.integers(1, 50))}")
+    if draw(st.booleans()):
+        flags.append(f"--cfl={draw(_CFLS)!r}")
+    return draw(st.sampled_from(["run", "compare"])), overrides, flags
+
+
+class TestOutcomes:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(cli_calls())
+    def test_every_run_succeeds_or_fails_loudly(self, call):
+        """Exit 0 with finite CSVs and positive areas, exit 2 naming a key or
+        flag, or exit 3 naming the step and its time: never another code,
+        an uncaught exception or a plausible-looking bad result."""
+        command, overrides, flags = call
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            cfg = write_config(Path(tmp), **overrides)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    np.errstate(all="ignore"):
+                code = main([command, str(cfg), "--out", str(out), *flags])
+            err = err.getvalue()
+            if code == 0:
+                csvs = sorted(out.glob("*.csv"))
+                assert csvs
+                for path in csvs:
+                    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                    assert np.isfinite(data).all(), path.name
+                    assert (data[:, 1] > 0).all(), path.name      # the A_m2 column
+            elif code == 2:
+                assert err.startswith("configuration error: ") and _NAMES.search(err), err
+            else:
+                assert code == 3, err
+                assert re.match(r"solver error: step \d+ (from|at) t=\S+: ", err), err

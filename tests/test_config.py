@@ -138,6 +138,18 @@ class TestParse:
                          + f"\n{key} = {value}\n")
         assert str(err.value) == f"key {key}: {message}"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("run.solver", "fast", "must be kinetic|moc|both, got 'fast'"),
+        ("output.snapshot_stride", "-3", "must be >= 0, got -3"),
+        ("run.cfl", "1.5", "must lie in (0, 1], got 1.5"),
+    ])
+    def test_run_setting_names_key(self, key, value, message):
+        # RunConfig used to word these "run.solver must be ..." and left out
+        # the rejected snapshot stride
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"\n{key} = {value}\n")
+        assert str(err.value) == f"key {key}: {message}"
+
     def test_cfl_above_one_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\nrun.cfl = 1.5\n")

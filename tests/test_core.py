@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,8 +237,22 @@ class TestMeshAndState:
             State(area=np.array([1.0, 0.0]), discharge=np.zeros(2))
 
     def test_state_requires_finite_discharge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^discharge must be finite: cell 1 is inf$"):
             State(area=np.ones(2), discharge=np.array([0.0, np.inf]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.0, -1.0])
+    def test_state_names_the_first_inadmissible_cell(self, bad):
+        # an infinite area used to pass, and the first step between walls
+        # then blamed "an invalid left ghost cell: A=inf"
+        with pytest.raises(ValueError, match=r"^wetted area must lie in \(0, inf\): cell 1 "
+                                             rf"is {re.escape(repr(bad))}$"):
+            State(area=[1.0, bad, 1.0, bad], discharge=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_state_requires_finite_time(self, bad):
+        # a nan time made kinetic.run return the state after 0 steps
+        with pytest.raises(ValueError, match=rf"^time must be finite, got {bad!r}$"):
+            State(area=np.ones(4), discharge=np.zeros(4), time=bad)
 
     def test_state_velocity(self):
         state = State(area=np.array([2.0, 4.0]), discharge=np.array([1.0, 2.0]))

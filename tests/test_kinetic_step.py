@@ -14,7 +14,8 @@ from pipewave.core import (LinearAltitude, Mesh, PhysicalConstants, PipeGeometry
                            SolverError, State, entropy_cell)
 from pipewave.kinetic import SQRT3, cfl_timestep, run, step
 from pipewave.runner import compare_runs
-from pipewave.scenarios import PrescribedDischarge, Periodic, Wall, ghost_states
+from pipewave.scenarios import (PrescribedDischarge, Periodic, ReservoirHead, Scenario,
+                                Wall, ghost_states, steady_state_init)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -411,54 +412,36 @@ class TestEntropyDiagnostic:
 
 
 class TestRun:
-    def _constants(self, c):
-        return PhysicalConstants(c=c)
+    def _scenario(self, c, upstream, downstream, t_end, cells=8, length=10.0):
+        """A flat pipe of ``cells`` cells on [0, length]; each test hands
+        ``run`` its own initial state."""
+        return Scenario(geometry=PipeGeometry(length, 1.0, flat_altitude),
+                        constants=PhysicalConstants(c=c), mesh_cells=cells,
+                        upstream=upstream, downstream=downstream, initial_discharge=0.0,
+                        t_end=t_end)
 
     def test_empty_run_returns_initial(self):
-        mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
-        out = run(state, mesh, 0.8, self._constants(10.0),
-                  Periodic(), Periodic(), t_end=2.0)
+        out = run(self._scenario(10.0, Periodic(), Periodic(), t_end=2.0), 0.8, initial=state)
         assert out is state
 
     def test_rejects_cfl_out_of_range(self):
         # checked before the first step, so a zero-length run rejects it too
-        mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         for cfl in (0.0, 1.5):
             with pytest.raises(ValueError, match="cfl"):
-                run(state, mesh, cfl, self._constants(10.0),
-                    Periodic(), Periodic(), t_end=2.0)
+                run(self._scenario(10.0, Periodic(), Periodic(), t_end=2.0), cfl,
+                    initial=state)
 
     def test_rejects_past_t_end(self):
-        mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         with pytest.raises(ValueError):
-            run(state, mesh, 0.8, self._constants(10.0),
-                Periodic(), Periodic(), t_end=1.0)
-
-    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
-    def test_rejects_non_finite_t_end(self, t_end):
-        # nan used to return the initial state after 0 steps and inf to
-        # march forever; the observer stops such a march after 10 steps
-        mesh = Mesh.uniform(10.0, 8, flat_altitude)
-        state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
-        times = []
-
-        def observer(s):
-            times.append(s.time)
-            assert len(times) < 10, "marched towards a non-finite t_end"
-
-        with pytest.raises(ValueError, match="t_end must be finite"):
-            run(state, mesh, 0.8, self._constants(10.0),
-                Periodic(), Periodic(), t_end=t_end, observer=observer)
-        assert times == []
+            run(self._scenario(10.0, Periodic(), Periodic(), t_end=1.0), 0.8, initial=state)
 
     def test_speed_overflow_names_step_and_cell(self, monkeypatch):
         # a tiny area with a finite discharge makes Q/A overflow to inf; the
         # step used to accept it and the run stopped one step later with
         # "time step dt=0 makes no progress", naming no cell
-        mesh = Mesh.uniform(4.0, 4, flat_altitude)
         state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
         advance = kinetic._advance
         calls = []
@@ -475,63 +458,72 @@ class TestRun:
         with np.errstate(over="ignore"), pytest.raises(
                 SolverError, match=r"^step 4 from t=.*: cell 2 left the admissible "
                                    r"states at t=.*: A=5e-324, Q=1e\+303$"):
-            run(state, mesh, 0.8, self._constants(10.0), Wall(), Wall(), t_end=1.0)
+            run(self._scenario(10.0, Wall(), Wall(), t_end=1.0, cells=4, length=4.0), 0.8,
+                initial=state)
         assert len(calls) == 4
 
     def test_lands_exactly_on_t_end(self):
-        mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         t_end = 0.0137
-        out = run(state, mesh, 0.73, self._constants(25.0),
-                  Periodic(), Periodic(), t_end=t_end)
+        out = run(self._scenario(25.0, Periodic(), Periodic(), t_end=t_end), 0.73,
+                  initial=state)
         assert out.time == t_end
 
     def test_uniform_flow_preserved(self):
-        mesh = Mesh.uniform(10.0, 20, flat_altitude)
         state = State(area=np.full(20, 2.0), discharge=np.full(20, 1.0))
         c = 10.0
         steps = []
-        out = run(state, mesh, 1.0, self._constants(c),
-                  Periodic(), Periodic(), t_end=100 * mesh.width / (0.5 + c * SQRT3),
-                  observer=lambda s: steps.append(s.time))
+        scenario = self._scenario(c, Periodic(), Periodic(), cells=20,
+                                  t_end=100 * 0.5 / (0.5 + c * SQRT3))
+        out = run(scenario, 1.0, observer=lambda s: steps.append(s.time), initial=state)
         assert len(steps) >= 100
         assert out.area == pytest.approx(state.area, rel=1e-10)
         assert out.discharge == pytest.approx(state.discharge, rel=1e-10)
 
     def test_stalled_time_raises(self):
         # at t = 1e15 a CFL step of about 1e-3 s no longer changes the time,
-        # which used to loop forever
-        mesh = Mesh.uniform(10.0, 8, flat_altitude)
+        # which used to loop forever; the march names the step it stalled in
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8), time=1e15)
         with pytest.raises(SolverError,
-                           match=r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
-            run(state, mesh, 0.8, self._constants(10.0),
-                Periodic(), Periodic(), t_end=1e15 + 1.0)
+                           match=r"^step 1 from t=1000000000000000\.0: time step "
+                                 r"dt=0\.057735 makes no progress at t=1000000000000000\.0"):
+            run(self._scenario(10.0, Periodic(), Periodic(), t_end=1e15 + 1.0), 0.8,
+                initial=state)
 
     def test_diverging_run_names_step_time_and_cell(self):
         # the downstream discharge jumps to 1e160 at t = 0.3: the flux at the
         # last interface overflows and cell 3 leaves the admissible states
-        mesh = Mesh.uniform(10.0, 4, flat_altitude)
         state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
         valve = PrescribedDischarge(law=lambda t: 1e160 if t >= 0.3 else 0.0)
 
         times = []
         with np.errstate(all="ignore"), pytest.raises(SolverError) as failure:
-            run(state, mesh, 0.8, self._constants(10.0),
-                Wall(), valve, t_end=1.0, observer=lambda s: times.append(s.time))
+            run(self._scenario(10.0, Wall(), valve, t_end=1.0, cells=4), 0.8,
+                observer=lambda s: times.append(s.time), initial=state)
         assert len(times) >= 2
         assert re.match(rf"step {len(times) + 1} from t={times[-1]!r}: cell 3 left "
                         r"the admissible states at t=\S+: A=nan, Q=nan$",
                         str(failure.value))
 
     def test_observer_sees_monotone_times(self):
-        mesh = Mesh.uniform(10.0, 8, flat_altitude)
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
         times = []
-        run(state, mesh, 0.8, self._constants(40.0), Periodic(), Periodic(), t_end=0.05,
-            observer=lambda s: times.append(s.time))
+        run(self._scenario(40.0, Periodic(), Periodic(), t_end=0.05), 0.8,
+            observer=lambda s: times.append(s.time), initial=state)
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert times[-1] == 0.05
+
+    def test_starts_from_the_steady_state(self):
+        scenario = Scenario(
+            geometry=PipeGeometry(2000.0, 2.0, LinearAltitude(250.0, angle_deg=-5.0)),
+            constants=PhysicalConstants(c=1086.6), mesh_cells=20,
+            upstream=ReservoirHead(total_head=300.0),
+            downstream=PrescribedDischarge(law=lambda t: 10.0), initial_discharge=10.0,
+            t_end=0.05)
+        initial = steady_state_init(scenario, scenario.mesh())
+        out = run(scenario, 0.8)
+        assert out.time == 0.05
+        assert out.area.tobytes() == run(scenario, 0.8, initial=initial).area.tobytes()
 
 
 def test_recorded_run_byte_identical_to_reference(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from pipewave.moc import initial_moc_state, moc_step
 from pipewave.output import SNAPSHOT_HEADER, CsvWriter, frame_rows, write_rows_csv
 from pipewave.runner import run_simulation
 from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
-                                ValveClosure, steady_state_init)
+                                ValveClosure)
 
 STRIDE = 20
 
@@ -54,10 +54,7 @@ def direct_march(solver, scenario):
         areas = [area_from_piezometric_head(s.head, geom.section, z, geom.diameter, c, g)
                  for s in states]
     else:
-        mesh = scenario.mesh()
-        run(steady_state_init(scenario, mesh), mesh, 0.8, scenario.constants,
-            scenario.upstream, scenario.downstream, scenario.t_end,
-            observer=states.append, geometry=geom)
+        run(scenario, 0.8, observer=states.append)
         areas = [s.area for s in states]
     return states, areas
 
