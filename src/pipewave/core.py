@@ -230,6 +230,9 @@ def march(state, t_end, advance, observer=None):
     t_end: ``advance(state)`` gives the next state, or None to stop short of
     t_end, and ``observer(state)`` sees each one.  A ``SolverError`` is raised
     again naming the step (from 1) and its start time.  Returns the last state."""
+    if not math.isfinite(t_end):
+        # nan would return after 0 steps and inf march forever
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.time:
         raise ValueError(f"t_end={t_end} precedes the initial time {state.time}")
     steps = 0

@@ -11,7 +11,7 @@ from oracles import quad_interface_fluxes, strickler_coefficient
 from pipewave import kinetic
 from pipewave.config import load_config
 from pipewave.core import (LinearAltitude, Mesh, PhysicalConstants, PipeGeometry,
-                           SolverError, State, entropy_cell)
+                           SolverError, State, entropy_cell, march)
 from pipewave.kinetic import SQRT3, cfl_timestep, run, step
 from pipewave.runner import compare_runs
 from pipewave.scenarios import (PrescribedDischarge, Periodic, ReservoirHead, Scenario,
@@ -437,6 +437,27 @@ class TestRun:
         state = State(area=np.ones(8), discharge=np.zeros(8), time=2.0)
         with pytest.raises(ValueError):
             run(self._scenario(10.0, Periodic(), Periodic(), t_end=1.0), 0.8, initial=state)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_rejects_non_finite_t_end(self, t_end):
+        # nan used to return the initial state after 0 steps and inf to
+        # march forever; neither the scenario nor the march it goes through
+        # takes one, and the observer stops such a march after 10 steps
+        state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
+        times = []
+
+        def observer(s):
+            times.append(s.time)
+            assert len(times) < 10, "marched towards a non-finite t_end"
+
+        with pytest.raises(ValueError, match=rf"^t_end: must be finite, got {t_end}$"):
+            run(self._scenario(10.0, Periodic(), Periodic(), t_end=t_end), 0.8,
+                observer=observer, initial=state)
+        mesh = Mesh.uniform(10.0, 8, flat_altitude)
+        with pytest.raises(ValueError, match=rf"^t_end must be finite, got {t_end}$"):
+            march(state, t_end, lambda s: step(s, mesh, 10.0, 9.81, 0.01, Periodic(), Periodic()),
+                  observer)
+        assert times == []
 
     def test_speed_overflow_names_step_and_cell(self, monkeypatch):
         # a tiny area with a finite discharge makes Q/A overflow to inf; the
