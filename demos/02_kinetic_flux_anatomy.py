@@ -9,7 +9,7 @@ grows, up to total reflection.
 
 import numpy as np
 
-from pipewave.kinetic import SQRT3, _interface_flux_arrays
+from pipewave.kinetic import SQRT3, _six_row_flux_arrays
 
 c = 10.0
 g = 9.81
@@ -17,7 +17,7 @@ g = 9.81
 
 def fluxes(left, right, dz):
     """(F-_A, F-_Q, F+_A, F+_Q) at one interface, dz = z_right - z_left."""
-    return _interface_flux_arrays(*map(np.float64, (*left, *right, dz)), c, g)
+    return _six_row_flux_arrays(*map(np.float64, (*left, *right, dz)), c, g)
 
 
 left = (2.0, 3.0)       # (A, Q): flows rightward at u = 1.5 m/s

@@ -1,9 +1,10 @@
 """Transient pressurized pipe flow.
 
 A kinetic finite-volume solver for the conservative (A, Q) pressurized-pipe
-model, stepping with the two-row kinetic flux split after a hydrostatic
-reconstruction (the paper's six-row reflection/transmission fluxes are the
-reference the checks and tests compare against), together with a
+model, stepping with closed-form half fluxes of each cell weighted by the
+rest factors of a hydrostatic reconstruction (the paper's six-row
+reflection/transmission fluxes are the reference the checks and tests
+compare against), together with a
 method-of-characteristics water-hammer reference solver, scenario and
 boundary-condition machinery, and a small CLI.
 """

@@ -161,13 +161,19 @@ def _build(v) -> RunConfig:
                                 v["friction.strickler"] if v["friction.enabled"] else None)
     except ValueError as exc:       # length and section are checked above
         raise ConfigError(f"key friction.strickler: {exc}") from exc
-    try:
-        c = v["fluid.wave_speed_m_s"]
-        if c is None:
-            beta = v["fluid.compressibility_per_pa"]
+    c = v["fluid.wave_speed_m_s"]
+    if c is None:
+        beta = v["fluid.compressibility_per_pa"]
+        try:
             c = effective_wave_speed(sound_speed(beta, v["fluid.density_kg_m3"]),
                                      geometry.diameter, v["pipe.wall_thickness_m"],
                                      v["pipe.young_modulus_pa"], beta)
+        except (ValueError, ZeroDivisionError):    # a product of the keys under- or overflows
+            c = math.nan
+        if not 0.0 < c < math.inf:
+            raise ConfigError("keys fluid.compressibility_per_pa and fluid.density_kg_m3: "
+                              "derive no positive finite wave speed; set fluid.wave_speed_m_s")
+    try:
         scenario = Scenario(
             geometry=geometry, constants=PhysicalConstants(c=c, g=v["fluid.gravity_m_s2"]),
             mesh_cells=v["run.cells"],

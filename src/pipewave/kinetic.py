@@ -48,22 +48,29 @@ of Audusse, Bouchut, Bristeau, Klein & Perthame (SIAM J. Sci. Comput. 25,
 2004) for the pressure law p = c^2 A.  At each interface, with
 z* = max(z_left, z_right), each side is lowered along its own rest profile
 
-    A*_{L,R} = A_{L,R} exp(-g (z* - z_{L,R}) / c^2),  Q* = Q A* / A,
+    A*_{L,R} = w_{L,R} A_{L,R},  Q* = w Q,  w_{L,R} = exp(-g (z* - z_{L,R}) / c^2),
 
-the kernel is evaluated on (A*_L, Q*_L, A*_R, Q*_R) with dZ = 0, and each
-side gets back the pressure the reconstruction removed:
+the flux is taken on (A*_L, Q*_L, A*_R, Q*_R) with dZ = 0, and each side
+gets back the pressure the reconstruction removed, c^2 (A - A*).  Then a
+column at rest, A exp(-g z / c^2) = const, has equal reconstructed states
+at every interface and its fluxes cancel to roundoff.
 
-    F-_Q += c^2 (A_L - A*_L),   F+_Q += c^2 (A_R - A*_R).
+With dZ = 0 no row is reflected or shifted: the flux is the xi >= 0 half of
+the left rectangle plus the xi <= 0 half of the right one, so F- = F+.  The
+weights w (``Mesh.rest_factors``) scale A and Q alike and leave u = Q/A as
+it is, so each cell's halves are formed once, in closed form, from its own
+state: with s = c sqrt(3) and the half's bounds
 
-Then a column at rest, A exp(-g z / c^2) = const, has equal reconstructed
-states at every interface and its fluxes cancel to roundoff.  With dZ = 0
-the reflected rows are empty and no row sees a jump, so the run path passes
-dZ = None ("no jump") and only the two rows of plain flux-vector splitting
-are evaluated (``_split_flux_arrays``; the bits of the six at dZ = 0, save
-the sign of a zero F+ mass flux).
-The six rows stay as the reference flux of the paper, reached with every
-numeric dZ, 0 included, by ``checks.check_flux_continuity``, the flux tests
-against quadrature and demo 02.
+    xi >= 0:  [max(u - s, 0), max(u + s, 0)],    xi <= 0:  [min(u - s, 0), min(u + s, 0)],
+
+its mass is A (hi^2 - lo^2) / (4 s) and its momentum A (hi^3 - lo^3) / (6 s).
+``_interface_flux_arrays`` gives interface j the left weight times the
+xi >= 0 half of cell j plus the right weight times the xi <= 0 half of cell
+j + 1, and the pressures given back fold into one term per cell,
+c^2 (w_R[i-1/2] - w_L[i+1/2]) A_i.  The six rows stay as the reference
+flux of the paper (``_six_row_flux_arrays``), reached with every numeric
+dZ by ``checks.check_flux_continuity``, the flux tests against quadrature
+and demo 02; at dZ = 0 they agree with the closed form to roundoff.
 
 The macroscopic update is the first-order explicit scheme
 
@@ -71,8 +78,8 @@ The macroscopic update is the first-order explicit scheme
 
 with h the cell width, stable and positivity-preserving under the CFL
 condition dt * max(|u| + c sqrt(3)) <= h.  ``_advance`` runs the
-reconstruction, the kernel, the add-back and this update on a ghost-extended
-block of any leading shape, cells on the last axis: ``step`` on one 1-d
+weighted halves, the add-back and this update on a ghost-extended block of
+any leading shape, cells on the last axis: ``step`` on one 1-d
 block, ``checks.check_positivity`` on blocks of cases.  On a pipe with a
 friction coefficient the discharge is relaxed semi-implicitly after the
 hyperbolic update.
@@ -129,17 +136,13 @@ def _row_moments(dens, x, jump):
 _TRANSMITTED = np.array([[0.0], [0.0], [1.0]])
 
 
-def _interface_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
-    """Vectorized interface fluxes for 0-d or 1-d arrays of interfaces (any
-    shape with dz = None).
+def _six_row_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
+    """Vectorized interface fluxes for 0-d or 1-d arrays of interfaces.
 
-    dz = z_right - z_left, or None for no jump.  Returns (F-_A, F-_Q, F+_A,
-    F+_Q), four separate arrays.  dz = None takes ``_split_flux_arrays``;
-    any numeric dz the six pieces as rows of one (6, n) block, viewed as
-    (half, piece, n); see the module docstring for the layout.
+    dz = z_right - z_left.  Returns (F-_A, F-_Q, F+_A, F+_Q), four separate
+    arrays: the six pieces as rows of one (6, n) block, viewed as (half,
+    piece, n); see the module docstring for the layout.
     """
-    if dz is None:
-        return _split_flux_arrays(a_left, q_left, a_right, q_right, c)
     shape = np.shape(a_left)
     n = np.size(a_left)
     s = c * SQRT3
@@ -176,46 +179,33 @@ def _interface_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
             (-f_a[1]).reshape(shape), f_q[1].reshape(shape))
 
 
-def _split_flux_arrays(a_left, q_left, a_right, q_right, c):
-    """The fluxes with no jump: plain flux-vector splitting, the xi >= 0 part
-    of the left rectangle plus the xi <= 0 part of the right one, so F- = F+
-    (as separate arrays of the inputs' shape: ``_advance`` updates them in
-    place).  Same bounds, frame and operation order as rows 0 and 2 of the
-    six; P(x) = x^2 |x| equals y sqrt(y) for y = fl(x^2), as sqrt(fl(x^2))
-    = |x| exactly."""
-    shape = np.shape(a_left)
+def _interface_flux_arrays(w_left, w_right, ext, c):
+    """(F_A, F_Q), a (2, ..., n+1) block, at the interfaces of the
+    ghost-extended cells ``ext`` (2, ..., n+2): w_left times the left cell's
+    xi >= 0 half plus w_right times the right cell's xi <= 0 half, the
+    weights (..., n+1) broadcast against the interfaces; see the module
+    docstring."""
     s = c * SQRT3
-    x = np.empty((2, 2) + shape)               # (lo, hi) x (left, right)
-    lo, hi = x[0], x[1]                        # unpacking x itself is slower
-    # indexing with ... keeps a 0-d target an array
-    np.divide(q_left, a_left, out=lo[0, ...])
-    np.divide(q_right, a_right, out=lo[1, ...])
-    np.add(lo, s, out=hi)
-    lo -= s
-    np.maximum(lo[0], 0.0, out=lo[0, ...])     # left rectangle: xi >= 0
-    np.minimum(hi[1], 0.0, out=hi[1, ...])     # right rectangle: xi <= 0
-    # an empty interval collapses onto its bound away from 0, as the empty
-    # reflected-left and transmitted-right rows of the six do, so a speed
-    # whose square overflows gives the same NaN
-    np.minimum(lo[0], hi[0], out=lo[0, ...])
-    np.maximum(hi[1], lo[1], out=hi[1, ...])
-    dens = np.empty((2,) + shape)
-    np.divide(a_left, 2.0 * s, out=dens[0, ...])
-    np.divide(a_right, 2.0 * s, out=dens[1, ...])
-    p = np.abs(x)
-    x *= x
-    p *= x
-    m0 = x[1] - x[0]
-    m0 *= dens
-    m0 /= 2.0
-    m1 = p[1] - p[0]
-    m1 *= dens
-    m1 /= 3.0
-    f = np.empty((2, 2) + shape)               # (F-, F+) x (A, Q)
-    np.add(m0[0], m0[1], out=f[0, 0, ...])
-    np.subtract(m1[0], m1[1], out=f[0, 1, ...])  # the right row lies on xi <= 0
-    f[1] = f[0]
-    return f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...]
+    area = ext[0]
+    u = ext[1] / area
+    x = np.empty((2,) + u.shape)               # bounds u - s, u + s
+    np.subtract(u, s, out=x[0])
+    np.add(u, s, out=x[1])
+    h = np.empty((2, 2) + x.shape)             # (xi >= 0, xi <= 0) x (x^2, x^3) x bound
+    whole = h[1]
+    square = whole[0]
+    np.multiply(x, x, out=square)
+    np.multiply(square, x, out=whole[1])
+    # the xi >= 0 half keeps the powers of the bounds above 0 and the xi <= 0
+    # half the rest: each half clamped to its side, save that a power that
+    # overflows is NaN in both halves, as in the six rows
+    np.multiply(whole, x > 0.0, out=h[0])
+    whole -= h[0]
+    d = h[:, :, 1] - h[:, :, 0]
+    d *= np.multiply.outer((0.25 / s, 1.0 / (6.0 * s)), area)
+    f = w_left * d[0, ..., :-1]
+    f += w_right * d[1, ..., 1:]
+    return f
 
 
 def cfl_timestep(state: State, c, mesh: Mesh, cfl_coefficient):
@@ -236,22 +226,19 @@ def _advance(ext, shrink, ratio, c, g):
     batch axes, then the cells with a ghost on each end.  ``shrink`` is
     ``core.rest_factors`` (2, ..., n+1) and ``ratio`` dt / h, broadcast
     against the cells; see the module docstring for the update."""
-    left = ext[..., :-1]
-    right = ext[..., 1:]
-    left_star = left * shrink[0]
-    right_star = right * shrink[1]
-    fm_a, fm_q, fp_a, fp_q = _interface_flux_arrays(
-        left_star[0], left_star[1], right_star[0], right_star[1], None, c, g)
-    # each side keeps the pressure c^2 (A - A*) the reconstruction removed
-    lost = np.subtract(left[0], left_star[0], out=left_star[0])
+    w_left = shrink[0]
+    w_right = shrink[1]
+    f = _interface_flux_arrays(w_left, w_right, ext, c)
+    df = f[..., 1:] - f[..., :-1]
+    # each cell gets back the pressure c^2 (A - A*) the reconstruction
+    # removed on its two sides
+    lost = w_right[..., :-1] - w_left[..., 1:]
     lost *= c * c
-    fm_q += lost
-    lost = np.subtract(right[0], right_star[0], out=right_star[0])
-    lost *= c * c
-    fp_q += lost
-    a_new = ext[0, ..., 1:-1] - ratio * (fm_a[..., 1:] - fp_a[..., :-1])
-    q_new = ext[1, ..., 1:-1] - ratio * (fm_q[..., 1:] - fp_q[..., :-1])
-    return a_new, q_new
+    lost *= ext[0, ..., 1:-1]
+    df[1] += lost
+    df *= ratio
+    new = ext[:, ..., 1:-1] - df
+    return new[0], new[1]
 
 
 def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
@@ -280,8 +267,8 @@ def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
             f"{dt * speed:g} > cell width {mesh.width:g}")
 
     ext = np.empty((2, state.area.size + 2))   # (A, Q) with one ghost on each end
-    ext[:, 0], ext[:, -1] = scenarios.ghost_states(state, mesh, upstream, downstream,
-                                                   c, g, geometry)
+    (ext[0, 0], ext[1, 0]), (ext[0, -1], ext[1, -1]) = scenarios.ghost_states(
+        state, mesh, upstream, downstream, c, g, geometry)
     ext[0, 1:-1] = state.area
     ext[1, 1:-1] = state.discharge
     a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.width, c, g)

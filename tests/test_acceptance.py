@@ -23,7 +23,7 @@ from pipewave.core import (LinearAltitude, Mesh, PhysicalConstants, PipeGeometry
                            State, effective_wave_speed, entropy_cell, sound_speed,
                            total_head)
 from pipewave.kinetic import SQRT3, cfl_timestep, step
-from pipewave.kinetic import _interface_flux_arrays
+from pipewave.kinetic import _six_row_flux_arrays
 from pipewave.runner import compare_runs
 from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead,
                                 Scenario, ValveClosure, Wall, steady_state_init)
@@ -135,7 +135,7 @@ def test_criterion_4_flux_conservativity():
     area = rng.uniform(1e-6, 10.0, (cases, 2))
     u = rng.uniform(-2 * s, 2 * s, (cases, 2))
     dz = rng.uniform(-5.0, 5.0, cases)
-    fm_a, _, fp_a, _ = _interface_flux_arrays(
+    fm_a, _, fp_a, _ = _six_row_flux_arrays(
         area[:, 0], area[:, 0] * u[:, 0], area[:, 1], area[:, 1] * u[:, 1],
         dz, C4, G)
     bound = 1e-12 * (np.abs(fm_a) + area[:, 0] * C4)
@@ -154,7 +154,7 @@ def test_criterion_5_quadrature_oracle_equivalence():
         a_l, a_r = rng.uniform(0.05, 10.0, 2)
         u_l, u_r = rng.uniform(-2 * s, 2 * s, 2)
         z_l, z_r = rng.uniform(-5.0, 5.0, 2)
-        fm_a, fm_q, fp_a, fp_q = _interface_flux_arrays(
+        fm_a, fm_q, fp_a, fp_q = _six_row_flux_arrays(
             np.float64(a_l), np.float64(a_l * u_l), np.float64(a_r),
             np.float64(a_r * u_r), np.float64(z_r - z_l), c, G)
         oracle_m, oracle_p = quad_interface_fluxes(

@@ -133,3 +133,26 @@ def test_marches_step_through_the_module_attributes(loaded, monkeypatch):
     assert kinetic_calls == [40] * len(kinetic_states)
     # one call per step, on the state the step starts from
     assert ghost_calls == [0.0] + [s.time for s in kinetic_states[:-1]]
+
+
+def test_flux_layer_sees_every_interface_once_per_step(loaded, monkeypatch):
+    """The worker's ``kinetic.flux`` layer wraps ``kinetic._interface_flux_arrays``
+    and counts the size of its first argument as work: the kinetic march
+    calls it once per step with one entry per interface, so the layer's calls
+    equal the steps and its work units the interfaces stepped."""
+    worker, pw, _ = loaded
+    (owner, attr, _, work), = [layer for layer in worker.traced_layers(pw)
+                               if layer[2] == "kinetic.flux"]
+    units, inner = [], getattr(owner, attr)
+
+    def traced(*args, **kwargs):
+        units.append(work(args))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, traced)
+    steps = _counting(monkeypatch, pw.kinetic, "step")
+    scenario = _surge(pw, cells=40, t_end=0.8)
+    pw.kinetic.run(scenario, 0.8, initial=pw.scenarios.steady_state_init(scenario,
+                                                                         scenario.mesh()))
+    assert len(steps) > 20
+    assert units == [41] * len(steps)

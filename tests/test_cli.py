@@ -142,6 +142,19 @@ class TestExitCodes:
         assert "from the reservoir at boundary.upstream_head_m = " in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["1e-200", "1e200"])
+    def test_extreme_fluid_pair_is_exit_2(self, tmp_path, capsys, value):
+        # the derived wave speed: a traceback (exit 1) for 1e-200 and a
+        # message naming no key for 1e200
+        lines = [ln for ln in SMALL.splitlines() if not ln.startswith("fluid.wave_speed_m_s")]
+        cfg = write_config(tmp_path, "\n".join(lines), fluid__compressibility_per_pa=value,
+                           fluid__density_kg_m3=value)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert ("configuration error: keys fluid.compressibility_per_pa and "
+                "fluid.density_kg_m3: ") in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_diverging_run_is_exit_3(self, tmp_path, capsys, monkeypatch):
         # the valve discharge jumps to 1e160 after 0.5 s: the 4-cell march
         # overflows mid-run, and the message names the step, time and cell
@@ -296,7 +309,7 @@ class TestCheckCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["check", str(REPO_ROOT / "waterhammer.cfg")]) == 0
         residuals = re.findall(r"residual=(\S+)", capsys.readouterr().out)
-        assert residuals == ["3.287e-16", "0.000e+00", "2.816e-16", "4.219e-15"]
+        assert residuals == ["3.287e-16", "0.000e+00", "2.816e-16", "3.769e-15"]
 
     @pytest.mark.parametrize("flag", [["--cells", "5"], ["--cfl", "0.5"], ["--out", "x"]])
     def test_run_flags_rejected(self, tmp_path, capsys, flag):

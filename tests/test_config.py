@@ -165,6 +165,17 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"^key friction\.strickler: "):
             parse_config(MINIMAL + f"\nfriction.enabled = true\nfriction.strickler = {strickler}\n")
 
+    @pytest.mark.parametrize("beta,rho0", [("1e-200", "1e-200"), ("1e200", "1e200")],
+                             ids=["product-underflows", "product-overflows"])
+    def test_extreme_fluid_pair_names_both_keys(self, beta, rho0):
+        # beta * rho0 underflowed to 0 (ZeroDivisionError) or overflowed to
+        # inf (a wave speed of 0, rejected without naming a key)
+        text = (MINIMAL.replace("per_pa = 5e-10", f"per_pa = {beta}")
+                .replace("kg_m3 = 1000", f"kg_m3 = {rho0}"))
+        with pytest.raises(ConfigError, match=r"^keys fluid\.compressibility_per_pa and "
+                                              r"fluid\.density_kg_m3: "):
+            parse_config(text)
+
     def test_strickler_ignored_without_friction(self):
         config = parse_config(MINIMAL + "\nfriction.strickler = 1e200\n")
         assert config.scenario.geometry.strickler is None

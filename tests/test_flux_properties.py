@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import quad_interface_fluxes, quad_shifted_half_moments
-from pipewave.kinetic import SQRT3, _interface_flux_arrays
+from pipewave.kinetic import SQRT3, _six_row_flux_arrays
 
 G = 9.81
 
@@ -50,7 +50,7 @@ def interface_batches(draw):
 
 def zero_d_fluxes(case):
     a_l, q_l, a_r, q_r, dz, c = case
-    return _interface_flux_arrays(np.float64(a_l), np.float64(q_l), np.float64(a_r),
+    return _six_row_flux_arrays(np.float64(a_l), np.float64(q_l), np.float64(a_r),
                                   np.float64(q_r), np.float64(dz), c, G)
 
 
@@ -81,7 +81,7 @@ def test_zero_d_fluxes_match_quadrature(case):
 def test_one_d_evaluation_equals_zero_d(batch):
     c, cases = batch
     cols = np.array([case[:5] for case in cases]).T
-    got = _interface_flux_arrays(*cols, c, G)
+    got = _six_row_flux_arrays(*cols, c, G)
     for i, case in enumerate(cases):
         assert tuple(float(v[i]) for v in got) == tuple(map(float, zero_d_fluxes(case)))
 
@@ -90,7 +90,7 @@ def test_one_d_evaluation_equals_zero_d(batch):
 def test_mass_flux_continuity(batch):
     c, cases = batch
     a_l, q_l, a_r, q_r, dz = np.array([case[:5] for case in cases]).T
-    fm_a, _, fp_a, _ = _interface_flux_arrays(a_l, q_l, a_r, q_r, dz, c, G)
+    fm_a, _, fp_a, _ = _six_row_flux_arrays(a_l, q_l, a_r, q_r, dz, c, G)
     assert np.all(np.abs(fm_a - fp_a) <= 1e-12 * (np.abs(fm_a) + a_l * c))
 
 

@@ -1,12 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from oracles import (quad_interface_fluxes, quad_shifted_half_moments,
                      rect_maxwellian)
-from pipewave.kinetic import SQRT3, _interface_flux_arrays
+from pipewave.core import rest_factors
+from pipewave.kinetic import SQRT3, _interface_flux_arrays, _six_row_flux_arrays
 
 
 class TestMaxwellian:
@@ -37,7 +36,7 @@ class TestMaxwellian:
 
 def fluxes(a_l, q_l, a_r, q_r, z_l, z_r, c, g):
     """(F-_A, F-_Q, F+_A, F+_Q) at one interface, as floats."""
-    return tuple(map(float, _interface_flux_arrays(
+    return tuple(map(float, _six_row_flux_arrays(
         np.float64(a_l), np.float64(q_l), np.float64(a_r), np.float64(q_r),
         np.float64(z_r - z_l), c, g)))
 
@@ -169,69 +168,87 @@ class TestInterfaceFluxes:
             assert fp_q == pytest.approx(mm_q, rel=1e-12)
 
 
-def split_states(rng, shape, c):
-    """(A_L, Q_L, A_R, Q_R) with speeds up to 3 c sqrt(3) and, at about a
-    tenth of the points, |u| between 1e100 and 1e160, where P(x) = x^2 |x|
-    or x^2 itself overflows and the kernel returns NaN."""
+def no_jump_cells(rng, cells, c, huge=True):
+    """(weights, ext) for ``cells`` cells plus two ghosts: areas in
+    [1e-3, 10], speeds up to 2 c sqrt(3) and, with ``huge``, at about a tenth
+    of the cells |u| between 1e100 and 1e160, where x^3 or x^2 itself
+    overflows for a bound x = u -+ c sqrt(3) and the kernels return NaN.
+    The weights are the rest factors of random bottom steps (one side of
+    each interface is 1)."""
     s = c * SQRT3
-    a = rng.uniform(1e-3, 10.0, (2,) + shape)
-    u = rng.uniform(-3 * s, 3 * s, (2,) + shape)
-    huge = rng.random((2,) + shape) < 0.1
-    u[huge] = rng.choice([-1.0, 1.0], huge.sum()) * 10.0 ** rng.uniform(100, 160, huge.sum())
-    q = a * u
-    return a[0], q[0], a[1], q[1]
+    a = rng.uniform(1e-3, 10.0, cells + 2)
+    u = rng.uniform(-2 * s, 2 * s, cells + 2)
+    if huge:
+        big = rng.random(cells + 2) < 0.1
+        u[big] = rng.choice([-1.0, 1.0], big.sum()) * 10.0 ** rng.uniform(100, 160, big.sum())
+    z = np.cumsum(rng.uniform(-0.5, 0.5, cells)) * c * c / 9.81
+    return rest_factors(z, c, 9.81), np.array([a, a * u])
 
 
-class TestNoJumpKernel:
-    """With dz = None (no jump) the kernel takes its two-row path; the six
-    rows with dz = 0.0 and dz = np.zeros(...) are the reference."""
+def term_scales(weights, ext, c):
+    """The largest magnitude each interface flux is formed from: the two
+    weighted halves' (|u| + s)^2 A / (4 s) and (|u| + s)^3 A / (6 s)."""
+    s = c * SQRT3
+    with np.errstate(over="ignore"):
+        speed = np.abs(ext[1] / ext[0]) + s
+        mass = ext[0] * speed ** 2 / (4 * s)
+        momentum = ext[0] * speed ** 3 / (6 * s)
+        return np.array([weights[0] * x[:-1] + weights[1] * x[1:] for x in (mass, momentum)])
 
-    @pytest.mark.parametrize("n", [None, 1, 201, 1001])
-    def test_matches_six_rows_bitwise(self, n):
-        rng = np.random.default_rng(31 if n is None else n)
-        shape = () if n is None else (n,)
+
+class TestClosedFormKernel:
+    """The run path's kernel: each cell's xi >= 0 and xi <= 0 halves in
+    closed form, weighted by the rest factors at each interface.  On the
+    reconstructed sides (A*, Q*) = w (A, Q) the six rows at dz = 0 give the
+    same fluxes, and F- = F+."""
+
+    @pytest.mark.parametrize("interfaces", [1, 201, 1001])
+    def test_matches_six_rows_at_no_jump(self, interfaces):
+        rng = np.random.default_rng(interfaces)
         nan_seen = False
-        for _ in range(400 if n in (None, 1) else 20):
+        for _ in range(300 if interfaces == 1 else 20):
             c = rng.uniform(0.5, 1500.0)
-            states = split_states(rng, shape, c)
+            weights, ext = no_jump_cells(rng, interfaces - 1, c)
+            left, right = ext[:, :-1] * weights[0], ext[:, 1:] * weights[1]
             with np.errstate(all="ignore"):
-                split = _interface_flux_arrays(*states, None, c, 9.81)
-                rows = _interface_flux_arrays(*states, np.zeros(shape), c, 9.81)
-                scalar_rows = _interface_flux_arrays(*states, 0.0, c, 9.81)
-            for got, want in zip(split[:2], rows[:2]):
-                assert got.shape == shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            # a numeric zero reaches the six rows
-            for got, want in zip(scalar_rows, rows):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            # F+ holds the same values; the six rows, summed in the mirrored
-            # frame, give -0.0 where the split gives +0.0
-            for k in (2, 3):
-                np.testing.assert_array_equal(split[k], rows[k])
-                assert np.array_equal(split[k], split[k - 2], equal_nan=True)
-            nan_seen |= bool(np.isnan(rows[0]).any() and np.isnan(rows[1]).any())
+                got = _interface_flux_arrays(weights[0], weights[1], ext, c)
+                rows = _six_row_flux_arrays(*left, *right, np.zeros(interfaces), c, 9.81)
+            assert got.shape == (2, interfaces)
+            tolerance = 1e-14 * term_scales(weights, ext, c)
+            for k, want in enumerate(rows):
+                f = got[k % 2]
+                assert np.array_equal(np.isnan(f), np.isnan(want))
+                finite = ~np.isnan(f)
+                assert np.all(np.abs(f - want)[finite] <= tolerance[k % 2][finite])
+            nan_seen |= bool(np.isnan(got[0]).any() and np.isnan(got[1]).any())
         assert nan_seen
 
-    def test_batch_axes_match_raveled_evaluation(self):
-        # a block of cases (step's positivity suite) is evaluated elementwise:
-        # (3, 7) inputs give the bits of the raveled 1-d call, NaNs included
+    def test_matches_quadrature(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            c = rng.uniform(0.5, 20.0)
+            weights, ext = no_jump_cells(rng, 2, c, huge=False)
+            got = _interface_flux_arrays(weights[0], weights[1], ext, c)
+            for j in range(3):
+                a_l, q_l = ext[:, j] * weights[0, j]
+                a_r, q_r = ext[:, j + 1] * weights[1, j]
+                minus, plus = quad_interface_fluxes(a_l, q_l, a_r, q_r, 0.0, 0.0, c, 9.81)
+                scale = (a_l + a_r) * c * (1 + c)
+                for value, want in zip(got[:, j].tolist() * 2, minus + plus):
+                    assert value == pytest.approx(want, rel=1e-8, abs=1e-9 * scale)
+
+    def test_batch_axes_match_per_case_evaluation(self):
+        # a block of cases (step's positivity suite) is evaluated per case:
+        # (m, n + 2) cells give the bits of each case's own 1-d call, NaNs included
         rng = np.random.default_rng(8)
         for _ in range(50):
             c = rng.uniform(0.5, 1500.0)
-            states = split_states(rng, (3, 7), c)
+            cases = [no_jump_cells(rng, 5, c) for _ in range(3)]
+            weights = np.stack([w for w, _ in cases], axis=1)
+            ext = np.stack([e for _, e in cases], axis=1)
             with np.errstate(all="ignore"):
-                block = _interface_flux_arrays(*states, None, c, 9.81)
-                flat = _interface_flux_arrays(*(x.ravel() for x in states), None, c, 9.81)
-            for got, want in zip(block, flat):
-                assert got.shape == (3, 7)
-                assert got.ravel().tobytes() == want.tobytes()
-            for one, other in itertools.combinations(block, 2):
-                assert not np.shares_memory(one, other)
-
-    @pytest.mark.parametrize("shape", [(), (7,)])
-    def test_returns_separate_arrays(self, shape):
-        # step adds a different c^2 (A - A*) to F-_Q and F+_Q in place
-        states = split_states(np.random.default_rng(2), shape, 10.0)
-        fluxes = _interface_flux_arrays(*states, None, 10.0, 9.81)
-        for one, other in itertools.combinations(fluxes, 2):
-            assert not np.shares_memory(one, other)
+                block = _interface_flux_arrays(weights[0], weights[1], ext, c)
+                assert block.shape == (2, 3, 6)
+                for k, (w, e) in enumerate(cases):
+                    own = _interface_flux_arrays(w[0], w[1], e, c)
+                    assert block[:, k].tobytes() == own.tobytes()

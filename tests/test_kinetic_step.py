@@ -24,12 +24,44 @@ def flat_altitude(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry=None):
+def reference_fluxes(a_ext, q_ext, w_left, w_right, c):
+    """(F_A, F_Q) at each interface of the ghost-extended cells, written out
+    per cell and per interface: each cell's rectangle [u - s, u + s] split at
+    xi = 0 into its xi >= 0 half over [max(u - s, 0), max(u + s, 0)] and its
+    xi <= 0 half over [min(u - s, 0), min(u + s, 0)], with mass
+    A (hi^2 - lo^2) / (4 s) and momentum A (hi^3 - lo^3) / (6 s); interface j
+    takes w_left[j] times the xi >= 0 half of cell j plus w_right[j] times
+    the xi <= 0 half of cell j + 1.  The clamps give the kernel's bits on
+    finite fluxes; an overflowing speed is not drawn here."""
+    s = c * SQRT3
+
+    def half(a, lo, hi):
+        return ((hi * hi - lo * lo) * ((0.25 / s) * a),
+                (hi * hi * hi - lo * lo * lo) * ((1.0 / (6.0 * s)) * a))
+
+    right_going, left_going = [], []
+    for a, q in zip(a_ext.tolist(), q_ext.tolist()):
+        u = q / a
+        right_going.append(half(a, max(u - s, 0.0), max(u + s, 0.0)))
+        left_going.append(half(a, min(u - s, 0.0), min(u + s, 0.0)))
+    f_a, f_q = [], []
+    for j in range(len(a_ext) - 1):
+        (p_a, p_q), (m_a, m_q) = right_going[j], left_going[j + 1]
+        f_a.append(w_left[j] * p_a + w_right[j] * m_a)
+        f_q.append(w_left[j] * p_q + w_right[j] * m_q)
+    return np.array(f_a), np.array(f_q)
+
+
+def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry=None,
+                   fault=None):
     """One step written plainly: the CFL speed of ``state`` recomputed from
-    its arrays, admissibility decided by a full mask (0 < A < inf and Q/A
-    finite, so a finite Q whose Q/A overflows is rejected), and a new state
-    that computes its own ``max_abs_velocity`` when asked.  The lean ``step``
-    must reproduce it bit for bit, errors included."""
+    its arrays, the fluxes of ``reference_fluxes`` (after ``fault``, if given,
+    edits them in place), a cell update that gives each cell back the
+    pressure c^2 (A - A*) the reconstruction removed on its two sides,
+    admissibility decided by a full mask (0 < A < inf and Q/A finite, so a
+    finite Q whose Q/A overflows is rejected), and a new state that computes
+    its own ``max_abs_velocity`` when asked.  The lean ``step`` must
+    reproduce it bit for bit, errors included."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     speed = float(np.max(np.abs(state.discharge / state.area))) + c * SQRT3
@@ -43,16 +75,17 @@ def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry=None):
     a, q = state.area, state.discharge
     a_ext = np.concatenate([[a_gl], a, [a_gr]])
     q_ext = np.concatenate([[q_gl], q, [q_gr]])
-    shrink = mesh.rest_factors(c, g)
-    a_l, q_l = a_ext[:-1] * shrink[0], q_ext[:-1] * shrink[0]
-    a_r, q_r = a_ext[1:] * shrink[1], q_ext[1:] * shrink[1]
-    fm_a, fm_q, fp_a, fp_q = kinetic._interface_flux_arrays(a_l, q_l, a_r, q_r,
-                                                            None, c, g)
-    fm_q = fm_q + (a_ext[:-1] - a_l) * (c * c)
-    fp_q = fp_q + (a_ext[1:] - a_r) * (c * c)
+    w_left, w_right = mesh.rest_factors(c, g)
+    f_a, f_q = reference_fluxes(a_ext, q_ext, w_left, w_right, c)
+    if fault is not None:
+        fault(f_a, f_q)
     ratio = dt / mesh.width
-    a_new = a - ratio * (fm_a[1:] - fp_a[:-1])
-    q_new = q - ratio * (fm_q[1:] - fp_q[:-1])
+    a_new = np.empty(state.n)
+    q_new = np.empty(state.n)
+    for i in range(state.n):       # cell i lies between interfaces i and i + 1
+        lost = (w_right[i] - w_left[i + 1]) * (c * c) * a[i]
+        a_new[i] = a[i] - (f_a[i + 1] - f_a[i]) * ratio
+        q_new[i] = q[i] - ((f_q[i + 1] - f_q[i]) + lost) * ratio
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         admissible = np.isfinite(q_new / a_new) & (a_new > 0) & (a_new < math.inf)
@@ -277,27 +310,35 @@ class TestStep:
 ENDS = {"wall": Wall(), "periodic": Periodic()}
 
 
-def breaking_kernel(kind, cell, area, ratio):
-    """The flux kernel with cell ``cell``'s two outer fluxes replaced so that
-    its update, with ``ratio`` = dt / width a power of two, lands exactly on
-    one inadmissible value, or on a tiny area whose finite Q/A overflows."""
+def breaking_fault(kind, cell, area, ratio):
+    """An edit of the interface fluxes (F_A, F_Q) that zeroes cell ``cell``'s
+    left flux and replaces its right one so that its update, with ``ratio``
+    = dt / width a power of two, lands exactly on one inadmissible value, or
+    on a tiny area whose finite Q/A overflows."""
+    def fault(f_a, f_q):
+        f_a[cell] = f_q[cell] = 0.0
+        if kind == "nan-discharge":
+            f_q[cell + 1] = math.nan
+        elif kind == "zero-area":
+            f_a[cell + 1] = area / ratio
+        elif kind == "negative-area":
+            f_a[cell + 1] = 2.0 * area / ratio
+        elif kind == "inf-area":
+            f_a[cell + 1] = -math.inf
+        elif kind == "speed-overflow":           # A' = one ulp, Q' ~ 1e305 dt
+            f_a[cell + 1] = np.nextafter(area, 0.0) / ratio
+            f_q[cell + 1] = -1e305
+    return fault
+
+
+def breaking_kernel(fault):
+    """The run path's flux kernel with ``fault`` applied to its fluxes."""
     kernel = kinetic._interface_flux_arrays
 
     def broken(*args):
-        fm_a, fm_q, fp_a, fp_q = kernel(*args)
-        fp_a[cell] = fp_q[cell] = 0.0
-        if kind == "nan-discharge":
-            fm_q[cell + 1] = math.nan
-        elif kind == "zero-area":
-            fm_a[cell + 1] = area / ratio
-        elif kind == "negative-area":
-            fm_a[cell + 1] = 2.0 * area / ratio
-        elif kind == "inf-area":
-            fm_a[cell + 1] = -math.inf
-        elif kind == "speed-overflow":           # A' = one ulp, Q' ~ 1e305 dt
-            fm_a[cell + 1] = np.nextafter(area, 0.0) / ratio
-            fm_q[cell + 1] = -1e305
-        return fm_a, fm_q, fp_a, fp_q
+        f = kernel(*args)
+        fault(f[0], f[1])
+        return f
     return broken
 
 
@@ -331,14 +372,16 @@ class TestLeanStep:
             lean, ref = state, state
             for k in range(4):                     # each marches its own output
                 dt = 2.0 ** math.floor(math.log2(cfl_timestep(ref, c, mesh, 0.9)))
+                fault = None
                 if k == 3 and kind != "none":
                     cell = int(rng.integers(n))
-                    monkeypatch.setattr(kinetic, "_interface_flux_arrays", breaking_kernel(
-                        kind, cell, float(ref.area[cell]), dt))
+                    fault = breaking_fault(kind, cell, float(ref.area[cell]), dt)
+                    monkeypatch.setattr(kinetic, "_interface_flux_arrays",
+                                        breaking_kernel(fault))
                 with np.errstate(over="ignore"):
                     args = (mesh, c, g, dt, law, law, geometry)
                     lean = outcome(step, lean, *args)
-                    ref = outcome(reference_step, ref, *args)
+                    ref = outcome(reference_step, ref, *args, fault)
                     monkeypatch.undo()
                     if isinstance(ref, str):
                         assert lean == ref
