@@ -57,18 +57,14 @@ def detect_period(t, y, t_min=0.0):
     if t.size < 3:
         return None
     d = y - y.mean()
-    up = []
-    down = []
-    for i in range(d.size - 1):
-        lo, hi = d[i], d[i + 1]
-        if lo == 0.0:
-            continue
-        if lo * hi < 0.0:
-            # linear interpolation of the crossing instant
-            tc = t[i] + (t[i + 1] - t[i]) * lo / (lo - hi)
-            (up if lo < 0.0 else down).append(tc)
-        elif hi == 0.0 and i + 2 < d.size and lo * d[i + 2] < 0.0:
-            (up if lo < 0.0 else down).append(t[i + 1])
+    lo, hi = d[:-1], d[1:]
+    # a crossing inside (t[i], t[i+1]), or an exact zero at t[i+1] between
+    # nonzero values of opposite sign; a zero at t[i] starts no crossing
+    touch = np.append(lo[:-1] * d[2:] < 0.0, False) & (hi == 0.0)
+    i = np.flatnonzero((lo * hi < 0.0) | touch)
+    lo, hi, t0, t1 = lo[i], hi[i], t[i], t[i + 1]
+    tc = np.where(hi == 0.0, t1, t0 + (t1 - t0) * lo / (lo - hi))
+    up, down = tc[lo < 0.0], tc[lo > 0.0]
     gaps = np.concatenate([np.diff(up), np.diff(down)])
     if gaps.size == 0:
         return None

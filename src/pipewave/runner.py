@@ -64,22 +64,42 @@ class _Recorder:
     called as each snapshot is taken (the initial state, every
     ``snapshot_stride``-th step and the final state).  The bounds are
     checked at each sample: a level that is not finite or at or below the
-    zero-area line raises ``SolverError``."""
+    zero-area line raises ``SolverError``.
+
+    A sample is one float64 row of a store that doubles when full: the time,
+    then the level and the discharge at the two points around each probe
+    (``np.interp``'s stencil, fixed for the run).  ``finish`` interpolates
+    all rows at once, bit for bit as ``np.interp`` of each sampled state."""
+
+    first_rows = 256             # store rows before it first doubles
 
     def __init__(self, solver: _Solver, probe_x, output_stride, write_snapshot):
-        self.solver, self.probe_x, self.output_stride = solver, probe_x, output_stride
+        self.solver, self.output_stride = solver, output_stride
         self.write_snapshot = write_snapshot
-        self.steps = self.last_snapshot = 0
-        self.times, self.levels, self.discharges = [], [], []
-        self.low = solver.level(solver.initial).copy()
-        self.high = self.low.copy()
-        self._sample(solver.initial)
+        self.steps = self.last_snapshot = self.samples = 0
+        x = solver.x
+        j = np.clip(np.searchsorted(x, probe_x, "right") - 1, 0, x.size - 2)
+        self.cols = np.concatenate([j, j + 1])
+        self.dx, self.offset = x[j + 1] - x[j], probe_x - x[j]
+        # np.interp returns these stencil values as they are
+        self.left = (probe_x < x[0]) | (probe_x == x[j])
+        self.right = probe_x >= x[-1]
+        self.rows = np.empty((self.first_rows, 1 + 2 * self.cols.size))
+        level = solver.level(solver.initial)
+        self.low, self.high = level.copy(), level.copy()
+        self._sample(solver.initial, level)
         write_snapshot(0, solver.initial)
 
-    def _sample(self, state):
-        self.times.append(state.time)
-        self.levels.append(np.interp(self.probe_x, self.solver.x, self.solver.level(state)))
-        self.discharges.append(np.interp(self.probe_x, self.solver.x, state.discharge))
+    def _sample(self, state, level):
+        if self.samples == len(self.rows):
+            rows = np.empty((2 * len(self.rows), self.rows.shape[1]))
+            rows[:self.samples] = self.rows
+            self.rows = rows
+        row, half = self.rows[self.samples], 1 + self.cols.size
+        row[0] = state.time
+        level.take(self.cols, out=row[1:half])
+        state.discharge.take(self.cols, out=row[half:])
+        self.samples += 1
 
     def __call__(self, state):
         self.steps += 1
@@ -88,7 +108,7 @@ class _Recorder:
         np.maximum(self.high, level, out=self.high)
         if self.steps % self.output_stride == 0:
             self._check(state.time)
-            self._sample(state)
+            self._sample(state, level)
         stride = self.solver.snapshot_stride
         if stride and self.steps % stride == 0:
             self.write_snapshot(self.steps, state)
@@ -106,12 +126,26 @@ class _Recorder:
                     f" (checked every {self.output_stride} steps: the first bad step "
                     f"may be up to {lag} steps earlier)" if lag else ""))
 
+    def _interp(self, f0, f1):
+        """``np.interp`` at the probes from the (samples, probes) stencil
+        values; they are finite (the states check it), so its fallback for a
+        NaN slope never applies."""
+        out = (f1 - f0) / self.dx * self.offset + f0
+        np.copyto(out, f0, where=self.left)
+        np.copyto(out, f1, where=self.right)
+        return out
+
     def finish(self, final):
+        """Take the last sample and snapshot; (times, levels, discharges),
+        the last two (samples, probes)."""
         self._check(final.time)
         if self.steps % self.output_stride:
-            self._sample(final)
+            self._sample(final, self.solver.level(final))
         if self.last_snapshot != self.steps:
             self.write_snapshot(self.steps, final)
+        rows, self.rows = self.rows[:self.samples], None
+        level0, level1, q0, q1 = np.split(rows[:, 1:], 4, axis=1)
+        return rows[:, 0].copy(), self._interp(level0, level1), self._interp(q0, q1)
 
 
 def _kinetic(config: RunConfig):
@@ -167,11 +201,7 @@ def _record(config: RunConfig, writer: CsvWriter | None, label, solver: _Solver)
     started = _time.perf_counter()
     final = solver.march(observer=recorder)
     elapsed = _time.perf_counter() - started
-    recorder.finish(final)
-
-    t = np.asarray(recorder.times)
-    levels = np.array(recorder.levels)               # (samples, probes)
-    discharges = np.array(recorder.discharges)
+    t, levels, discharges = recorder.finish(final)
     areas = [solver.area(levels[:, k], z) for k, z in enumerate(probe_z)]
     probes = [ProbeSeries(x=float(x), t=t, discharge=discharges[:, k],
                           head=piezometric_head(areas[k], geom.section, probe_z[k],

@@ -7,6 +7,7 @@ brackets the total-head equation with plain bisection.  The coarse
 characteristics oracle marches the water-hammer equations in Riemann
 invariants rather than compatibility relations.  The Strickler coefficient
 is written out from the roughness and section, not read from the pipe.
+The period oracle walks the mean-crossings one sample pair at a time.
 """
 
 import math
@@ -194,3 +195,30 @@ def coarse_moc_waterhammer(length, nodes, a, g, section, head0_profile, q0,
         times.append(t)
         history.append(head.copy())
     return np.array(times), np.array(history)
+
+
+def loop_detect_period(t, y, t_min=0.0):
+    """``compare.detect_period`` as a plain loop over successive sample
+    pairs: the same crossing formula and exact-zero rule, one pair at a time."""
+    mask = t >= t_min
+    t = t[mask]
+    y = y[mask]
+    if t.size < 3:
+        return None
+    d = y - y.mean()
+    up = []
+    down = []
+    for i in range(d.size - 1):
+        lo, hi = d[i], d[i + 1]
+        if lo == 0.0:
+            continue
+        if lo * hi < 0.0:
+            # linear interpolation of the crossing instant
+            tc = t[i] + (t[i + 1] - t[i]) * lo / (lo - hi)
+            (up if lo < 0.0 else down).append(tc)
+        elif hi == 0.0 and i + 2 < d.size and lo * d[i + 2] < 0.0:
+            (up if lo < 0.0 else down).append(t[i + 1])
+    gaps = np.concatenate([np.diff(up), np.diff(down)])
+    if gaps.size == 0:
+        return None
+    return float(np.median(gaps))

@@ -1,10 +1,17 @@
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import loop_detect_period
 from pipewave.compare import (ProbeSeries, compare_series, detect_period,
                               first_extremum)
+from pipewave.config import load_config
+from pipewave.runner import closure_end_time, compare_runs
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def sinusoid_series(period=7.0, t_end=40.0, n=1500, amplitude=120.0,
@@ -35,6 +42,35 @@ class TestDetectPeriod:
     def test_constant_signal_returns_none(self):
         t = np.linspace(0.0, 10.0, 100)
         assert detect_period(t, np.full(100, 2.0)) is None
+
+    def test_same_period_as_the_loop_on_the_validation_probes(self):
+        config = load_config(REPO_ROOT / "waterhammer.cfg")
+        config = replace(config, scenario=replace(config.scenario, mesh_cells=50))
+        results, _ = compare_runs(config, write_files=False)
+        closure = closure_end_time(config.scenario)
+        for result in results.values():
+            for series in result.probes:
+                for t_min in (0.0, closure):
+                    got = detect_period(series.t, series.head, t_min)
+                    assert got is not None
+                    assert repr(got) == repr(loop_detect_period(series.t, series.head, t_min))
+
+    def test_same_period_as_the_loop_with_exact_zeros(self):
+        # y and -y shuffled: the mean is exactly 0, so every 0 of y is an
+        # exact zero of y - mean, alone or in runs
+        rng = np.random.default_rng(7)
+        found = 0
+        for n in range(1, 400):
+            ints = rng.integers(-2, 3, size=n)
+            y = rng.permutation(np.concatenate([ints, -ints])).astype(float)
+            if n % 3 == 0:
+                y = y * rng.uniform(0.5, 2.0, size=y.size)   # zeros stay exact
+            t = np.cumsum(rng.uniform(0.01, 1.0, size=y.size))
+            t_min = float(t[rng.integers(t.size)]) if n % 4 == 0 else 0.0
+            got = detect_period(t, y, t_min)
+            assert repr(got) == repr(loop_detect_period(t, y, t_min))
+            found += got is not None
+        assert found > 300
 
 
 class TestFirstExtremum:

@@ -2,6 +2,7 @@
 solver: every step counts toward the summary, and the probes sample the
 initial state, every ``output_stride``-th step and the final state."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -114,6 +115,62 @@ def test_probes_sample_initial_strided_and_final_states(solver, tmp_path):
         sampled.append(states[-1].time)
     for series in result.probes:
         assert series.t.tolist() == sampled
+
+
+@pytest.mark.parametrize("solver", ["kinetic", "moc"])
+def test_probe_series_are_np_interp_of_every_sampled_state(solver, tmp_path):
+    """At stride 1, over more samples than the probe store's first block,
+    each probe's level and discharge series is ``np.interp`` of each state,
+    bit for bit.  The probes sit at x = 0 (left of the first kinetic cell
+    centre), on a MOC node, on a kinetic cell centre, between points and at
+    x = L (beyond the last cell centre)."""
+    config = surge_config(solver, tmp_path)
+    probe_x = np.array([0.0, 1000.0, 1020.0, 1234.5, 2000.0])
+    scenario = replace(config.scenario, output_stride=1, probes=tuple(probe_x))
+    built = getattr(runner, f"_{solver}")(replace(config, scenario=scenario))
+    on_points = {0.0, 1000.0, 2000.0} if solver == "moc" else {1020.0}
+    assert on_points <= set(built.x.tolist())
+    recorder = runner._Recorder(built, probe_x, 1, lambda step, state: None)
+    t, levels, discharges = recorder.finish(built.march(observer=recorder))
+    states, _ = direct_march(solver, scenario)
+    states.insert(0, built.initial)
+    assert len(states) > runner._Recorder.first_rows
+    assert t.tobytes() == np.array([s.time for s in states]).tobytes()
+    for got, field in ((levels, built.level), (discharges, lambda s: s.discharge)):
+        want = np.array([np.interp(probe_x, built.x, field(s)) for s in states])
+        for k in range(probe_x.size):
+            assert got[:, k].tobytes() == want[:, k].tobytes()
+
+
+def test_probe_store_bytes_per_sample(tmp_path, monkeypatch):
+    """The traced peak heap of a stride-1 kinetic ``run_simulation`` over
+    5,000 samples, per sample.  The march is replayed from a direct one made
+    before tracing starts: its own arrays are short-lived, and traced they
+    would take seconds."""
+    config = surge_config("kinetic", tmp_path)
+    config = replace(config, scenario=replace(config.scenario, mesh_cells=10, t_end=430.0,
+                                              output_stride=1))
+    states, _ = direct_march("kinetic", config.scenario)
+    assert len(states) >= 5000
+    make = runner._kinetic
+
+    def replay(observer):
+        for state in states:
+            observer(state)
+        return states[-1]
+
+    monkeypatch.setattr(runner, "_kinetic", lambda config: replace(make(config), march=replay))
+    tracemalloc.start()
+    try:
+        result = run_simulation(config, write_files=False)["kinetic"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = result.probes[0].t.size
+    assert samples == len(states) + 1
+    # 9 floats a row, up to 3 rows a sample while the store doubles, then
+    # the output series; per-sample lists of small arrays take about 350
+    assert peak / samples < 250
 
 
 def test_moc_snapshots_named_by_step(tmp_path):
