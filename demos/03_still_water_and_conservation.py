@@ -12,16 +12,17 @@ at roundoff, far under the first-order scale printed first.
 
 import numpy as np
 
-from pipewave import LinearAltitude, Mesh, Periodic, State, Wall
+from pipewave import LinearAltitude, Mesh, Periodic, PipeGeometry, State, Wall
 from pipewave.kinetic import cfl_timestep, step
 
-g = 9.81    # the steps take no pipe geometry: no friction, no reservoir ends
+g = 9.81    # each step takes its pipe; without a Strickler roughness, no friction
 
 
 # --- sloped still water ----------------------------------------------------
 c = 1086.6
-mesh = Mesh.uniform(2000.0, 100, LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
-area0 = 2.0 * np.exp(-g * (mesh.z_cells - mesh.z_cells[0]) / (c * c))
+pipe = PipeGeometry(2000.0, 2.0, LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
+mesh = Mesh.uniform(pipe.length, 100, pipe.altitude)
+area0 = pipe.section * np.exp(-g * (mesh.z_cells - mesh.z_cells[0]) / (c * c))
 state = State(area=area0, discharge=np.zeros(100))
 
 eps = g * np.max(np.abs(np.diff(mesh.z_cells))) / (c * c)
@@ -29,7 +30,7 @@ print(f"per-cell imbalance scale g dz/c^2 = {eps:.2e}")
 print(f"{'step':>6} {'max|Q|/(A c)':>14} {'max rel dA':>12}")
 for k in range(1, 501):
     dt = cfl_timestep(state, c, mesh, 0.8)
-    state = step(state, mesh, c, g, dt, Wall(), Wall())
+    state = step(state, mesh, c, g, dt, Wall(), Wall(), pipe)
     if k in (1, 10, 100, 500):
         q_res = np.max(np.abs(state.discharge)) / (np.max(area0) * c)
         a_res = np.max(np.abs(state.area - area0) / area0)
@@ -37,7 +38,8 @@ for k in range(1, 501):
 print("the residual stays at roundoff: the column is exactly balanced\n")
 
 # --- periodic conservation --------------------------------------------------
-mesh = Mesh.uniform(100.0, 64, lambda x: np.zeros_like(np.asarray(x, float)))
+pipe = PipeGeometry(100.0, 1.0, LinearAltitude(upstream_z=0.0, angle_deg=0.0))
+mesh = Mesh.uniform(pipe.length, 64, pipe.altitude)
 x = mesh.centers / 100.0
 c = 25.0
 area = 2.0 + 0.3 * np.sin(2 * np.pi * x)
@@ -46,7 +48,7 @@ mass0 = np.sum(mesh.width * state.area)
 mom0 = np.sum(mesh.width * state.discharge)
 for _ in range(2000):
     dt = cfl_timestep(state, c, mesh, 0.9)
-    state = step(state, mesh, c, g, dt, Periodic(), Periodic())
+    state = step(state, mesh, c, g, dt, Periodic(), Periodic(), pipe)
 mass = np.sum(mesh.width * state.area)
 mom = np.sum(mesh.width * state.discharge)
 print("periodic flat pipe after 2000 steps:")

@@ -10,13 +10,13 @@ blocks through ``kinetic._advance``, the update inside ``kinetic.step``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kinetic
 from .config import RunConfig
-from .core import Mesh, State, rest_factors
+from .core import Mesh, PipeGeometry, State, rest_factors
 from .scenarios import Periodic, Scenario, Wall
 
 _BLOCK_CASES = 256          # positivity cases drawn and stepped together
@@ -72,15 +72,16 @@ def check_positivity(c, g, cases=2000, seed=1):
         ext[:, :, -1] = area[:, -1], -discharge[:, -1]
         # cfl_timestep's cfl * h / (max |u| + c sqrt(3)), cfl = h = 1
         dt = 1.0 / (np.abs(discharge / area).max(axis=1) + s)
-        a_new, q_new = kinetic._advance(ext, rest_factors(z, c, g), dt[:, None], c, g)
+        a_new, q_new = kinetic._advance(ext, rest_factors(z, c, g), dt[:, None], c)
         failures += m - int(np.count_nonzero(kinetic._admissible(a_new, q_new).all(axis=1)))
     return CheckResult("positivity under the CFL condition", float(failures), 0.0)
 
 
 def check_conservation(c, g, cells=64, steps=500, seed=2):
-    """Mass and momentum drift on a periodic flat pipe."""
+    """Mass and momentum drift on a periodic flat pipe without roughness."""
     rng = np.random.default_rng(seed)
-    mesh = Mesh.uniform(100.0, cells, lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    pipe = PipeGeometry(100.0, 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    mesh = Mesh.uniform(pipe.length, cells, pipe.altitude)
     x = mesh.centers / 100.0
     area = 2.0 + 0.3 * np.sin(2 * np.pi * x) + 0.1 * rng.standard_normal()
     u = 0.05 * c * np.sin(4 * np.pi * x)
@@ -92,7 +93,7 @@ def check_conservation(c, g, cells=64, steps=500, seed=2):
     drift = 0.0
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.9)
-        state = kinetic.step(state, mesh, c, g, dt, *ends)
+        state = kinetic.step(state, mesh, c, g, dt, *ends, pipe)
         mass = float((mesh.width * state.area).sum())
         mom = float((mesh.width * state.discharge).sum())
         drift = max(drift, abs(mass - mass0) / mass0, abs(mom - mom0) / mom_scale)
@@ -100,8 +101,9 @@ def check_conservation(c, g, cells=64, steps=500, seed=2):
 
 
 def check_still_water(scenario: Scenario, cells=100, steps=200):
-    """Drift of a sloped hydrostatic profile between walls."""
-    geom = scenario.geometry
+    """Drift of a sloped hydrostatic profile between walls, on the
+    scenario's pipe without its roughness."""
+    geom = replace(scenario.geometry, strickler=None)
     c = scenario.constants.c
     g = scenario.constants.g
     mesh = Mesh.uniform(geom.length, cells, geom.altitude)
@@ -111,7 +113,7 @@ def check_still_water(scenario: Scenario, cells=100, steps=200):
     ends = Wall(), Wall()
     for _ in range(steps):
         dt = kinetic.cfl_timestep(state, c, mesh, 0.8)
-        state = kinetic.step(state, mesh, c, g, dt, *ends)
+        state = kinetic.step(state, mesh, c, g, dt, *ends, geom)
 
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * c))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 from .core import (LinearAltitude, PhysicalConstants, PipeGeometry,
@@ -34,18 +35,11 @@ class RunConfig:
         for field, ok, rule in (("solver", self.solver in ("kinetic", "moc", "both"),
                                  "must be kinetic|moc|both"),
                                 ("cfl", 0.0 < self.cfl <= 1.0, "must lie in (0, 1]"),
+                                ("snapshot_stride", isinstance(self.snapshot_stride, Integral),
+                                 "must be an integer"),
                                 ("snapshot_stride", self.snapshot_stride >= 0, "must be >= 0")):
             if not ok:
                 raise ValueError(f"{field}: {rule}, got {getattr(self, field)!r}")
-
-
-def _parse_bool(key, raw):
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
 
 
 def _parse_float(key, raw):
@@ -89,8 +83,7 @@ _SCHEMA = {
     "fluid.compressibility_per_pa": (_parse_float, _REQUIRED),
     "fluid.density_kg_m3": (_parse_float, _REQUIRED),
     "fluid.wave_speed_m_s": (_parse_float, None),   # None: derive from the elastic pipe
-    "friction.enabled": (_parse_bool, False),
-    "friction.strickler": (_parse_float, 0.0),
+    "friction.strickler": (_parse_float, None),     # None: a smooth pipe, no friction
     "boundary.upstream_head_m": (_parse_float, _REQUIRED),
     "boundary.closure_duration_s": (_parse_float, _REQUIRED),
     "boundary.closure_law": (_parse_str, "linear"),
@@ -141,15 +134,15 @@ def parse_config(text: str) -> RunConfig:
 # the key that sets each field whose rule Scenario, ValveClosure or RunConfig checks
 _KEYS = {"mesh_cells": "run.cells", "t_end": "run.t_end_s", "output_stride": "output.stride",
          "probes": "output.probes_m", "upstream": "boundary.upstream_head_m",
-         "kind": "boundary.closure_law", "solver": "run.solver", "cfl": "run.cfl",
-         "snapshot_stride": "output.snapshot_stride"}
+         "kind": "boundary.closure_law", "t_close": "boundary.closure_duration_s",
+         "solver": "run.solver", "cfl": "run.cfl", "snapshot_stride": "output.snapshot_stride"}
 
 
 def _build(v) -> RunConfig:
     for key in ("pipe.length_m", "pipe.section_m2", "pipe.wall_thickness_m",
                 "pipe.young_modulus_pa", "fluid.gravity_m_s2",
                 "fluid.compressibility_per_pa", "fluid.density_kg_m3",
-                "fluid.wave_speed_m_s", "boundary.closure_duration_s"):
+                "fluid.wave_speed_m_s"):
         if v[key] is not None and v[key] <= 0:
             raise ConfigError(f"key {key}: must be positive, got {v[key]}")
 
@@ -157,8 +150,7 @@ def _build(v) -> RunConfig:
     altitude = LinearAltitude(upstream_z=v["pipe.upstream_altitude_m"],
                               angle_deg=v["pipe.slope_deg"])
     try:
-        geometry = PipeGeometry(length, v["pipe.section_m2"], altitude,
-                                v["friction.strickler"] if v["friction.enabled"] else None)
+        geometry = PipeGeometry(length, v["pipe.section_m2"], altitude, v["friction.strickler"])
     except ValueError as exc:       # length and section are checked above
         raise ConfigError(f"key friction.strickler: {exc}") from exc
     c = v["fluid.wave_speed_m_s"]

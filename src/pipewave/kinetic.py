@@ -80,9 +80,9 @@ with h the cell width, stable and positivity-preserving under the CFL
 condition dt * max(|u| + c sqrt(3)) <= h.  ``_advance`` runs the
 weighted halves, the add-back and this update on a ghost-extended block of
 any leading shape, cells on the last axis: ``step`` on one 1-d
-block, ``checks.check_positivity`` on blocks of cases.  On a pipe with a
-friction coefficient the discharge is relaxed semi-implicitly after the
-hyperbolic update.
+block, ``checks.check_positivity`` on blocks of cases.  Every ``step``
+takes its pipe: on one with a Strickler roughness the discharge is relaxed
+semi-implicitly by its friction coefficient after the hyperbolic update.
 Without friction ``step`` hands its new state's max |u|, formed as it tests
 admissibility, to the state, and the next ``cfl_timestep`` reads it there.
 ``run`` hands ``core.march`` one ``cfl_timestep`` per step, the last one
@@ -221,7 +221,7 @@ def _admissible(area, discharge):
         return (area > 0.0) & (area < math.inf) & np.isfinite(discharge / area)
 
 
-def _advance(ext, shrink, ratio, c, g):
+def _advance(ext, shrink, ratio, c):
     """New (A, Q) of the n inner cells of ``ext`` (2, ..., n+2): (A, Q), any
     batch axes, then the cells with a ghost on each end.  ``shrink`` is
     ``core.rest_factors`` (2, ..., n+1) and ``ratio`` dt / h, broadcast
@@ -242,7 +242,7 @@ def _advance(ext, shrink, ratio, c, g):
 
 
 def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
-         geometry: PipeGeometry | None = None) -> State:
+         geometry: PipeGeometry) -> State:
     """One explicit update of every cell.
 
     ``scenarios.ghost_states`` forms and checks the ghost cells of the
@@ -252,14 +252,16 @@ def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
     ghost-extended 1-d block, reconstructing both sides of every interface
     at the higher bottom (see the module docstring), so the flux kernel sees
     no jump anywhere.  A new cell outside ``_admissible`` raises
-    ``SolverError`` naming it.  ``geometry`` (None: a pipe without friction
-    or reservoir ends) gives a reservoir end its ghost, and its friction
-    coefficient K > 0 relaxes Q <- Q / (1 + dt g K |u|) semi-implicitly.
+    ``SolverError`` naming it.  The pipe ``geometry`` gives a reservoir end
+    its ghost, and its friction coefficient K > 0 (a pipe with a Strickler
+    roughness) relaxes Q <- Q / (1 + dt g K |u|) semi-implicitly.
     Without friction the new state carries max |Q/A|, formed as its
     admissibility is tested, as its CFL speed.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:                             # NaN too
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if state.area.size != mesh.n:
+        raise ValueError(f"the state has {state.area.size} cells, the mesh {mesh.n}")
     speed = state.max_abs_velocity + c * SQRT3
     if dt * speed > mesh.width * _CFL_SLACK:
         raise SolverError(
@@ -271,7 +273,7 @@ def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
         state, mesh, upstream, downstream, c, g, geometry)
     ext[0, 1:-1] = state.area
     ext[1, 1:-1] = state.discharge
-    a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.width, c, g)
+    a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.width, c)
 
     # with 0 < A < inf a finite max |Q/A| shows every cell admissible;
     # otherwise some cell is not, and the mask names the first
@@ -284,7 +286,7 @@ def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
         raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
                           f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
 
-    if geometry is not None and geometry.friction_coefficient:
+    if geometry.friction_coefficient:
         q_new = q_new / (1.0 + dt * g * geometry.friction_coefficient * abs_u)
         speed = None                           # Q changed: computed when asked
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PipeGeometry, SolverError, friction_slope, march, piezometric_head
-from .scenarios import Periodic, Scenario, steady_areas
+from .scenarios import Scenario, steady_areas
 
 
 class _Track:
@@ -203,11 +203,6 @@ def moc_run(scenario: Scenario, observer=None, initial: MocState | None = None) 
     its time at most t_end) on its n nodes spanning the pipe, dx = L/(n - 1),
     at the scenario's wave speed, to the last full step at or before t_end,
     through ``core.march`` with ``observer``; returns the final state."""
-    # a Scenario has periodic ends in pairs or not at all
-    if isinstance(scenario.upstream, Periodic):
-        raise ValueError("the characteristics solver needs reservoir, "
-                         "discharge or wall boundaries")
-
     state = initial_moc_state(scenario) if initial is None else initial
     # bit for bit the spacing of np.linspace(0, L, n), where the runner samples
     dx, c = scenario.geometry.length / (state.n - 1), scenario.constants.c

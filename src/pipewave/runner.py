@@ -264,9 +264,7 @@ def run_simulation(config: RunConfig, write_files=True):
 
 def closure_end_time(scenario: Scenario):
     law = scenario.downstream.law if isinstance(scenario.downstream, PrescribedDischarge) else None
-    if isinstance(law, ValveClosure) and law.kind != "instant":
-        return law.t_close
-    return 0.0
+    return law.t_close if isinstance(law, ValveClosure) else 0.0
 
 
 def compare_runs(config: RunConfig, write_files=True):

@@ -17,7 +17,7 @@ sees no topography jump and the condition reduces to choosing the ghost
 
 ``node`` gives the discharge at a method-of-characteristics end node from the
 one invariant reaching it (``moc`` forms the head); a periodic pipe has no
-such node.
+such node and raises ``ValueError``.
 ``steady_areas`` is the steady profile both solvers start from.  A
 ``Scenario`` error starts with the field, so callers can name what set it.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -43,8 +44,6 @@ class ReservoirHead:
     total_head: float
 
     def ghost(self, state, i, z, c, g, geometry):
-        if geometry is None:
-            raise ValueError("a reservoir boundary needs the pipe geometry")
         a_in = float(state.area[i])
         u = float(state.discharge[i]) / a_in
         head = self.total_head - 0.5 * u * u / g
@@ -90,17 +89,20 @@ class Periodic:
         # the cell at the other end: index -1 for i = 0, 0 for i = -1
         return float(state.area[-1 - i]), float(state.discharge[-1 - i])
 
+    def node(self, invariant, sign, b, alpha, t, end):
+        raise ValueError("the characteristics solver needs reservoir, discharge or wall ends")
+
 
 BoundaryCondition = ReservoirHead | PrescribedDischarge | Wall | Periodic
 
 
 @dataclass(frozen=True)
 class ValveClosure:
-    """Declarative closure law; ``kind`` selects the ramp shape.
+    """Declarative closure law; ``kind`` selects the ramp shape before
+    t_close, and the valve is shut from t_close on (at once for t_close = 0).
 
     linear:  q0 * (1 - t/t_close)
     cosine:  q0 * (1 + cos(pi t/t_close)) / 2
-    instant: 0 for all t >= 0
     """
 
     q0: float
@@ -108,13 +110,13 @@ class ValveClosure:
     kind: str = "linear"
 
     def __post_init__(self):
-        if self.kind not in ("linear", "cosine", "instant"):
+        if self.kind not in ("linear", "cosine"):
             raise ValueError(f"kind: unknown closure law {self.kind!r}")
-        if self.kind != "instant" and self.t_close <= 0:
-            raise ValueError(f"t_close: must be positive, got {self.t_close}")
+        if not 0.0 <= self.t_close < math.inf:
+            raise ValueError(f"t_close: must lie in [0, inf), got {self.t_close}")
 
     def __call__(self, t):
-        if self.kind == "instant" or t >= self.t_close:
+        if t >= self.t_close:
             return 0.0
         if self.kind == "cosine":
             return self.q0 * 0.5 * (1.0 + math.cos(math.pi * t / self.t_close))
@@ -138,9 +140,13 @@ class Scenario:
     def __post_init__(self):
         # each message starts with the field it rejects, for config and cli to name
         periodic = isinstance(self.upstream, Periodic) == isinstance(self.downstream, Periodic)
-        for field, ok, rule in (("mesh_cells", self.mesh_cells >= 2, "must be >= 2"),
+        for field, ok, rule in (("mesh_cells", isinstance(self.mesh_cells, Integral),
+                                 "must be an integer"),
+                                ("mesh_cells", self.mesh_cells >= 2, "must be >= 2"),
                                 ("t_end", math.isfinite(self.t_end), "must be finite"),
                                 ("t_end", self.t_end >= 0, "must be non-negative"),
+                                ("output_stride", isinstance(self.output_stride, Integral),
+                                 "must be an integer"),
                                 ("output_stride", self.output_stride >= 1, "must be >= 1"),
                                 ("downstream", periodic, "must be periodic iff upstream is")):
             if not ok:
@@ -214,11 +220,10 @@ def steady_state_init(scenario: Scenario, mesh: Mesh) -> State:
 
 
 def ghost_states(state: State, mesh: Mesh, upstream: BoundaryCondition,
-                 downstream: BoundaryCondition, c, g,
-                 geometry: PipeGeometry | None = None):
+                 downstream: BoundaryCondition, c, g, geometry: PipeGeometry):
     """Ghost (A, Q) pairs for both ends at ``state.time``; each law's
     ``ghost`` takes the state, its end's interior cell index, that cell's
-    bottom elevation, c, g and the geometry (a reservoir needs it).  A ghost
+    bottom elevation, c, g and the pipe ``geometry``.  A ghost
     with A outside (0, inf) or Q/A not finite raises ``SolverError``."""
     ghosts = (upstream.ghost(state, 0, float(mesh.z_cells[0]), c, g, geometry),
               downstream.ghost(state, -1, float(mesh.z_cells[-1]), c, g, geometry))

@@ -57,8 +57,8 @@ def smooth_periodic_march(steps):
     data on a periodic flat frictionless pipe."""
     rng = np.random.default_rng(2024)
     cells = 64
-    mesh = Mesh.uniform(100.0, cells,
-                        lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    pipe = PipeGeometry(100.0, 1.0, LinearAltitude(upstream_z=0.0, angle_deg=0.0))
+    mesh = Mesh.uniform(pipe.length, cells, pipe.altitude)
     x = mesh.centers / 100.0
     modes = rng.standard_normal((3, 2))
     area = 2.0 + 0.25 * (modes[0, 0] * np.sin(2 * np.pi * x)
@@ -70,7 +70,7 @@ def smooth_periodic_march(steps):
     state = State(area=area, discharge=area * u)
     for _ in range(steps):
         dt = cfl_timestep(state, c, mesh, 0.9)
-        state = step(state, mesh, c, G, dt, Periodic(), Periodic())
+        state = step(state, mesh, c, G, dt, Periodic(), Periodic(), pipe)
         yield state, mesh, c
 
 
@@ -87,13 +87,13 @@ def test_criterion_1_wave_speed():
 
 def test_criterion_2_well_balanced_still_water():
     cells = 100
-    alt = LinearAltitude(upstream_z=250.0, angle_deg=-5.0)
-    mesh = Mesh.uniform(LENGTH, cells, alt)
+    pipe = PipeGeometry(LENGTH, 2.0, LinearAltitude(upstream_z=250.0, angle_deg=-5.0))
+    mesh = Mesh.uniform(LENGTH, cells, pipe.altitude)
     area0 = 2.0 * np.exp(-G * (mesh.z_cells - mesh.z_cells[0]) / (C4 * C4))
     state = State(area=area0, discharge=np.zeros(cells))
     for _ in range(1000):
         dt = cfl_timestep(state, C4, mesh, 0.8)
-        state = step(state, mesh, C4, G, dt, Wall(), Wall())
+        state = step(state, mesh, C4, G, dt, Wall(), Wall(), pipe)
     q_resid = float(np.max(np.abs(state.discharge)) / (np.max(area0) * C4))
     a_resid = float(np.max(np.abs(state.area - area0) / area0))
     ok = q_resid <= 1e-10 and a_resid <= 1e-12
@@ -109,6 +109,7 @@ def test_criterion_3_positivity():
     rng = np.random.default_rng(77)
     s = C4 * SQRT3
     cells = 4
+    pipe = PipeGeometry(float(cells), 1.0, LinearAltitude(upstream_z=0.0, angle_deg=0.0))
     failures = 0
     for _ in range(10_000):
         area = rng.uniform(1e-6, 10.0, cells)
@@ -118,7 +119,7 @@ def test_criterion_3_positivity():
         state = State(area=area, discharge=area * u)
         dt = cfl_timestep(state, C4, mesh, 1.0)
         try:
-            new = step(state, mesh, C4, G, dt, Wall(), Wall())
+            new = step(state, mesh, C4, G, dt, Wall(), Wall(), pipe)
             if np.any(new.area <= 0):
                 failures += 1
         except Exception:

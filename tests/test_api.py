@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import pipewave
-from pipewave import kinetic, moc
+from pipewave import kinetic, moc, scenarios
 
 EXPORTS = [
     "ComparisonReport", "ConfigError", "LinearAltitude", "Mesh", "MocState", "Periodic",
@@ -34,3 +34,10 @@ def test_exports():
 ], ids=["kinetic.run", "moc_run", "kinetic.step", "moc_step"])
 def test_solver_parameters(func, parameters):
     assert list(inspect.signature(func).parameters) == parameters
+
+
+@pytest.mark.parametrize("func", [kinetic.step, moc.moc_step, scenarios.ghost_states],
+                         ids=["kinetic.step", "moc_step", "ghost_states"])
+def test_steps_take_their_pipe(func):
+    # no default stands in for a pipe: a smooth one is one without roughness
+    assert inspect.signature(func).parameters["geometry"].default is inspect.Parameter.empty

@@ -1,13 +1,18 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pipewave import checks, kinetic
-from pipewave.core import Mesh, SolverError, State
+from pipewave.config import load_config
+from pipewave.core import LinearAltitude, Mesh, PipeGeometry, SolverError, State
 from pipewave.scenarios import Wall, ghost_states
 
 C, G = 1086.6, 9.81
+# the cases' pipe: walls and the frictionless update read nothing else of it
+PIPE = PipeGeometry(4.0, 1.0, LinearAltitude(upstream_z=0.0, angle_deg=0.0))
 
 
 def per_case_draws(seed, cases, c=C):
@@ -27,8 +32,8 @@ def recording_advance(monkeypatch):
     calls = []
     advance = kinetic._advance
 
-    def recording(ext, shrink, ratio, c, g):
-        a_new, q_new = advance(ext, shrink, ratio, c, g)
+    def recording(ext, shrink, ratio, c):
+        a_new, q_new = advance(ext, shrink, ratio, c)
         calls.append((ext.copy(), shrink.copy(), np.array(ratio), a_new, q_new))
         return a_new, q_new
 
@@ -58,7 +63,7 @@ def test_positivity_cases_are_the_per_case_draws(seed, cases, monkeypatch):
         assert ext[1, 1:-1].tobytes() == discharge.tobytes()
         mesh = Mesh(4.0, z)
         state = State(area=area, discharge=discharge)
-        ghosts = ghost_states(state, mesh, Wall(), Wall(), C, G)
+        ghosts = ghost_states(state, mesh, Wall(), Wall(), C, G, PIPE)
         assert ext[:, [0, -1]].tobytes() == np.array(ghosts).T.tobytes()
         assert shrink.tobytes() == mesh.rest_factors(C, G).tobytes()
         dt = kinetic.cfl_timestep(state, C, mesh, 1.0)
@@ -84,7 +89,7 @@ def test_positivity_blocks_match_per_case_step(c, monkeypatch):
         state = State(area=area, discharge=discharge)
         dt = kinetic.cfl_timestep(state, c, mesh, 1.0)
         try:
-            new = kinetic.step(state, mesh, c, G, dt, Wall(), Wall())
+            new = kinetic.step(state, mesh, c, G, dt, Wall(), Wall(), PIPE)
         except SolverError:
             failures += 1
             assert not kinetic._admissible(a_block, q_block).all()
@@ -103,8 +108,8 @@ def test_positivity_counts_an_inadmissible_case_once(kind, monkeypatch):
     advance = kinetic._advance
     blocks = []
 
-    def injecting(ext, shrink, ratio, c, g):
-        a_new, q_new = advance(ext, shrink, ratio, c, g)
+    def injecting(ext, shrink, ratio, c):
+        a_new, q_new = advance(ext, shrink, ratio, c)
         if len(blocks) == 1:
             if kind == "negative-area":
                 a_new[17, 2] = -1e-12
@@ -123,3 +128,22 @@ def test_positivity_counts_an_inadmissible_case_once(kind, monkeypatch):
     assert len(blocks) == 3
     assert result.residual == 1.0
     assert not result.passed
+
+
+def test_still_water_steps_the_pipe_without_its_roughness(monkeypatch):
+    """A column at rest feels no friction: the suite steps the scenario's
+    pipe without its Strickler roughness, so a rough scenario keeps the
+    residual of a smooth one."""
+    smooth = load_config(Path(__file__).resolve().parent.parent / "waterhammer.cfg").scenario
+    rough = replace(smooth, geometry=replace(smooth.geometry, strickler=80.0))
+    expected = checks.check_still_water(smooth).residual
+    step = kinetic.step
+    pipes = []
+
+    def recording(*args):
+        pipes.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(kinetic, "step", recording)
+    assert checks.check_still_water(rough).residual == expected
+    assert pipes and all(pipe == smooth.geometry for pipe in pipes)

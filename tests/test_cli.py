@@ -162,7 +162,7 @@ class TestExitCodes:
 
         ghost_states = scenarios.ghost_states
 
-        def diverging(state, mesh, upstream, downstream, c, g, geometry=None):
+        def diverging(state, mesh, upstream, downstream, c, g, geometry):
             return ghost_states(state, mesh, upstream, law, c, g, geometry)
 
         monkeypatch.setattr(scenarios, "ghost_states", diverging)
@@ -185,7 +185,7 @@ class TestExitCodes:
         # within 4 steps, far below the zero-area line; with stride 10 the
         # march ends before the first sampled check, so the final one fires
         cfg = write_config(tmp_path, run__cells="3", run__solver="moc",
-                           friction__enabled="true", friction__strickler="1",
+                           friction__strickler="1",
                            boundary__upstream_head_m="100000",
                            flow__initial_discharge_m3s="0", run__t_end_s="3",
                            run__cfl="0.1", output__stride=str(stride))
@@ -235,11 +235,27 @@ class TestExitCodes:
         # K_s^2 overflowed or vanished in the first step (exit 1), or K = inf
         # stopped every discharge (kinetic exit 0) or the MOC march (exit 3)
         cfg = write_config(tmp_path, run__cells="20", run__solver=solver,
-                           friction__enabled="true", friction__strickler=strickler)
+                           friction__strickler=strickler)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: key friction.strickler: "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("friction.enabled", "true", r"line 20: unknown key 'friction\.enabled'"),
+        ("boundary.closure_law", "instant",
+         r"key boundary\.closure_law: unknown closure law 'instant'"),
+        ("boundary.closure_duration_s", "-1",
+         r"key boundary\.closure_duration_s: must lie in \[0, inf\), got -1\.0"),
+    ])
+    def test_second_spelling_is_exit_2(self, tmp_path, capsys, key, value, message):
+        # a roughness switches friction on and a zero duration is the instant
+        # closure: the switch and the closure law that said so are gone
+        cfg = write_config(tmp_path, **{key.replace(".", "__"): value})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert re.fullmatch(f"configuration error: {message}\n", capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -347,16 +363,18 @@ def cli_calls(draw):
         "boundary__upstream_head_m": draw(st.floats(240.0, 400.0)),
         "pipe__slope_deg": draw(st.floats(-10.0, 10.0)),
         "flow__initial_discharge_m3s": draw(st.floats(-20.0, 60.0)),
-        "boundary__closure_law": draw(st.sampled_from(["linear", "cosine", "instant"])),
-        "boundary__closure_duration_s": draw(st.floats(0.1, 8.0)),
-        "friction__enabled": draw(st.booleans()),
-        "friction__strickler": draw(st.floats(0.05, 200.0)),
+        "boundary__closure_law": draw(st.sampled_from(["linear", "cosine"])),
+        # 0 is the instant closure: drawn outright one time in five
+        "boundary__closure_duration_s": draw(st.integers(0, 4).flatmap(
+            lambda k: st.just(0.0) if k == 0 else st.floats(0.0, 8.0))),
         "run__cfl": draw(_CFLS),
         "run__solver": draw(st.sampled_from(["kinetic", "moc", "both"])),
         "output__stride": draw(st.integers(1, 20)),
         "output__probes_m": ", ".join(map(repr, draw(st.lists(st.floats(-50.0, 2050.0),
                                                               min_size=1, max_size=2)))),
     }
+    if draw(st.booleans()):     # a roughness switches friction on
+        overrides["friction__strickler"] = draw(st.floats(0.05, 200.0))
     flags = []      # "--cfl=-0.5": argparse takes a bare "-0.5" for a flag
     if draw(st.booleans()):
         flags.append(f"--cells={draw(st.integers(1, 50))}")

@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from pipewave.config import (_SCHEMA, ConfigError, _parse_float, _parse_floats,
-                             load_config, parse_config)
+from pipewave.config import (_SCHEMA, ConfigError, RunConfig, _parse_float,
+                             _parse_floats, load_config, parse_config)
 from pipewave.core import effective_wave_speed, sound_speed
 from pipewave.scenarios import PrescribedDischarge, ReservoirHead
 
@@ -127,6 +127,8 @@ class TestParse:
         ("boundary.upstream_head_m", "200", "200.0 m does not cover the pipe crown "
                                             "251.596 m at x=0"),
         ("boundary.closure_law", "foo", "unknown closure law 'foo'"),
+        ("boundary.closure_law", "instant", "unknown closure law 'instant'"),
+        ("boundary.closure_duration_s", "-1", "must lie in [0, inf), got -1.0"),
         ("run.cells", "1", "must be >= 2, got 1"),
     ])
     def test_scenario_validation_names_key(self, key, value, message):
@@ -150,20 +152,29 @@ class TestParse:
             parse_config(MINIMAL + f"\n{key} = {value}\n")
         assert str(err.value) == f"key {key}: {message}"
 
+    @pytest.mark.parametrize("stride", [2.5, 10.0])
+    def test_snapshot_stride_must_be_an_integer(self, stride):
+        scenario = parse_config(MINIMAL).scenario
+        with pytest.raises(ValueError, match=rf"^snapshot_stride: must be an integer, "
+                                             rf"got {stride}$"):
+            RunConfig(scenario=scenario, snapshot_stride=stride)
+
     def test_cfl_above_one_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\nrun.cfl = 1.5\n")
 
-    def test_friction_needs_strickler(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + "\nfriction.enabled = true\n")
-        assert "strickler" in str(err.value)
+    def test_friction_switch_is_an_unknown_key(self):
+        # the roughness alone says whether the pipe has friction
+        for value in ("true", "false"):
+            with pytest.raises(ConfigError,
+                               match=r"^line 16: unknown key 'friction\.enabled'$"):
+                parse_config(MINIMAL + f"\nfriction.enabled = {value}\nfriction.strickler = 80\n")
 
     @pytest.mark.parametrize("strickler", ["1e-200", "1e-160", "1e200"])
     def test_strickler_without_finite_coefficient_rejected(self, strickler):
         # K_s^2 vanishes, is subnormal (K = inf) or overflows
         with pytest.raises(ConfigError, match=r"^key friction\.strickler: "):
-            parse_config(MINIMAL + f"\nfriction.enabled = true\nfriction.strickler = {strickler}\n")
+            parse_config(MINIMAL + f"\nfriction.strickler = {strickler}\n")
 
     @pytest.mark.parametrize("beta,rho0", [("1e-200", "1e-200"), ("1e200", "1e200")],
                              ids=["product-underflows", "product-overflows"])
@@ -176,10 +187,18 @@ class TestParse:
                                               r"fluid\.density_kg_m3: "):
             parse_config(text)
 
-    def test_strickler_ignored_without_friction(self):
-        config = parse_config(MINIMAL + "\nfriction.strickler = 1e200\n")
-        assert config.scenario.geometry.strickler is None
-        assert config.scenario.geometry.friction_coefficient == 0.0
+    def test_strickler_switches_friction_on(self):
+        # a roughness set without the old friction.enabled switch used to be
+        # ignored without a word
+        geometry = parse_config(MINIMAL + "\nfriction.strickler = 80\n").scenario.geometry
+        assert geometry.strickler == 80.0
+        assert geometry.friction_coefficient > 0.0
+
+    def test_zero_closure_duration_is_the_instant_closure(self):
+        law = parse_config(MINIMAL.replace("closure_duration_s = 5", "closure_duration_s = 0")
+                           ).scenario.downstream.law
+        assert law.t_close == 0.0
+        assert law(0.0) == 0.0
 
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config(MINIMAL + "\n# comment only\n\nrun.cfl = 0.5 # trailing\n")
@@ -189,7 +208,7 @@ class TestParse:
         config = parse_config(MINIMAL + ("\nrun.cfl = 0.35\nrun.solver = moc\n"
                                          "output.probes_m = 3.5, 1207\n"
                                          "boundary.closure_law = cosine\n"
-                                         "friction.enabled = true\nfriction.strickler = 75\n"))
+                                         "friction.strickler = 75\n"))
         assert config.cfl == 0.35
         assert config.solver == "moc"
         assert config.scenario.probes == (3.5, 1207.0)

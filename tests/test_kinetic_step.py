@@ -52,8 +52,7 @@ def reference_fluxes(a_ext, q_ext, w_left, w_right, c):
     return np.array(f_a), np.array(f_q)
 
 
-def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry=None,
-                   fault=None):
+def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry, fault=None):
     """One step written plainly: the CFL speed of ``state`` recomputed from
     its arrays, the fluxes of ``reference_fluxes`` (after ``fault``, if given,
     edits them in place), a cell update that gives each cell back the
@@ -62,7 +61,7 @@ def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry=None,
     finite Q whose Q/A overflows is rejected), and a new state that computes
     its own ``max_abs_velocity`` when asked.  The lean ``step`` must
     reproduce it bit for bit, errors included."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     speed = float(np.max(np.abs(state.discharge / state.area))) + c * SQRT3
     if dt * speed > mesh.width * kinetic._CFL_SLACK:
@@ -93,10 +92,16 @@ def reference_step(state, mesh, c, g, dt, upstream, downstream, geometry=None,
         i = int(np.argmin(admissible))
         raise SolverError(f"cell {i} left the admissible states at t={state.time + dt!r}: "
                           f"A={float(a_new[i])!r}, Q={float(q_new[i])!r}")
-    if geometry is not None and geometry.strickler is not None:
+    if geometry.strickler is not None:
         k = strickler_coefficient(geometry.strickler, geometry.section)
         q_new = q_new / (1.0 + dt * g * k * np.abs(q_new / a_new))
     return State._checked(a_new, q_new, state.time + dt)
+
+
+def smooth_pipe(mesh):
+    """A pipe without roughness as long as ``mesh``: wall and periodic ends
+    and the frictionless update read nothing else of it."""
+    return PipeGeometry(mesh.length, 1.0, flat_altitude)
 
 
 def same_bits(x, y):
@@ -145,7 +150,7 @@ class TestStep:
         state = State(area=np.full(16, 2.0), discharge=np.full(16, 3.0))
         c, g = 10.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
-        new = step(state, mesh, c, g, dt, Periodic(), Periodic())
+        new = step(state, mesh, c, g, dt, Periodic(), Periodic(), smooth_pipe(mesh))
         assert new.area == pytest.approx(state.area, rel=1e-12)
         assert new.discharge == pytest.approx(state.discharge, rel=1e-12)
 
@@ -155,7 +160,8 @@ class TestStep:
         c = 10.0
         dt_max = mesh.width / (c * SQRT3)
         with pytest.raises(SolverError):
-            step(state, mesh, c, 9.81, 1.5 * dt_max, Periodic(), Periodic())
+            step(state, mesh, c, 9.81, 1.5 * dt_max, Periodic(), Periodic(),
+                 smooth_pipe(mesh))
 
     def test_matches_quadrature_driven_update(self):
         rng = np.random.default_rng(31)
@@ -168,7 +174,7 @@ class TestStep:
             mesh = Mesh(float(n), z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 0.9)
-            new = step(state, mesh, c, g, dt, Periodic(), Periodic())
+            new = step(state, mesh, c, g, dt, Periodic(), Periodic(), smooth_pipe(mesh))
 
             # independent update: the hydrostatic reconstruction at
             # z* = max(z_L, z_R), written out per interface, then the flux of
@@ -208,7 +214,7 @@ class TestStep:
             mesh = Mesh(float(n), z)
             state = State(area=area, discharge=area * u)
             dt = cfl_timestep(state, c, mesh, 1.0)
-            new = step(state, mesh, c, g, dt, Wall(), Wall())
+            new = step(state, mesh, c, g, dt, Wall(), Wall(), smooth_pipe(mesh))
             assert np.all(new.area > 0)
 
     def test_conservation_periodic(self):
@@ -222,7 +228,7 @@ class TestStep:
         mom0 = np.sum(mesh.width * state.discharge)
         for _ in range(200):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, Periodic(), Periodic())
+            state = step(state, mesh, c, g, dt, Periodic(), Periodic(), smooth_pipe(mesh))
         assert np.sum(mesh.width * state.area) == pytest.approx(mass0, rel=1e-12)
         assert np.sum(mesh.width * state.discharge) == pytest.approx(
             mom0, abs=1e-12 * mass0 * c)
@@ -238,10 +244,11 @@ class TestStep:
         state = State(area=area, discharge=q)
         dt = cfl_timestep(state, c, mesh, 0.9)
 
-        stepped = step(state, mesh, c, g, dt, Wall(), Wall())
+        stepped = step(state, mesh, c, g, dt, Wall(), Wall(), smooth_pipe(mesh))
         mirrored_first = State(area=area[::-1], discharge=-q[::-1])
         mesh_m = Mesh(12.0, z[::-1])
-        stepped_mirrored = step(mirrored_first, mesh_m, c, g, dt, Wall(), Wall())
+        stepped_mirrored = step(mirrored_first, mesh_m, c, g, dt, Wall(), Wall(),
+                                smooth_pipe(mesh_m))
         assert stepped_mirrored.area == pytest.approx(stepped.area[::-1], rel=1e-12)
         assert stepped_mirrored.discharge == pytest.approx(
             -stepped.discharge[::-1], rel=1e-12, abs=1e-13 * np.max(area) * c)
@@ -254,8 +261,8 @@ class TestStep:
         c, g = 50.0, 9.81
         dt = cfl_timestep(state, c, mesh, 0.9)
         ends = Periodic(), Periodic()
-        with_friction = step(state, mesh, c, g, dt, *ends, geometry=geom)
-        without = step(state, mesh, c, g, dt, *ends)
+        with_friction = step(state, mesh, c, g, dt, *ends, geom)
+        without = step(state, mesh, c, g, dt, *ends, replace(geom, strickler=None))
         assert np.all(with_friction.discharge < without.discharge)
         assert np.all(with_friction.discharge > 0)
         assert with_friction.area == pytest.approx(without.area, rel=1e-15)
@@ -278,7 +285,7 @@ class TestStep:
         dt = cfl_timestep(state, 10.0, mesh, 0.8)
         with pytest.raises(SolverError,
                            match=f"{side} ghost cell: A={ghost[0]!r}, Q={ghost[1]!r}"):
-            step(state, mesh, 10.0, 9.81, dt, *ends)
+            step(state, mesh, 10.0, 9.81, dt, *ends, smooth_pipe(mesh))
 
     def test_prescribed_discharge_read_at_state_time(self):
         # ghost_states takes the time from the state it is handed
@@ -291,7 +298,7 @@ class TestStep:
             return 0.0
 
         step(state, mesh, 10.0, 9.81, cfl_timestep(state, 10.0, mesh, 0.8),
-             Wall(), PrescribedDischarge(law=law))
+             Wall(), PrescribedDischarge(law=law), smooth_pipe(mesh))
         assert times == [3.25]
 
     def test_non_finite_update_rejected(self):
@@ -304,7 +311,24 @@ class TestStep:
         dt = cfl_timestep(state, 10.0, mesh, 0.8)
         with np.errstate(all="ignore"), pytest.raises(
                 SolverError, match=rf"cell 0 .* at t={dt!r}: A=nan, Q=nan"):
-            step(state, mesh, 10.0, 9.81, dt, Wall(), Wall())
+            step(state, mesh, 10.0, 9.81, dt, Wall(), Wall(), smooth_pipe(mesh))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+    def test_non_positive_dt_rejected(self, dt):
+        # a NaN dt passed a bare "dt <= 0" guard, and the step then blamed
+        # cell 0 for leaving the admissible states at t=nan
+        mesh = Mesh.uniform(10.0, 4, flat_altitude)
+        state = State(area=np.full(4, 2.0), discharge=np.zeros(4))
+        with pytest.raises(ValueError, match=rf"^dt must be positive, got {dt!r}$"):
+            step(state, mesh, 10.0, 9.81, dt, Wall(), Wall(), smooth_pipe(mesh))
+
+    def test_state_and_mesh_sizes_must_agree(self):
+        # numpy used to reject the ghost-extended block with "operands could
+        # not be broadcast together", naming neither size
+        mesh = Mesh.uniform(10.0, 20, flat_altitude)
+        state = State(area=np.full(30, 2.0), discharge=np.zeros(30))
+        with pytest.raises(ValueError, match=r"^the state has 30 cells, the mesh 20$"):
+            step(state, mesh, 10.0, 9.81, 1e-3, Wall(), Wall(), smooth_pipe(mesh))
 
 
 ENDS = {"wall": Wall(), "periodic": Periodic()}
@@ -414,7 +438,7 @@ class TestStillWaterBalance:
         area0 = state.area.copy()
         for _ in range(100):
             dt = cfl_timestep(state, c, mesh, 0.8)
-            state = step(state, mesh, c, g, dt, Wall(), Wall())
+            state = step(state, mesh, c, g, dt, Wall(), Wall(), smooth_pipe(mesh))
         eps = g * float(np.max(np.abs(np.diff(mesh.z_cells)))) / (c * c)
         assert np.max(np.abs(state.discharge)) / (np.max(area0) * c) <= eps
         assert np.max(np.abs(state.area - area0) / area0) <= eps
@@ -426,7 +450,7 @@ class TestStillWaterBalance:
         for cells in (50, 100, 200):
             mesh, state, c, g = still_water_setup(cells=cells)
             dt = cfl_timestep(state, c, mesh, 0.8)
-            new = step(state, mesh, c, g, dt, Wall(), Wall())
+            new = step(state, mesh, c, g, dt, Wall(), Wall(), smooth_pipe(mesh))
             a_max = np.max(state.area)
             assert np.max(np.abs(new.area - state.area)) <= 1e-13 * a_max
             assert np.max(np.abs(new.discharge)) <= 1e-13 * a_max * c
@@ -445,7 +469,7 @@ class TestEntropyDiagnostic:
         violations = 0
         for _ in range(500):
             dt = cfl_timestep(state, c, mesh, 0.9)
-            state = step(state, mesh, c, g, dt, Periodic(), Periodic())
+            state = step(state, mesh, c, g, dt, Periodic(), Periodic(), smooth_pipe(mesh))
             new_total = float(np.sum(mesh.width * entropy_cell(
                 state.area, state.discharge, 0.0, c, g)))
             if new_total > total + 1e-8 * abs(total):
@@ -498,8 +522,8 @@ class TestRun:
                 observer=observer, initial=state)
         mesh = Mesh.uniform(10.0, 8, flat_altitude)
         with pytest.raises(ValueError, match=rf"^t_end must be finite, got {t_end}$"):
-            march(state, t_end, lambda s: step(s, mesh, 10.0, 9.81, 0.01, Periodic(), Periodic()),
-                  observer)
+            march(state, t_end, lambda s: step(s, mesh, 10.0, 9.81, 0.01, Periodic(), Periodic(),
+                                               smooth_pipe(mesh)), observer)
         assert times == []
 
     def test_speed_overflow_names_step_and_cell(self, monkeypatch):
@@ -525,6 +549,11 @@ class TestRun:
             run(self._scenario(10.0, Wall(), Wall(), t_end=1.0, cells=4, length=4.0), 0.8,
                 initial=state)
         assert len(calls) == 4
+
+    def test_initial_state_of_another_mesh_names_both_sizes(self):
+        state = State(area=np.full(30, 2.0), discharge=np.zeros(30))
+        with pytest.raises(ValueError, match=r"^the state has 30 cells, the mesh 20$"):
+            run(self._scenario(10.0, Wall(), Wall(), t_end=1.0, cells=20), 0.8, initial=state)
 
     def test_lands_exactly_on_t_end(self):
         state = State(area=np.full(8, 2.0), discharge=np.zeros(8))

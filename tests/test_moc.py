@@ -10,7 +10,7 @@ from oracles import coarse_moc_waterhammer, strickler_coefficient
 from pipewave.compare import detect_period
 from pipewave.core import LinearAltitude, PhysicalConstants, PipeGeometry, SolverError
 from pipewave.moc import MocState, _Track, initial_moc_state, moc_run, moc_step
-from pipewave.scenarios import (PrescribedDischarge, ReservoirHead, Scenario,
+from pipewave.scenarios import (Periodic, PrescribedDischarge, ReservoirHead, Scenario,
                                 ValveClosure, Wall)
 
 G = 9.81
@@ -479,6 +479,15 @@ class TestMocErrors:
         with pytest.raises(SolverError, match="^upstream boundary gave a non-finite"):
             moc_step(state, *QUIESCENT_GRID, G, law, Wall(), PIPE)
 
+    def test_periodic_end_rejected(self):
+        # a periodic pipe has no end node: the step used to fail with
+        # "'Periodic' object has no attribute 'node'"
+        state = quiescent_state()
+        for ends in ((Periodic(), Wall()), (Wall(), Periodic())):
+            with pytest.raises(ValueError, match=r"^the characteristics solver needs "
+                                                 r"reservoir, discharge or wall ends$"):
+                moc_step(state, *QUIESCENT_GRID, G, *ends, PIPE)
+
     def test_run_names_the_step(self):
         scenario = section4_scenario(cells=50, t_end=1.0)
         dt = scenario.geometry.length / 50 / scenario.constants.c
@@ -573,7 +582,6 @@ class TestMocRun:
 
     def test_rejects_periodic_boundaries(self):
         scenario = section4_scenario(t_end=1.0)
-        from pipewave.scenarios import Periodic
         bad = Scenario(**{**scenario.__dict__, "upstream": Periodic(),
                           "downstream": Periodic()})
         with pytest.raises(ValueError):

@@ -54,8 +54,17 @@ class TestValveClosure:
         assert law(5.0) == 0.0
 
     def test_instant_variant(self):
-        law = ValveClosure(q0=10.0, t_close=5.0, kind="instant")
-        assert law(0.0) == 0.0
+        # a zero closure duration shuts the valve at once, whatever the ramp
+        for kind in ("linear", "cosine"):
+            law = ValveClosure(q0=10.0, t_close=0.0, kind=kind)
+            assert law(0.0) == 0.0
+            assert law(7.3) == 0.0
+
+    @pytest.mark.parametrize("t_close", [-1.0, float("nan"), float("inf")])
+    def test_closure_duration_finite_and_non_negative(self, t_close):
+        with pytest.raises(ValueError, match=rf"^t_close: must lie in \[0, inf\), "
+                                             rf"got {t_close}$"):
+            ValveClosure(q0=10.0, t_close=t_close)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +93,15 @@ class TestScenarioValidation:
         rule = "non-negative" if t_end < 0 else "finite"
         with pytest.raises(ValueError, match=rf"^t_end: must be {rule}, got {t_end}$"):
             section4_scenario(t_end=t_end)
+
+    @pytest.mark.parametrize("field,value", [("mesh_cells", 20.5), ("mesh_cells", 20.0),
+                                             ("output_stride", 2.5)])
+    def test_counts_must_be_integers(self, field, value):
+        # 20.5 cells built 21 cells with bottoms sampled as if there were
+        # 20.5, and the MOC grid then failed in np.linspace; a stride of 2.5
+        # sampled every 5th step
+        with pytest.raises(ValueError, match=rf"^{field}: must be an integer, got {value}$"):
+            replace(section4_scenario(), **{field: value})
 
     def test_reservoir_must_cover_crown(self):
         scenario = section4_scenario()
