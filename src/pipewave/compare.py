@@ -86,15 +86,16 @@ def first_extremum(t, y, t_min=0.0, hysteresis=0.02):
     if span == 0.0:
         return None
     margin = hysteresis * span
-    run_max = run_min = y[0]
-    for value in y[1:]:
-        run_max = max(run_max, value)
-        run_min = min(run_min, value)
-        if run_max - value > margin and run_max - y[0] > margin:
-            return float(run_max)
-        if value - run_min > margin and y[0] - run_min > margin:
-            return float(run_min)
-    return None
+    top, bottom = np.maximum.accumulate(y), np.minimum.accumulate(y)
+    # a retreat from a running extreme that itself lies beyond the margin
+    # from y[0], the peak tested first, from the second sample on
+    peak = (top - y > margin) & (top - y[0] > margin)
+    trough = (y - bottom > margin) & (y[0] - bottom > margin)
+    hits = np.flatnonzero(peak[1:] | trough[1:])
+    if hits.size == 0:
+        return None
+    i = hits[0] + 1
+    return float(top[i] if peak[i] else bottom[i])
 
 
 def _resample_to_coarser(a: ProbeSeries, b: ProbeSeries):

@@ -138,7 +138,9 @@ def rest_factors(z, c, g):
 @dataclass(frozen=True)
 class Mesh:
     """n equal cells of ``width`` on [0, length], their read-only ``centers``
-    and the piecewise-constant bottom z_cells[i] = Z(centers[i])."""
+    and the piecewise-constant bottom z_cells[i] = Z(centers[i]).  Beside its
+    rest factors it keeps ``kinetic.step``'s scratch, one per (c, g), in
+    ``_workspaces``; they hold no reference back to the mesh."""
 
     length: float
     z_cells: np.ndarray
@@ -153,6 +155,7 @@ class Mesh:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "centers", _readonly((np.arange(z_cells.size) + 0.5) * width))
         object.__setattr__(self, "_rest_factors", {})
+        object.__setattr__(self, "_workspaces", {})
 
     @property
     def n(self):

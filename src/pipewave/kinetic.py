@@ -80,9 +80,14 @@ with h the cell width, stable and positivity-preserving under the CFL
 condition dt * max(|u| + c sqrt(3)) <= h.  ``_advance`` runs the
 weighted halves, the add-back and this update on a ghost-extended block of
 any leading shape, cells on the last axis: ``step`` on one 1-d
-block, ``checks.check_positivity`` on blocks of cases.  Every ``step``
-takes its pipe: on one with a Strickler roughness the discharge is relaxed
-semi-implicitly by its friction coefficient after the hyperbolic update.
+block, ``checks.check_positivity`` on blocks of cases.  Its scratch
+buffers are a ``_Workspace``: each ``Mesh`` owns one per (c, g), made on
+its first ``step`` beside its rest factors (so one mesh takes one step at
+a time), and ``check_positivity`` makes one per block.  No state aliases
+them: each step's new (A, Q) are fresh arrays, made read-only by the
+state.  Every ``step`` takes its pipe: on one with a Strickler roughness
+the discharge is relaxed semi-implicitly by its friction coefficient after
+the hyperbolic update.
 Without friction ``step`` hands its new state's max |u|, formed as it tests
 admissibility, to the state, and the next ``cfl_timestep`` reads it there.
 ``run`` hands ``core.march`` one ``cfl_timestep`` per step, the last one
@@ -179,32 +184,59 @@ def _six_row_flux_arrays(a_left, q_left, a_right, q_right, dz, c, g):
             (-f_a[1]).reshape(shape), f_q[1].reshape(shape))
 
 
-def _interface_flux_arrays(w_left, w_right, ext, c):
+class _Workspace:
+    """Scratch buffers of ``_advance`` on ghost-extended blocks ``ext``
+    (2, ..., n+2) under the rest factors ``shrink`` (2, ..., n+1) at wave
+    speed c, with what it folds from them once: the add-back coefficient
+    c^2 (w_R[i-1/2] - w_L[i+1/2]), the bound offsets -+ c sqrt(3) and the two
+    moment scales 1/(4 s) and 1/(6 s).  Each operation of a step writes into
+    these buffers; only the new state's arrays are fresh."""
+
+    def __init__(self, shrink, c):
+        s = c * SQRT3
+        faces = shrink.shape[1:]
+        cells = faces[:-1] + (faces[-1] + 1,)
+        column = (2,) + (1,) * len(cells)      # one value per row, broadcast over the cells
+        self.w_left, self.w_right = shrink
+        self.add_back = shrink[1, ..., :-1] - shrink[0, ..., 1:]
+        self.add_back *= c * c
+        self.offsets = np.array([-s, s]).reshape(column)
+        self.scales = np.array([0.25 / s, 1.0 / (6.0 * s)]).reshape(column)
+        self.ext = np.empty((2,) + cells)
+        self.u = np.empty(cells)
+        self.x = np.empty((2,) + cells)        # bounds u - s, u + s
+        self.positive = np.empty(self.x.shape, dtype=bool)
+        h = np.empty((2, 2) + self.x.shape)     # (xi >= 0, xi <= 0) x (x^2, x^3) x bound
+        self.above, self.whole = h              # the xi >= 0 half, then all of the rectangle
+        self.lo, self.hi = h[:, :, 0], h[:, :, 1]
+        self.d = np.empty((2, 2) + cells)       # (xi >= 0, xi <= 0) x (mass, momentum)
+        self.right_going, self.left_going = self.d[0, ..., :-1], self.d[1, ..., 1:]
+        self.scaled_area = np.empty((2,) + cells)
+        self.f, self.f_right = np.empty((2, 2) + faces)
+        self.df = np.empty((2,) + self.add_back.shape)
+        self.lost = np.empty(self.add_back.shape)
+
+
+def _interface_flux_arrays(w_left, w_right, ext, work):
     """(F_A, F_Q), a (2, ..., n+1) block, at the interfaces of the
     ghost-extended cells ``ext`` (2, ..., n+2): w_left times the left cell's
     xi >= 0 half plus w_right times the right cell's xi <= 0 half, the
     weights (..., n+1) broadcast against the interfaces; see the module
-    docstring."""
-    s = c * SQRT3
+    docstring.  It is ``work.f``, overwritten by the next call."""
     area = ext[0]
-    u = ext[1] / area
-    x = np.empty((2,) + u.shape)               # bounds u - s, u + s
-    np.subtract(u, s, out=x[0])
-    np.add(u, s, out=x[1])
-    h = np.empty((2, 2) + x.shape)             # (xi >= 0, xi <= 0) x (x^2, x^3) x bound
-    whole = h[1]
-    square = whole[0]
-    np.multiply(x, x, out=square)
-    np.multiply(square, x, out=whole[1])
+    x = np.add(np.divide(ext[1], area, out=work.u), work.offsets, out=work.x)
+    whole = work.whole
+    np.multiply(x, x, out=whole[0])
+    np.multiply(whole[0], x, out=whole[1])
     # the xi >= 0 half keeps the powers of the bounds above 0 and the xi <= 0
     # half the rest: each half clamped to its side, save that a power that
     # overflows is NaN in both halves, as in the six rows
-    np.multiply(whole, x > 0.0, out=h[0])
-    whole -= h[0]
-    d = h[:, :, 1] - h[:, :, 0]
-    d *= np.multiply.outer((0.25 / s, 1.0 / (6.0 * s)), area)
-    f = w_left * d[0, ..., :-1]
-    f += w_right * d[1, ..., 1:]
+    np.multiply(whole, np.greater(x, 0.0, out=work.positive), out=work.above)
+    whole -= work.above
+    d = np.subtract(work.hi, work.lo, out=work.d)
+    d *= np.multiply(work.scales, area, out=work.scaled_area)
+    f = np.multiply(w_left, work.right_going, out=work.f)
+    f += np.multiply(w_right, work.left_going, out=work.f_right)
     return f
 
 
@@ -221,21 +253,16 @@ def _admissible(area, discharge):
         return (area > 0.0) & (area < math.inf) & np.isfinite(discharge / area)
 
 
-def _advance(ext, shrink, ratio, c):
+def _advance(ext, work, ratio):
     """New (A, Q) of the n inner cells of ``ext`` (2, ..., n+2): (A, Q), any
-    batch axes, then the cells with a ghost on each end.  ``shrink`` is
-    ``core.rest_factors`` (2, ..., n+1) and ``ratio`` dt / h, broadcast
-    against the cells; see the module docstring for the update."""
-    w_left = shrink[0]
-    w_right = shrink[1]
-    f = _interface_flux_arrays(w_left, w_right, ext, c)
-    df = f[..., 1:] - f[..., :-1]
+    batch axes, then the cells with a ghost on each end.  ``work`` is a
+    ``_Workspace`` of that shape, and ``ratio`` dt / h is broadcast against
+    the cells; see the module docstring for the update."""
+    f = _interface_flux_arrays(work.w_left, work.w_right, ext, work)
+    df = np.subtract(f[..., 1:], f[..., :-1], out=work.df)
     # each cell gets back the pressure c^2 (A - A*) the reconstruction
     # removed on its two sides
-    lost = w_right[..., :-1] - w_left[..., 1:]
-    lost *= c * c
-    lost *= ext[0, ..., 1:-1]
-    df[1] += lost
+    df[1] += np.multiply(work.add_back, ext[0, ..., 1:-1], out=work.lost)
     df *= ratio
     new = ext[:, ..., 1:-1] - df
     return new[0], new[1]
@@ -268,12 +295,15 @@ def step(state: State, mesh: Mesh, c, g, dt, upstream, downstream,
             f"dt={dt:g} violates the CFL condition: dt*max(|u|+c*sqrt(3))="
             f"{dt * speed:g} > cell width {mesh.width:g}")
 
-    ext = np.empty((2, state.area.size + 2))   # (A, Q) with one ghost on each end
+    work = mesh._workspaces.get((c, g))
+    if work is None:                           # the mesh's first step at (c, g)
+        work = mesh._workspaces[(c, g)] = _Workspace(mesh.rest_factors(c, g), c)
+    ext = work.ext                             # (A, Q) with one ghost on each end
     (ext[0, 0], ext[1, 0]), (ext[0, -1], ext[1, -1]) = scenarios.ghost_states(
         state, mesh, upstream, downstream, c, g, geometry)
     ext[0, 1:-1] = state.area
     ext[1, 1:-1] = state.discharge
-    a_new, q_new = _advance(ext, mesh.rest_factors(c, g), dt / mesh.width, c)
+    a_new, q_new = _advance(ext, work, dt / mesh.width)
 
     # with 0 < A < inf a finite max |Q/A| shows every cell admissible;
     # otherwise some cell is not, and the mask names the first

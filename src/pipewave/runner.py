@@ -115,7 +115,12 @@ class _Recorder:
             self.last_snapshot = self.steps
 
     def _check(self, time):
-        ok = (self.low > self.solver.floor) & (self.high < np.inf)    # NaN fails both
+        # a scalar floor is tested on the range's extremes alone, a per-node
+        # one by the mask that also names a failing node (NaN fails each test)
+        low, high, floor = self.low, self.high, self.solver.floor
+        if isinstance(floor, float) and low.min() > floor and high.max() < np.inf:
+            return
+        ok = (low > floor) & (high < np.inf)
         if not ok.all():
             i = int(np.argmin(ok))
             lag = (self.steps - 1) % self.output_stride   # steps since the last check
@@ -148,10 +153,20 @@ class _Recorder:
         return rows[:, 0].copy(), self._interp(level0, level1), self._interp(q0, q1)
 
 
+# the most steps a kinetic run may take, bounded from its first dt: a CFL
+# coefficient that needs more is refused, as the march would not end
+_MAX_KINETIC_STEPS = 10 ** 8
+
+
 def _kinetic(config: RunConfig):
     scenario = config.scenario
     mesh = scenario.mesh()
     state = steady_state_init(scenario, mesh)
+    dt = kinetic.cfl_timestep(state, scenario.constants.c, mesh, config.cfl)
+    if scenario.t_end > dt * _MAX_KINETIC_STEPS:
+        raise ConfigError(f"key run.cfl: {config.cfl!r} gives a first step dt = {dt:.3g} s, "
+                          f"at which run.t_end_s = {scenario.t_end:g} s takes more than "
+                          f"the {_MAX_KINETIC_STEPS:.0e} steps a run may take")
     return _Solver(x=mesh.centers, z=mesh.z_cells, weights=mesh.width,
                    level=lambda s: s.area, area=lambda area, z: area, floor=0.0,
                    initial=state, march=partial(kinetic.run, scenario, config.cfl, initial=state),

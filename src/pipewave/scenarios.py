@@ -100,6 +100,7 @@ BoundaryCondition = ReservoirHead | PrescribedDischarge | Wall | Periodic
 class ValveClosure:
     """Declarative closure law; ``kind`` selects the ramp shape before
     t_close, and the valve is shut from t_close on (at once for t_close = 0).
+    Before t = 0 it is fully open, q0.
 
     linear:  q0 * (1 - t/t_close)
     cosine:  q0 * (1 + cos(pi t/t_close)) / 2
@@ -118,6 +119,8 @@ class ValveClosure:
     def __call__(self, t):
         if t >= self.t_close:
             return 0.0
+        if t < 0.0:
+            return float(self.q0)
         if self.kind == "cosine":
             return self.q0 * 0.5 * (1.0 + math.cos(math.pi * t / self.t_close))
         return self.q0 * (1.0 - t / self.t_close)
@@ -140,13 +143,13 @@ class Scenario:
     def __post_init__(self):
         # each message starts with the field it rejects, for config and cli to name
         periodic = isinstance(self.upstream, Periodic) == isinstance(self.downstream, Periodic)
-        for field, ok, rule in (("mesh_cells", isinstance(self.mesh_cells, Integral),
-                                 "must be an integer"),
-                                ("mesh_cells", self.mesh_cells >= 2, "must be >= 2"),
+        # the integer rows first: the comparisons below would raise TypeError
+        for field in ("mesh_cells", "output_stride"):
+            if not isinstance(getattr(self, field), Integral):
+                raise ValueError(f"{field}: must be an integer, got {getattr(self, field)}")
+        for field, ok, rule in (("mesh_cells", self.mesh_cells >= 2, "must be >= 2"),
                                 ("t_end", math.isfinite(self.t_end), "must be finite"),
                                 ("t_end", self.t_end >= 0, "must be non-negative"),
-                                ("output_stride", isinstance(self.output_stride, Integral),
-                                 "must be an integer"),
                                 ("output_stride", self.output_stride >= 1, "must be >= 1"),
                                 ("downstream", periodic, "must be periodic iff upstream is")):
             if not ok:

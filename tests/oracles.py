@@ -222,3 +222,25 @@ def loop_detect_period(t, y, t_min=0.0):
     if gaps.size == 0:
         return None
     return float(np.median(gaps))
+
+
+def loop_first_extremum(t, y, t_min=0.0, hysteresis=0.02):
+    """``compare.first_extremum`` as a plain loop: running extremes updated
+    one sample at a time, the peak tested before the trough."""
+    mask = t >= t_min
+    y = y[mask]
+    if y.size < 3:
+        return None
+    span = float(y.max() - y.min())
+    if span == 0.0:
+        return None
+    margin = hysteresis * span
+    run_max = run_min = y[0]
+    for value in y[1:]:
+        run_max = max(run_max, value)
+        run_min = min(run_min, value)
+        if run_max - value > margin and run_max - y[0] > margin:
+            return float(run_max)
+        if value - run_min > margin and y[0] - run_min > margin:
+            return float(run_min)
+    return None

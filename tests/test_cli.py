@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipewave import scenarios
+from pipewave import runner, scenarios
 from pipewave.cli import main
 from pipewave.config import _SCHEMA
 
@@ -229,6 +230,32 @@ class TestExitCodes:
         assert err.startswith("configuration error: --cfl must lie in (0, 1], got "), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("cfl", ["1e-300", "5e-324"])
+    def test_tiny_cfl_is_refused_before_the_march(self, tmp_path, capsys, command, cfl):
+        # 1e-300 used to march without end; 5e-324 gives a first dt of 0
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        assert main([command, str(cfg), "--cfl", cfl, "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: key run.cfl: {float(cfl)!r} gives a "
+                              f"first step dt = "), err
+        assert err.rstrip().endswith("steps a run may take"), err
+        assert not out.exists()
+
+    def test_step_ceiling_counts_from_the_first_dt(self, tmp_path, capsys, monkeypatch):
+        # at 40 cells the first dt is about 0.0212 s: 0.2 s takes 10 steps,
+        # 0.25 s would take 12
+        monkeypatch.setattr(runner, "_MAX_KINETIC_STEPS", 10)
+        cfg = write_config(tmp_path, run__t_end_s="0.2")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert "kinetic: 40 cells, 10 steps" in capsys.readouterr().out
+        cfg = write_config(tmp_path, run__t_end_s="0.25")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "b")]) == 2
+        assert "more than the 1e+01 steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("solver", ["kinetic", "moc"])
     @pytest.mark.parametrize("strickler", ["1e200", "1e-200", "1e-160"])
     def test_extreme_strickler_is_exit_2(self, tmp_path, capsys, solver, strickler):
@@ -347,10 +374,15 @@ class TestCheckCommand:
 
 # every key the configuration reads, and the flags of run and compare
 _NAMES = re.compile("|".join(re.escape(name) for name in [*_SCHEMA, "--cells", "--cfl"]))
-# a coefficient of 1e-300 is valid but would march for ever: draw the valid
-# ones from [0.05, 1], and one time in ten a value outside (0, 1]
-_CFLS = st.integers(0, 9).flatmap(lambda k: st.sampled_from([0.0, -0.1, 1.2, math.nan])
-                                  if k == 0 else st.floats(0.05, 1.0))
+# valid coefficients from [0.05, 1] and, one time in ten, from (0, 1e-9]: on
+# SMALL's pipe (h <= 1000 m) a first dt below 5.4e-10 s needs over 10^8
+# steps for any t_end >= 0.1 s, so the step ceiling refuses each such run at
+# once (a t_end of 0 takes no step).  Between the two a run is valid but may
+# take up to 10^8 steps, too slow to draw.  One time in ten a value outside
+# (0, 1].
+_CFLS = st.integers(0, 9).flatmap(
+    lambda k: st.sampled_from([0.0, -0.1, 1.2, math.nan]) if k == 0
+    else st.floats(0.0, 1e-9, exclude_min=True) if k == 1 else st.floats(0.05, 1.0))
 
 
 @st.composite

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import loop_detect_period
+from oracles import loop_detect_period, loop_first_extremum
 from pipewave.compare import (ProbeSeries, compare_series, detect_period,
                               first_extremum)
 from pipewave.config import load_config
@@ -94,6 +94,37 @@ class TestFirstExtremum:
     def test_monotone_returns_none(self):
         t = np.linspace(0.0, 10.0, 100)
         assert first_extremum(t, 2.0 * t) is None
+
+    def test_same_extremum_as_the_loop_on_random_series(self):
+        # random walks, noisy sinusoids and integer series with ties and
+        # plateaus, at hystereses from none to most of the range
+        rng = np.random.default_rng(3)
+        found = 0
+        for n in range(1, 400):
+            t = np.cumsum(rng.uniform(0.01, 1.0, n))
+            if n % 3 == 0:
+                y = np.cumsum(rng.standard_normal(n))
+            elif n % 3 == 1:
+                y = np.sin(rng.uniform(0.1, 3.0) * t) + 0.05 * rng.standard_normal(n)
+            else:
+                y = rng.integers(-3, 4, n).astype(float)
+            hysteresis = float(rng.choice([0.0, 0.02, 0.2, 0.6]))
+            t_min = float(t[rng.integers(n)]) if n % 4 == 0 else 0.0
+            got = first_extremum(t, y, t_min, hysteresis)
+            assert repr(got) == repr(loop_first_extremum(t, y, t_min, hysteresis))
+            found += got is not None
+        assert found > 300
+
+    def test_same_extremum_as_the_loop_on_the_validation_probes(self):
+        config = load_config(REPO_ROOT / "waterhammer.cfg")
+        config = replace(config, scenario=replace(config.scenario, mesh_cells=50))
+        results, _ = compare_runs(config, write_files=False)
+        for result in results.values():
+            for series in result.probes:
+                for t_min in (0.0, 3.0):
+                    got = first_extremum(series.t, series.head, t_min)
+                    assert got is not None
+                    assert repr(got) == repr(loop_first_extremum(series.t, series.head, t_min))
 
 
 class TestCompareSeries:

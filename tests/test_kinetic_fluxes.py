@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from oracles import (quad_interface_fluxes, quad_shifted_half_moments,
                      rect_maxwellian)
 from pipewave.core import rest_factors
-from pipewave.kinetic import SQRT3, _interface_flux_arrays, _six_row_flux_arrays
+from pipewave.kinetic import SQRT3, _interface_flux_arrays, _six_row_flux_arrays, _Workspace
 
 
 class TestMaxwellian:
@@ -185,6 +185,12 @@ def no_jump_cells(rng, cells, c, huge=True):
     return rest_factors(z, c, 9.81), np.array([a, a * u])
 
 
+def run_path_fluxes(weights, ext, c):
+    """``_interface_flux_arrays`` of ``ext`` under ``weights``, in a fresh
+    workspace, so the block it returns is not overwritten by a later call."""
+    return _interface_flux_arrays(weights[0], weights[1], ext, _Workspace(weights, c))
+
+
 def term_scales(weights, ext, c):
     """The largest magnitude each interface flux is formed from: the two
     weighted halves' (|u| + s)^2 A / (4 s) and (|u| + s)^3 A / (6 s)."""
@@ -211,7 +217,7 @@ class TestClosedFormKernel:
             weights, ext = no_jump_cells(rng, interfaces - 1, c)
             left, right = ext[:, :-1] * weights[0], ext[:, 1:] * weights[1]
             with np.errstate(all="ignore"):
-                got = _interface_flux_arrays(weights[0], weights[1], ext, c)
+                got = run_path_fluxes(weights, ext, c)
                 rows = _six_row_flux_arrays(*left, *right, np.zeros(interfaces), c, 9.81)
             assert got.shape == (2, interfaces)
             tolerance = 1e-14 * term_scales(weights, ext, c)
@@ -228,7 +234,7 @@ class TestClosedFormKernel:
         for _ in range(20):
             c = rng.uniform(0.5, 20.0)
             weights, ext = no_jump_cells(rng, 2, c, huge=False)
-            got = _interface_flux_arrays(weights[0], weights[1], ext, c)
+            got = run_path_fluxes(weights, ext, c)
             for j in range(3):
                 a_l, q_l = ext[:, j] * weights[0, j]
                 a_r, q_r = ext[:, j + 1] * weights[1, j]
@@ -247,8 +253,8 @@ class TestClosedFormKernel:
             weights = np.stack([w for w, _ in cases], axis=1)
             ext = np.stack([e for _, e in cases], axis=1)
             with np.errstate(all="ignore"):
-                block = _interface_flux_arrays(weights[0], weights[1], ext, c)
+                block = run_path_fluxes(weights, ext, c)
                 assert block.shape == (2, 3, 6)
                 for k, (w, e) in enumerate(cases):
-                    own = _interface_flux_arrays(w[0], w[1], e, c)
+                    own = run_path_fluxes(w, e, c)
                     assert block[:, k].tobytes() == own.tobytes()

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -425,6 +427,52 @@ class TestLeanStep:
                 # without friction
                 assert kind == "none"
                 assert lean.max_abs_velocity < math.inf
+
+
+class TestWorkspace:
+    """A mesh keeps one scratch workspace per (c, g) that its steps write
+    into; the states they return share no memory with it."""
+
+    @pytest.mark.parametrize("strickler", [None, 80.0], ids=["frictionless", "friction"])
+    def test_marched_states_keep_their_bits(self, strickler):
+        # a 2,000-step surge: each state still holds the bits it was
+        # returned with after every later step on the same mesh
+        geometry = PipeGeometry(2000.0, 2.0, LinearAltitude(250.0, -5.0), strickler)
+        scenario = Scenario(geometry=geometry, constants=PhysicalConstants(c=1086.6),
+                            mesh_cells=20, upstream=ReservoirHead(300.0),
+                            downstream=PrescribedDischarge(law=lambda t: 10.0 * (t < 5.0)),
+                            initial_discharge=10.0, t_end=100.0)
+        mesh = scenario.mesh()
+        c, g = scenario.constants.c, scenario.constants.g
+        state = steady_state_init(scenario, mesh)
+        marched = []
+        for _ in range(2000):
+            dt = cfl_timestep(state, c, mesh, 0.8)
+            state = step(state, mesh, c, g, dt, scenario.upstream, scenario.downstream, geometry)
+            marched.append((state, state.area.tobytes(), state.discharge.tobytes()))
+        (work,) = mesh._workspaces.values()
+        scratch = [v for v in vars(work).values() if isinstance(v, np.ndarray)]
+        for state, area, discharge in marched:
+            assert state.area.tobytes() == area
+            assert state.discharge.tobytes() == discharge
+            assert not any(np.may_share_memory(x, buffer) for buffer in scratch
+                           for x in (state.area, state.discharge))
+
+    def test_one_per_constants_freed_with_its_mesh(self):
+        mesh = Mesh.uniform(10.0, 8, flat_altitude)
+        state = State(area=np.full(8, 2.0), discharge=np.zeros(8))
+        for c in (10.0, 10.0, 20.0):
+            step(state, mesh, c, 9.81, 0.01, Periodic(), Periodic(), smooth_pipe(mesh))
+        assert list(mesh._workspaces) == [(10.0, 9.81), (20.0, 9.81)]
+        # no reference cycle holds a mesh and its scratch: reference
+        # counting alone frees them
+        freed = weakref.ref(mesh)
+        gc.disable()
+        try:
+            del mesh
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestStillWaterBalance:

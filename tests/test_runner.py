@@ -2,6 +2,7 @@
 solver: every step counts toward the summary, and the probes sample the
 initial state, every ``output_stride``-th step and the final state."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -12,7 +13,7 @@ import pytest
 
 from pipewave import kinetic, moc, runner
 from pipewave.config import RunConfig
-from pipewave.core import (LinearAltitude, PhysicalConstants, PipeGeometry,
+from pipewave.core import (LinearAltitude, PhysicalConstants, PipeGeometry, SolverError,
                            area_from_piezometric_head)
 from pipewave.kinetic import run
 from pipewave.moc import initial_moc_state, moc_step
@@ -140,6 +141,57 @@ def test_probe_series_are_np_interp_of_every_sampled_state(solver, tmp_path):
         want = np.array([np.interp(probe_x, built.x, field(s)) for s in states])
         for k in range(probe_x.size):
             assert got[:, k].tobytes() == want[:, k].tobytes()
+
+
+def full_mask_message(recorder, time):
+    """The exit-3 message of a failed range check, its node the first one
+    the full mask (low > floor) & (high < inf) rejects."""
+    ok = (recorder.low > recorder.solver.floor) & (recorder.high < np.inf)
+    i = int(np.argmin(ok))
+    lag = (recorder.steps - 1) % recorder.output_stride
+    return (f"step {recorder.steps} at t={time!r}: node {i} ranged over [{recorder.low[i]!r}, "
+            f"{recorder.high[i]!r}], not finite or down to its zero-area level "
+            f"{np.broadcast_to(recorder.solver.floor, ok.shape)[i]!r}" + (
+                f" (checked every {recorder.output_stride} steps: the first bad step "
+                f"may be up to {lag} steps earlier)" if lag else ""))
+
+
+@pytest.mark.parametrize("solver", ["kinetic", "moc"])
+def test_range_check_names_the_node_of_the_full_mask(solver, tmp_path):
+    """On the kinetic solver's scalar floor the check tests the range's
+    extremes first and forms the mask only when they fail.  On either
+    solver it passes exactly when the full mask does, and its message
+    names the node of the full mask, word for word."""
+    built = getattr(runner, f"_{solver}")(surge_config(solver, tmp_path))
+    floor = np.broadcast_to(built.floor, built.x.shape)
+    rng = np.random.default_rng(12)
+    failed = 0
+    for _ in range(300):
+        recorder = runner._Recorder(built, np.array([1000.0]), int(rng.integers(1, 4)),
+                                    lambda step, state: None)
+        recorder.steps = int(rng.integers(1, 50))
+        for _ in range(int(rng.integers(0, 4))):
+            i = int(rng.integers(built.x.size))
+            kind = int(rng.integers(6))
+            if kind == 0:
+                recorder.low[i] = floor[i]                 # down to the zero-area level
+            elif kind == 1:
+                recorder.low[i] = floor[i] - rng.uniform(0.0, 10.0)
+            elif kind == 2:
+                recorder.low[i] = rng.choice([math.nan, -math.inf])
+            elif kind == 3:
+                recorder.high[i] = rng.choice([math.nan, math.inf])
+            else:                                          # a wider range, still admissible
+                recorder.low[i] = np.nextafter(floor[i], math.inf)
+                recorder.high[i] *= 1.5
+        if ((recorder.low > built.floor) & (recorder.high < np.inf)).all():
+            recorder._check(7.5)
+            continue
+        failed += 1
+        with pytest.raises(SolverError) as info:
+            recorder._check(7.5)
+        assert str(info.value) == full_mask_message(recorder, 7.5)
+    assert 100 < failed < 300
 
 
 def test_probe_store_bytes_per_sample(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,33 @@ class TestValveClosure:
         with pytest.raises(ValueError):
             ValveClosure(q0=1.0, t_close=1.0, kind="quadratic")
 
+    @pytest.mark.parametrize("kind", ["linear", "cosine"])
+    @pytest.mark.parametrize("t_close", [0.0, 5.0])
+    def test_open_before_time_zero(self, kind, t_close):
+        # the instant law used to divide by zero at t < 0, and the ramps rose
+        # above q0
+        law = ValveClosure(q0=10.0, t_close=t_close, kind=kind)
+        for t in (-1.0, -1e-300, -7.3, -float("inf")):
+            assert law(t) == 10.0
+
+    @pytest.mark.parametrize("kind", ["linear", "cosine"])
+    def test_times_from_zero_keep_their_bits(self, kind):
+        # the ramp as written before times below zero were open: t >= 0
+        # gives these bits, the closure instant and beyond included
+        rng = np.random.default_rng(6)
+        for t_close in (0.0, 5.0, float(rng.uniform(0.1, 9.0))):
+            law = ValveClosure(q0=10.0, t_close=t_close, kind=kind)
+            times = np.concatenate([[0.0, 5e-324, t_close, np.nextafter(t_close, 0.0), 9.0],
+                                    rng.uniform(0.0, 1.2 * t_close + 1.0, 500)])
+            for t in times.tolist():
+                if t >= t_close:
+                    want = 0.0
+                elif kind == "cosine":
+                    want = 10.0 * 0.5 * (1.0 + math.cos(math.pi * t / t_close))
+                else:
+                    want = 10.0 * (1.0 - t / t_close)
+                assert law(t).hex() == want.hex()
+
 
 class TestScenarioValidation:
     def test_needs_two_cells(self):
@@ -102,6 +130,12 @@ class TestScenarioValidation:
         # sampled every 5th step
         with pytest.raises(ValueError, match=rf"^{field}: must be an integer, got {value}$"):
             replace(section4_scenario(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["mesh_cells", "output_stride"])
+    def test_counts_given_as_text_are_not_integers(self, field):
+        # the range rows compared the text with a number and raised TypeError
+        with pytest.raises(ValueError, match=rf"^{field}: must be an integer, got 20$"):
+            replace(section4_scenario(), **{field: "20"})
 
     def test_reservoir_must_cover_crown(self):
         scenario = section4_scenario()
